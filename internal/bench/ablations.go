@@ -21,7 +21,7 @@ import (
 func AblationSplitPosition(o Options) (*Figure, error) {
 	o = o.withDefaults()
 	fig := &Figure{
-		Title: "Ablation: data-node split position — middle of extent vs median (COLHIST)",
+		Title:  "Ablation: data-node split position — middle of extent vs median (COLHIST)",
 		XLabel: "dims", YLabel: "avg disk accesses per query",
 		Series: []Series{{Label: "middle (paper)"}, {Label: "median"}},
 	}
@@ -53,7 +53,7 @@ func AblationSplitPosition(o Options) (*Figure, error) {
 func AblationQuerySide(o Options) (*Figure, error) {
 	o = o.withDefaults()
 	fig := &Figure{
-		Title: "Ablation: EDA query-side parameter r for index-node splits (COLHIST)",
+		Title:  "Ablation: EDA query-side parameter r for index-node splits (COLHIST)",
 		XLabel: "dims", YLabel: "avg disk accesses per query",
 		Series: []Series{
 			{Label: "calibrated r"},
@@ -303,7 +303,6 @@ func AblationBulkLoad(o Options) (*Table, error) {
 	}
 	return t, nil
 }
-
 
 // AblationDPFamily compares the two data-partitioning structures the paper
 // names — the SR-tree it benchmarks and the X-tree its classification cites

@@ -41,12 +41,12 @@ func fourierWorkload(o Options, n, dim int) ([]geom.Point, []geom.Rect, float64,
 func Fig5ab(o Options) (*Figure, *Figure, error) {
 	o = o.withDefaults()
 	figA := &Figure{
-		Title: "Figure 5(a): EDA-optimal vs VAM split — disk accesses (COLHIST)",
+		Title:  "Figure 5(a): EDA-optimal vs VAM split — disk accesses (COLHIST)",
 		XLabel: "dims", YLabel: "avg disk accesses per query",
 		Series: []Series{{Label: "EDA-optimal"}, {Label: "VAM"}},
 	}
 	figB := &Figure{
-		Title: "Figure 5(b): EDA-optimal vs VAM split — CPU time (COLHIST)",
+		Title:  "Figure 5(b): EDA-optimal vs VAM split — CPU time (COLHIST)",
 		XLabel: "dims", YLabel: "avg CPU seconds per query",
 		Series: []Series{{Label: "EDA-optimal"}, {Label: "VAM"}},
 	}
@@ -84,7 +84,7 @@ var ELSBitSweep = []int{0, 1, 2, 4, 6, 8, 12, 16}
 func Fig5c(o Options) (*Figure, error) {
 	o = o.withDefaults()
 	fig := &Figure{
-		Title: "Figure 5(c): effect of ELS precision on disk accesses (COLHIST)",
+		Title:  "Figure 5(c): effect of ELS precision on disk accesses (COLHIST)",
 		XLabel: "bits/boundary", YLabel: "avg disk accesses per query",
 	}
 	for _, bits := range ELSBitSweep {
@@ -161,12 +161,12 @@ func Fig6(o Options, datasetName string) (*Figure, *Figure, error) {
 		return nil, nil, fmt.Errorf("bench: unknown dataset %q", datasetName)
 	}
 	figIO := &Figure{
-		Title: fmt.Sprintf("Figure 6%s: normalized I/O cost vs dimensionality (%s %dK)", panel, datasetName, n/1000),
+		Title:  fmt.Sprintf("Figure 6%s: normalized I/O cost vs dimensionality (%s %dK)", panel, datasetName, n/1000),
 		XLabel: "dims", YLabel: "normalized I/O cost (scan = 0.1)",
 		Series: []Series{{Label: "Hybrid Tree"}, {Label: "hB-tree"}, {Label: "SR-tree"}, {Label: "linear scan"}},
 	}
 	figCPU := &Figure{
-		Title: fmt.Sprintf("Figure 6%s: normalized CPU cost vs dimensionality (%s %dK)", panel, datasetName, n/1000),
+		Title:  fmt.Sprintf("Figure 6%s: normalized CPU cost vs dimensionality (%s %dK)", panel, datasetName, n/1000),
 		XLabel: "dims", YLabel: "normalized CPU cost (scan = 1.0)",
 		Series: []Series{{Label: "Hybrid Tree"}, {Label: "hB-tree"}, {Label: "SR-tree"}, {Label: "linear scan"}},
 	}
@@ -211,12 +211,12 @@ func Fig7ab(o Options) (*Figure, *Figure, error) {
 	o = o.withDefaults()
 	const dim = 64
 	figIO := &Figure{
-		Title: fmt.Sprintf("Figure 7(a): normalized I/O cost vs database size (64-d COLHIST, up to %dK)", o.ColHistN/1000),
+		Title:  fmt.Sprintf("Figure 7(a): normalized I/O cost vs database size (64-d COLHIST, up to %dK)", o.ColHistN/1000),
 		XLabel: "tuples(x1000)", YLabel: "normalized I/O cost (scan = 0.1)",
 		Series: []Series{{Label: "Hybrid Tree"}, {Label: "hB-tree"}, {Label: "SR-tree"}, {Label: "linear scan"}},
 	}
 	figCPU := &Figure{
-		Title: "Figure 7(b): normalized CPU cost vs database size (64-d COLHIST)",
+		Title:  "Figure 7(b): normalized CPU cost vs database size (64-d COLHIST)",
 		XLabel: "tuples(x1000)", YLabel: "normalized CPU cost (scan = 1.0)",
 		Series: []Series{{Label: "Hybrid Tree"}, {Label: "hB-tree"}, {Label: "SR-tree"}, {Label: "linear scan"}},
 	}
@@ -264,12 +264,12 @@ func Fig7cd(o Options) (*Figure, *Figure, error) {
 	o = o.withDefaults()
 	metric := dist.L1()
 	figIO := &Figure{
-		Title: "Figure 7(c): normalized I/O cost, L1 distance queries (COLHIST)",
+		Title:  "Figure 7(c): normalized I/O cost, L1 distance queries (COLHIST)",
 		XLabel: "dims", YLabel: "normalized I/O cost (scan = 0.1)",
 		Series: []Series{{Label: "Hybrid Tree"}, {Label: "SR-tree"}, {Label: "linear scan"}},
 	}
 	figCPU := &Figure{
-		Title: "Figure 7(d): normalized CPU cost, L1 distance queries (COLHIST)",
+		Title:  "Figure 7(d): normalized CPU cost, L1 distance queries (COLHIST)",
 		XLabel: "dims", YLabel: "normalized CPU cost (scan = 1.0)",
 		Series: []Series{{Label: "Hybrid Tree"}, {Label: "SR-tree"}, {Label: "linear scan"}},
 	}

@@ -87,28 +87,26 @@ func (t *Tree) Delete(p geom.Point, rid core.RecordID) (bool, error) {
 	return t.tree.Delete(p, rid)
 }
 
-// Update atomically replaces the vector of a record from the writer's point
-// of view: the delete and insert happen under one writer-lock acquisition.
-// A concurrent snapshot search may observe the intermediate version in
-// which the record is deleted but not yet re-inserted (each step commits
-// its own snapshot); it never observes a torn or duplicated record. If the
-// re-insert fails (e.g. the new vector lies outside the data space), the
-// old vector is restored before returning, so the record is never silently
-// lost; should even the restore fail, the error says so explicitly.
-func (t *Tree) Update(old, new geom.Point, rid core.RecordID) (bool, error) {
+// Update atomically replaces the vector of a record: the delete and the
+// insert run as one core mutation, so there is one commit (one fsync under a
+// write-ahead log) and a concurrent snapshot search sees the record at its
+// old vector or at its new one — never absent, torn or duplicated. If either
+// half fails (e.g. the new vector lies outside the data space) the whole
+// update rolls back and the old vector is kept.
+func (t *Tree) Update(old, new geom.Point, rid core.RecordID) (found bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	found, err := t.tree.Delete(old, rid)
-	if err != nil || !found {
-		return found, err
-	}
-	if err := t.tree.Insert(new, rid); err != nil {
-		if rerr := t.tree.Insert(old, rid); rerr != nil {
-			return true, fmt.Errorf("concurrent: update of record %d lost the record: insert of new vector failed (%v); restore of old vector also failed: %w", rid, err, rerr)
+	err = t.tree.RunTx(func() error {
+		var err error
+		if found, err = t.tree.Delete(old, rid); err != nil || !found {
+			return err
 		}
-		return true, fmt.Errorf("concurrent: update of record %d rolled back, old vector kept: %w", rid, err)
+		return t.tree.Insert(new, rid)
+	})
+	if err != nil && found {
+		err = fmt.Errorf("concurrent: update of record %d rolled back, old vector kept: %w", rid, err)
 	}
-	return true, nil
+	return found, err
 }
 
 // SearchBox is a goroutine-safe core.Tree.SearchBox; it runs lock-free

@@ -1,6 +1,7 @@
 package concurrent
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -91,10 +92,13 @@ func TestConcurrentStress(t *testing.T) {
 			}
 		}(g)
 	}
+	var updating sync.WaitGroup
 	for g := 0; g < updaters; g++ {
 		wg.Add(1)
+		updating.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			defer updating.Done()
 			rng := rand.New(rand.NewSource(int64(2000 + g)))
 			for i := 0; i < opsPerGoro; i++ {
 				// Update records the deleters never touch.
@@ -111,6 +115,38 @@ func TestConcurrentStress(t *testing.T) {
 			}
 		}(g)
 	}
+	// An update is one commit, so every snapshot holds each updated record
+	// exactly once — at its old vector or its new one, never in between.
+	updatesDone := make(chan struct{})
+	go func() { updating.Wait(); close(updatesDone) }()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		const firstUpdated = seedN - updaters*opsPerGoro
+		space := geom.UnitCube(dim)
+		for running := true; running; {
+			select {
+			case <-updatesDone:
+				running = false // one last pass over the final state
+			default:
+			}
+			es, err := tree.SearchBox(space)
+			if err != nil {
+				fail(err)
+				return
+			}
+			seen := 0
+			for _, e := range es {
+				if e.RID >= firstUpdated && e.RID < seedN {
+					seen++
+				}
+			}
+			if seen != updaters*opsPerGoro {
+				fail(fmt.Errorf("snapshot holds %d of the %d updated records", seen, updaters*opsPerGoro))
+				return
+			}
+		}
+	}()
 	for g := 0; g < searchers; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -154,9 +190,9 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestUpdateRollback verifies the fix for the lost-record bug: when the
-// re-insert of an update fails, the old vector must be restored and the
-// error surfaced.
+// TestUpdateRollback: when the insert half of an update fails, the whole
+// update — one mutation — rolls back: the old vector is kept, the tree is
+// the size it was, and the error is surfaced.
 func TestUpdateRollback(t *testing.T) {
 	file := pagefile.NewMemFile(512)
 	tree, err := New(file, core.Config{Dim: 2, PageSize: 512})
@@ -167,6 +203,7 @@ func TestUpdateRollback(t *testing.T) {
 	if err := tree.Insert(oldP, 7); err != nil {
 		t.Fatal(err)
 	}
+	epoch, _, _ := tree.SnapshotInfo()
 	// The new vector lies outside the unit-cube data space, so the insert
 	// half of the update must fail after the delete half succeeded.
 	badP := geom.Point{1.5, 1.5}
@@ -184,6 +221,14 @@ func TestUpdateRollback(t *testing.T) {
 	}
 	if got := tree.Size(); got != 1 {
 		t.Fatalf("size after rollback = %d, want 1", got)
+	}
+	// Nothing was committed along the way: no delete-only snapshot ever
+	// became visible to readers.
+	if got, _, _ := tree.SnapshotInfo(); got != epoch {
+		t.Fatalf("failed update advanced the epoch %d -> %d", epoch, got)
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -59,7 +59,7 @@ func BulkLoad(file pagefile.File, cfg Config, pts []geom.Point, rids []RecordID)
 		if err != nil {
 			return nil, err
 		}
-		if err := t.store.put(root); err != nil {
+		if err := t.store.writeThrough(root); err != nil {
 			return nil, err
 		}
 		t.root = root.id
@@ -121,7 +121,7 @@ func (t *Tree) bulkSplit(pts []geom.Point, rids []RecordID, order []int) (*bulkN
 		for _, i := range order {
 			n.appendPoint(pts[i], rids[i])
 		}
-		if err := t.store.put(n); err != nil {
+		if err := t.store.writeThrough(n); err != nil {
 			return nil, err
 		}
 		return &bulkNode{page: n.id, leaves: 1}, nil
@@ -197,7 +197,7 @@ func (t *Tree) bulkPackTo(b *bulkNode, target, budget int) (pagefile.PageID, err
 			}
 			wrap.kd = []kdNode{{Left: kdNone, Right: kdNone, Child: id}}
 			wrap.kdRoot = 0
-			if err := t.store.put(wrap); err != nil {
+			if err := t.store.writeThrough(wrap); err != nil {
 				return pagefile.InvalidPage, err
 			}
 			id = wrap.id
@@ -264,7 +264,7 @@ func (t *Tree) bulkPackTo(b *bulkNode, target, budget int) (pagefile.PageID, err
 	if size := n.serializedSize(t.cfg.Dim); size > t.cfg.PageSize {
 		return pagefile.InvalidPage, fmt.Errorf("core: bulk-packed node %d needs %d bytes (page %d)", n.id, size, t.cfg.PageSize)
 	}
-	if err := t.store.put(n); err != nil {
+	if err := t.store.writeThrough(n); err != nil {
 		return pagefile.InvalidPage, err
 	}
 	return n.id, nil

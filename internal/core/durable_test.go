@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hybridtree/internal/geom"
@@ -296,5 +297,128 @@ func TestRunTxBatchesAtomically(t *testing.T) {
 	}
 	if got := len(allEntries(t, reopened)); got != 20 {
 		t.Fatalf("recovered size %d, want 20", got)
+	}
+}
+
+// TestWALTreeFailedCommitLeavesNoTrace: under a write-ahead log a mutation
+// reaches storage only in its seal, and a seal whose fsync fails is rewound
+// before anything was published. So a failed Insert, Delete or RunTx leaves
+// the log, the overlay and every page a cold read can reach byte-identical —
+// rollback has nothing to repair and writes nothing.
+func TestWALTreeFailedCommitLeavesNoTrace(t *testing.T) {
+	const dim, pageSize = 3, 512
+	tree, wf, _, log := newWALTree(t, dim, pageSize)
+	pts, rids := seededPoints(53, 330, dim)
+	for i := 0; i < 300; i++ {
+		if err := tree.Insert(pts[i], rids[i]); err != nil {
+			t.Fatal(err)
+		}
+		if i == 150 {
+			// Checkpoint midway, so that committed images live both in the
+			// inner file and in the overlay.
+			if err := tree.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	type image struct {
+		logSize int64
+		overlay int
+		pages   []string // "" where the read failed
+	}
+	snap := func() image {
+		im := image{logSize: log.Size(), overlay: wf.OverlayPages()}
+		buf := make([]byte, wf.PageSize())
+		for id := 0; id < wf.NumPages()+16; id++ {
+			page := ""
+			if err := wf.ReadPage(pagefile.PageID(id), buf); err == nil {
+				page = string(buf)
+			}
+			im.pages = append(im.pages, page)
+		}
+		return im
+	}
+	ops := []struct {
+		name string
+		run  func() error
+	}{
+		{"Insert", func() error { return tree.Insert(pts[300], rids[300]) }},
+		{"Delete", func() error {
+			found, err := tree.Delete(pts[0], rids[0])
+			if err == nil && !found {
+				err = errors.New("record not found")
+			}
+			return err
+		}},
+		{"RunTx", func() error {
+			return tree.RunTx(func() error {
+				for i := 301; i < 330; i++ { // enough to split a leaf
+					if err := tree.Insert(pts[i], rids[i]); err != nil {
+						return err
+					}
+				}
+				_, err := tree.Delete(pts[1], rids[1])
+				return err
+			})
+		}},
+	}
+	for _, op := range ops {
+		before, entries := snap(), contents(t, tree)
+		writes := wf.Stats().Writes
+		log.FailNextSyncs(1)
+		if err := op.run(); err == nil {
+			t.Fatalf("%s succeeded despite the failed commit fsync", op.name)
+		}
+		if got := wf.Stats().Writes - writes; got == 0 {
+			t.Fatalf("%s failed before its seal; the test is vacuous", op.name)
+		}
+		if after := snap(); !reflect.DeepEqual(after, before) {
+			t.Fatalf("failed %s changed storage: log %d -> %d bytes, overlay %d -> %d pages",
+				op.name, before.logSize, after.logSize, before.overlay, after.overlay)
+		}
+		if !sameContents(contents(t, tree), entries) {
+			t.Fatalf("failed %s changed the tree's contents", op.name)
+		}
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatalf("after failed %s: %v", op.name, err)
+		}
+		if err := op.run(); err != nil {
+			t.Fatalf("%s retry: %v", op.name, err)
+		}
+	}
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	checkPageAccounting(t, tree)
+}
+
+// TestRunTxWritesEachPageOnce: put inside a mutation scope is an in-memory
+// mark, and the seal writes every changed page exactly once — N inserts into
+// one leaf inside one RunTx log that leaf once, plus the metadata page.
+func TestRunTxWritesEachPageOnce(t *testing.T) {
+	const dim, pageSize = 2, 512
+	tree, wf, _, log := newWALTree(t, dim, pageSize)
+	pts, rids := seededPoints(59, 8, dim)
+	writes, logSize := wf.Stats().Writes, log.Size()
+	err := tree.RunTx(func() error {
+		for i := range pts {
+			if err := tree.Insert(pts[i], rids[i]); err != nil {
+				return err
+			}
+		}
+		if wf.Stats().Writes != writes || log.Size() != logSize {
+			t.Errorf("mutations did I/O before the seal: %d page writes, %d log bytes",
+				wf.Stats().Writes-writes, log.Size()-logSize)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tree.Height() != 1 {
+		t.Fatalf("height %d: the inserts were meant to stay in the root leaf", tree.Height())
+	}
+	if got := wf.Stats().Writes - writes; got != 2 {
+		t.Fatalf("transaction wrote %d pages, want 2 (the leaf once, the metadata page)", got)
 	}
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"regexp"
 	"sort"
 	"testing"
 
@@ -34,6 +36,73 @@ func sameContents(a, b []Entry) bool {
 	return true
 }
 
+// opTrace records the kind of every page operation attempted through it —
+// (A)llocate, (W)ritePage, (F)ree — so the fuse sweeps can check where in a
+// mutation storage is touched.
+type opTrace struct {
+	pagefile.File
+	ops []byte
+}
+
+func (f *opTrace) Allocate() (pagefile.PageID, error) {
+	f.ops = append(f.ops, 'A')
+	return f.File.Allocate()
+}
+
+func (f *opTrace) WritePage(id pagefile.PageID, data []byte) error {
+	f.ops = append(f.ops, 'W')
+	return f.File.WritePage(id, data)
+}
+
+func (f *opTrace) Free(id pagefile.PageID) error {
+	f.ops = append(f.ops, 'F')
+	return f.File.Free(id)
+}
+
+var deferredWriteOrder = regexp.MustCompile(`^A*W*F*$`)
+
+// checkDeferredWrites verifies one swept mutation's operations: a mutation
+// allocates while it runs, writes only when it seals, and frees only after
+// that (commit) or after giving up (rollback). kth is the operation the
+// fuse failed (out of range if none); when that fault came before the seal,
+// the mutation must not have written a page.
+func checkDeferredWrites(t *testing.T, ops []byte, kth int, pageWrites uint64) {
+	t.Helper()
+	if !deferredWriteOrder.Match(ops) {
+		t.Fatalf("page operations %q: want every allocation before the first write", ops)
+	}
+	if kth < len(ops) && ops[kth] == 'A' && pageWrites != 0 {
+		t.Fatalf("fault before the seal, yet %d pages were written (%q)", pageWrites, ops)
+	}
+}
+
+// checkPageAccounting verifies that every live page of the file is owned:
+// the metadata page, one page per tree node, the persisted ELS snapshot
+// chain, and the pages LeakedPages reports (which the next Flush retries).
+// Any other live page is a leak that nothing tracks. Only meaningful on a
+// file the tree has had to itself since New (a reopened file has forgotten
+// its free list).
+func checkPageAccounting(t *testing.T, tree *Tree) {
+	t.Helper()
+	st, err := tree.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	elsPages := 0
+	buf := make([]byte, tree.cfg.PageSize)
+	for page := tree.elsHead; page != pagefile.InvalidPage; elsPages++ {
+		if err := tree.file.ReadPage(page, buf); err != nil {
+			t.Fatal(err)
+		}
+		page = pagefile.PageID(binary.LittleEndian.Uint32(buf[4:]))
+	}
+	owned := 1 + st.DataNodes + st.IndexNodes + elsPages + tree.LeakedPages()
+	if live := tree.file.NumPages(); live != owned {
+		t.Fatalf("file has %d live pages, tree owns %d (1 meta + %d data + %d index + %d ELS snapshot + %d leaked)",
+			live, owned, st.DataNodes, st.IndexNodes, elsPages, tree.LeakedPages())
+	}
+}
+
 // TestInsertFaultAtomicity sweeps a fault fuse across every I/O position of
 // an Insert: for each k, the k-th page operation fails, and the tree must
 // be invariant-clean and content-identical to its pre-insert state. Healing
@@ -52,7 +121,8 @@ func TestInsertFaultAtomicity(t *testing.T) {
 		k := k
 		t.Run(fmt.Sprint(k), func(t *testing.T) {
 			fault := pagefile.NewFaultFile(pagefile.NewMemFile(256), 1<<30)
-			tree, err := New(fault, Config{Dim: dim, PageSize: 256})
+			trace := &opTrace{File: fault}
+			tree, err := New(trace, Config{Dim: dim, PageSize: 256})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,9 +139,12 @@ func TestInsertFaultAtomicity(t *testing.T) {
 			}
 			before := contents(t, tree)
 			p := randPoint()
+			trace.ops = nil
+			writes := fault.Stats().Writes
 			fault.SetRemaining(k)
 			err = tree.Insert(p, RecordID(10_000+k))
 			fault.SetRemaining(1 << 30)
+			checkDeferredWrites(t, trace.ops, k, fault.Stats().Writes-writes)
 			if err == nil {
 				// The insert finished within budget; nothing to roll back.
 				if tree.Size() != len(before)+1 {
@@ -115,7 +188,8 @@ func TestDeleteFaultAtomicity(t *testing.T) {
 		k := k
 		t.Run(fmt.Sprint(k), func(t *testing.T) {
 			fault := pagefile.NewFaultFile(pagefile.NewMemFile(256), 1<<30)
-			tree, err := New(fault, Config{Dim: dim, PageSize: 256})
+			trace := &opTrace{File: fault}
+			tree, err := New(trace, Config{Dim: dim, PageSize: 256})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,9 +223,12 @@ func TestDeleteFaultAtomicity(t *testing.T) {
 				t.Fatalf("drained tree has %d entries, want %d", len(before), len(live))
 			}
 			victim := RecordID(n/2 + k%(n/2-1))
+			trace.ops = nil
+			writes := fault.Stats().Writes
 			fault.SetRemaining(k)
 			found, err := tree.Delete(live[victim], victim)
 			fault.SetRemaining(1 << 30)
+			checkDeferredWrites(t, trace.ops, k, fault.Stats().Writes-writes)
 			if err == nil {
 				if !found {
 					t.Fatalf("victim %d not found", victim)
@@ -190,13 +267,135 @@ func TestDeleteFaultAtomicity(t *testing.T) {
 	}
 }
 
+// TestBatchFaultBeforeSealWritesNothing sweeps the fuse across a RunTx batch
+// that splits nodes many times, so most fuse positions fail an allocation in
+// the middle of the batch: whichever one it is, no page has been written by
+// then, and the rollback writes none either. The pages whose rollback free
+// the burnt fuse also failed are all accounted for as leaked.
+func TestBatchFaultBeforeSealWritesNothing(t *testing.T) {
+	const dim = 4
+	fault := pagefile.NewFaultFile(pagefile.NewMemFile(256), 1<<30)
+	trace := &opTrace{File: fault}
+	tree, err := New(trace, Config{Dim: dim, PageSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, rids := seededPoints(83, 360, dim)
+	for i := 0; i < 300; i++ {
+		if err := tree.Insert(pts[i], rids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := contents(t, tree)
+	allocFaults := 0
+	for k := 0; ; k++ {
+		trace.ops = nil
+		writes := fault.Stats().Writes
+		fault.SetRemaining(k)
+		err := tree.RunTx(func() error {
+			for i := 300; i < len(pts); i++ {
+				if err := tree.Insert(pts[i], rids[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		fault.SetRemaining(1 << 30)
+		checkDeferredWrites(t, trace.ops, k, fault.Stats().Writes-writes)
+		if err == nil {
+			break
+		}
+		if trace.ops[k] == 'A' {
+			allocFaults++
+		}
+		if got := contents(t, tree); !sameContents(got, before) {
+			t.Fatalf("fuse %d: contents changed by the failed batch", k)
+		}
+	}
+	if allocFaults < 3 {
+		t.Fatalf("only %d fuse positions failed an allocation; the batch was meant to split often", allocFaults)
+	}
+	if tree.LeakedPages() == 0 {
+		t.Fatal("no rollback free failed under the burnt fuse; the leak accounting went untested")
+	}
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	checkPageAccounting(t, tree)
+	if n := tree.LeakedPages(); n != 0 {
+		t.Fatalf("%d pages still leaked after a clean flush", n)
+	}
+	tree.DropCaches()
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatalf("cold invariants: %v", err)
+	}
+}
+
+// TestCloseRepairsAfterFailedSeal: without a write-ahead log, a seal that
+// fails after its first page write leaves that page's post-image in the
+// file. Memory stays authoritative, and Close — even with no Flush before
+// it — rewrites the file from memory, so a reopen sees the rolled-back state.
+func TestCloseRepairsAfterFailedSeal(t *testing.T) {
+	const dim = 4
+	mem := pagefile.NewMemFile(256)
+	fault := pagefile.NewFaultFile(mem, 1<<30)
+	trace := &opTrace{File: fault}
+	cfg := Config{Dim: dim, PageSize: 256}
+	tree, err := New(trace, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, rids := seededPoints(89, 330, dim)
+	for i := 0; i < 300; i++ {
+		if err := tree.Insert(pts[i], rids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := contents(t, tree)
+	for k := 0; ; k++ {
+		trace.ops = nil
+		fault.SetRemaining(k)
+		err := tree.RunTx(func() error {
+			for i := 300; i < len(pts); i++ {
+				if err := tree.Insert(pts[i], rids[i]); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		fault.SetRemaining(1 << 30)
+		if err == nil {
+			t.Fatal("the batch committed before any seal failed partway")
+		}
+		if k > 0 && trace.ops[k] == 'W' && trace.ops[k-1] == 'W' {
+			break // at least one post-image reached the file
+		}
+	}
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkPageAccounting(t, tree) // now with an ELS snapshot chain in the file
+	reopened, err := Open(mem, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reopened.CheckInvariants(); err != nil {
+		t.Fatalf("reopened tree: %v", err)
+	}
+	if got := contents(t, reopened); !sameContents(got, before) {
+		t.Fatalf("reopened tree has %d entries, want the %d from before the failed batch", len(got), len(before))
+	}
+}
+
 // TestChaosOpsAgainstModel runs a long random insert/delete/search workload
 // through a chaotic file and cross-checks the tree against a plain map
 // model: an operation either succeeds on both or fails on the tree and is
 // skipped on the model.
 func TestChaosOpsAgainstModel(t *testing.T) {
 	const dim = 3
-	profile := pagefile.ChaosProfile{ReadErr: 0.01, WriteErr: 0.02, WriteTorn: 0.005, AllocErr: 0.01, FreeErr: 0.01}
+	// FreeErr is high enough that some rollback's free of a page it had
+	// allocated fails, which the page accounting below must still see.
+	profile := pagefile.ChaosProfile{ReadErr: 0.01, WriteErr: 0.02, WriteTorn: 0.005, AllocErr: 0.01, FreeErr: 0.05}
 	chaos := pagefile.NewChaosFile(pagefile.NewMemFile(256), profile, 91)
 	chaos.SetEnabled(false)
 	tree, err := New(chaos, Config{Dim: dim, PageSize: 256})
@@ -273,6 +472,16 @@ func TestChaosOpsAgainstModel(t *testing.T) {
 	}
 	t.Logf("survived %d injected failures, %d live records, %d leaked pages",
 		failures, len(model), tree.LeakedPages())
+	// Every page a failed free left allocated is one the tree knows about,
+	// so a clean Flush gets all of them back.
+	checkPageAccounting(t, tree)
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := tree.LeakedPages(); n != 0 {
+		t.Fatalf("%d pages still leaked after a clean flush", n)
+	}
+	checkPageAccounting(t, tree)
 }
 
 // TestFlushRepairsDiskAfterFaults verifies the recovery recipe: after a

@@ -369,6 +369,8 @@ func TestDataSplitUtilization(t *testing.T) {
 		t.Fatal(err)
 	}
 	cap := tree.cfg.dataCapacity()
+	tree.store.beginMut() // splits only ever run inside a mutation scope
+	defer tree.store.endMut()
 	n, err := tree.store.alloc(true)
 	if err != nil {
 		t.Fatal(err)

@@ -225,14 +225,10 @@ func (t *Tree) splitDataNode(n *node) (splitResult, error) {
 	}
 	n.vals, n.rids = leftVals, leftRids
 
-	if err := t.store.put(n); err != nil {
-		return splitResult{}, err
-	}
-	if err := t.store.put(right); err != nil {
-		return splitResult{}, err
-	}
-	t.elsSet(uint32(n.id), t.cfg.Space, n.dataRect())
-	t.elsSet(uint32(right.id), t.cfg.Space, right.dataRect())
+	t.store.put(n)
+	t.store.put(right)
+	t.els.Set(uint32(n.id), t.cfg.Space, n.dataRect())
+	t.els.Set(uint32(right.id), t.cfg.Space, right.dataRect())
 
 	return splitResult{dim: uint16(dim), lsp: split, rsp: split, left: n.id, right: right.id}, nil
 }
@@ -302,12 +298,8 @@ func (t *Tree) splitIndexNode(n *node, nodeBR geom.Rect) (splitResult, error) {
 	n.kdRoot = t.buildKD(n, leftEntries)
 	right.kdRoot = t.buildKD(right, rightEntries)
 
-	if err := t.store.put(n); err != nil {
-		return splitResult{}, err
-	}
-	if err := t.store.put(right); err != nil {
-		return splitResult{}, err
-	}
+	t.store.put(n)
+	t.store.put(right)
 	t.setIndexELS(n, leftEntries)
 	t.setIndexELS(right, rightEntries)
 
@@ -325,7 +317,7 @@ func (t *Tree) setIndexELS(n *node, entries []childEntry) {
 		childLive, _ := t.els.Get(uint32(e.child), t.cfg.Space)
 		live.EnlargeRect(childLive)
 	}
-	t.elsSet(uint32(n.id), t.cfg.Space, live)
+	t.els.Set(uint32(n.id), t.cfg.Space, live)
 }
 
 // buildKD constructs a fresh intra-node kd-tree over the given children by

@@ -76,26 +76,36 @@ type retiredVersion struct {
 	epoch uint64
 }
 
-// mutScope is a writer's private copy-on-write workspace. Ordered slices
-// accompany the maps so rollback's best-effort page repairs happen in
-// first-touch order — map iteration order is randomized in Go, and a
-// nondeterministic order of page operations would consume fault-injection
-// decisions in random order, breaking trace reproducibility.
+// mutScope is a writer's private copy-on-write workspace, and the only
+// place a mutation exists until it is sealed: dirty holds every node it
+// cloned or allocated, flagging the ones it changed (put) for writeMut, and
+// freed the pages it released. Ordered slices accompany the maps because
+// map iteration order is randomized in Go, and a nondeterministic order of
+// page operations would consume fault-injection decisions in random order,
+// breaking trace reproducibility.
 type mutScope struct {
 	active     bool
-	dirty      map[pagefile.PageID]*node
-	dirtyOrder []pagefile.PageID
-	fresh      map[pagefile.PageID]struct{}
+	dirty      map[pagefile.PageID]dirtyNode
+	dirtyOrder []pagefile.PageID // first-touch order
+	putOrder   []pagefile.PageID // first-put order
 	freshOrder []pagefile.PageID
+	freed      map[pagefile.PageID]struct{} // allocated on first free
 	frees      []pagefile.PageID
 }
 
+type dirtyNode struct {
+	n   *node
+	put bool
+}
+
 // store mediates between decoded nodes and their on-disk pages. It keeps a
-// write-through, multi-version cache of decoded nodes so that traversal
+// never-evicting, multi-version cache of decoded nodes so that traversal
 // does not pay a decode per step, while still charging *every* logical
 // node access to the page file's counters: the paper's I/O metric is the
 // number of disk accesses a cold query would make, so a cache hit must cost
-// the same one logical read as a miss.
+// the same one logical read as a miss. Pages are written at exactly two
+// points: writeThrough (construction, bulk load) and writeMut, which writes
+// a mutation's changed nodes when it seals.
 type store struct {
 	file pagefile.File
 	dim  int
@@ -241,11 +251,7 @@ func (s *store) minPinnedEpoch() uint64 {
 // writer lock, so exactly one scope is ever active.
 func (s *store) beginMut() {
 	s.mut.active = true
-	s.mut.dirty = make(map[pagefile.PageID]*node)
-	s.mut.fresh = make(map[pagefile.PageID]struct{})
-	s.mut.dirtyOrder = s.mut.dirtyOrder[:0]
-	s.mut.freshOrder = s.mut.freshOrder[:0]
-	s.mut.frees = s.mut.frees[:0]
+	s.mut.dirty = make(map[pagefile.PageID]dirtyNode)
 }
 
 func (s *store) mutActive() bool { return s.mut.active }
@@ -253,8 +259,9 @@ func (s *store) mutActive() bool { return s.mut.active }
 func (s *store) endMut() {
 	s.mut.active = false
 	s.mut.dirty = nil
-	s.mut.fresh = nil
+	s.mut.freed = nil
 	s.mut.dirtyOrder = s.mut.dirtyOrder[:0]
+	s.mut.putOrder = s.mut.putOrder[:0]
 	s.mut.freshOrder = s.mut.freshOrder[:0]
 	s.mut.frees = s.mut.frees[:0]
 }
@@ -362,9 +369,9 @@ func (s *store) getAudit(id pagefile.PageID, epoch uint64) (*node, error) {
 // reader's hit or miss would, repeat touches cost a hit — so mutation I/O
 // accounting is unchanged from the locked design.
 func (s *store) getMut(id pagefile.PageID) (*node, error) {
-	if n, ok := s.mut.dirty[id]; ok {
+	if d, ok := s.mut.dirty[id]; ok {
 		s.chargeHit()
-		return n, nil
+		return d.n, nil
 	}
 	var base *node
 	if sl := s.slot(id); sl != nil {
@@ -380,14 +387,14 @@ func (s *store) getMut(id pagefile.PageID) (*node, error) {
 			return nil, err
 		}
 		s.chargeMiss()
-		// Install the disk image as the base version so rollback can repair
-		// the page and concurrent snapshot readers resolve the pre-image.
+		// Install the disk image as the base version so concurrent snapshot
+		// readers resolve the pre-image from memory.
 		base = s.installBase(id, n, s.epoch.Load())
 	}
-	d := base.clone()
-	s.mut.dirty[id] = d
+	n := base.clone()
+	s.mut.dirty[id] = dirtyNode{n: n}
 	s.mut.dirtyOrder = append(s.mut.dirtyOrder, id)
-	return d, nil
+	return n, nil
 }
 
 // alloc creates a fresh node of the requested kind backed by a new page.
@@ -399,9 +406,8 @@ func (s *store) alloc(leaf bool) (*node, error) {
 	}
 	n := &node{id: id, leaf: leaf, dim: s.dim, kdRoot: kdNone}
 	if s.mut.active {
-		s.mut.fresh[id] = struct{}{}
 		s.mut.freshOrder = append(s.mut.freshOrder, id)
-		s.mut.dirty[id] = n
+		s.mut.dirty[id] = dirtyNode{n: n}
 		s.mut.dirtyOrder = append(s.mut.dirtyOrder, id)
 		return n, nil
 	}
@@ -419,77 +425,80 @@ func (s *store) installNow(id pagefile.PageID, n *node) {
 	s.tableMu.Unlock()
 }
 
-// put writes the node through to its page. Inside a mutation scope the
-// in-memory publication is deferred to commit; n must already be (or
-// becomes) part of the dirty set.
-func (s *store) put(n *node) error {
+// writePage encodes n into its page.
+func (s *store) writePage(n *node) error {
 	bufp := s.bufs.Get().(*[]byte)
 	size, err := n.encode(*bufp, s.dim)
 	if err == nil {
 		err = s.file.WritePage(n.id, (*bufp)[:size])
 	}
 	s.bufs.Put(bufp)
-	if err != nil {
-		return err
+	return err
+}
+
+// put records that the mutation changed n — a pure in-memory mark: n
+// (joining the dirty set if it is not there already) is flagged, and
+// writeMut writes it when the mutation seals.
+func (s *store) put(n *node) {
+	d, ok := s.mut.dirty[n.id]
+	if !ok {
+		s.mut.dirtyOrder = append(s.mut.dirtyOrder, n.id)
 	}
-	if s.mut.active {
-		if _, ok := s.mut.dirty[n.id]; !ok {
-			s.mut.dirtyOrder = append(s.mut.dirtyOrder, n.id)
-		}
-		s.mut.dirty[n.id] = n
-		return nil
+	if !d.put {
+		s.mut.putOrder = append(s.mut.putOrder, n.id)
+	}
+	s.mut.dirty[n.id] = dirtyNode{n: n, put: true}
+}
+
+// writeThrough writes n to its page and publishes it at once, outside any
+// mutation scope (construction and bulk load, before the tree is shared).
+func (s *store) writeThrough(n *node) error {
+	if err := s.writePage(n); err != nil {
+		return err
 	}
 	s.installNow(n.id, n)
 	return nil
 }
 
-// free releases the node's page. Inside a mutation scope the release is
-// deferred to commit: rollback must be able to return to the pre-mutation
-// state without resurrecting pages, and snapshot readers may still be
-// traversing the page's current version.
-func (s *store) free(id pagefile.PageID) error {
-	if s.mut.active {
-		s.mut.frees = append(s.mut.frees, id)
-		return nil
+// writeMut is the mutation's one write path: every node that was put and
+// not freed again is written, once, in first-put order. Clones the descent
+// made but never changed are not — their pages already hold the same bytes.
+func (s *store) writeMut() error {
+	for _, id := range s.mut.putOrder {
+		if _, freed := s.mut.freed[id]; freed {
+			continue
+		}
+		if err := s.writePage(s.mut.dirty[id].n); err != nil {
+			return err
+		}
 	}
-	s.tableMu.Lock()
-	sl := s.slotLocked(id)
-	sl.head.Store(nil)
-	s.tableMu.Unlock()
-	return s.file.Free(id)
+	return nil
+}
+
+// free releases the node's page when the mutation commits: rollback must
+// be able to return to the pre-mutation state without resurrecting pages,
+// and snapshot readers may still be traversing the page's current version.
+func (s *store) free(id pagefile.PageID) {
+	if s.mut.freed == nil {
+		s.mut.freed = make(map[pagefile.PageID]struct{})
+	}
+	s.mut.freed[id] = struct{}{}
+	s.mut.frees = append(s.mut.frees, id)
 }
 
 // rollbackMut discards the mutation's private state. Shared state was never
-// touched, so in-memory rollback is free; what remains is best-effort disk
-// repair, because put writes through eagerly: freshly allocated pages are
-// released (reverse allocation order) and each dirty page's committed
-// pre-image is re-encoded over the aborted write (first-touch order — the
-// same deterministic sequence the undo log used, so fault-injection traces
-// replay identically).
-func (s *store) rollbackMut() {
+// touched and no page was written, so all that is left to undo is the
+// allocation of fresh pages, released in reverse allocation order; the ids
+// whose free failed are returned for the tree to retry like commit-time
+// leaks.
+func (s *store) rollbackMut() (leaked []pagefile.PageID) {
 	for i := len(s.mut.freshOrder) - 1; i >= 0; i-- {
-		_ = s.file.Free(s.mut.freshOrder[i]) // best effort: unreachable either way
-	}
-	for _, id := range s.mut.dirtyOrder {
-		if _, fresh := s.mut.fresh[id]; fresh {
-			continue
+		if id := s.mut.freshOrder[i]; s.file.Free(id) != nil {
+			leaked = append(leaked, id)
 		}
-		var pre *node
-		if sl := s.slot(id); sl != nil {
-			if v := sl.head.Load(); v != nil && v.n != nil {
-				pre = v.n
-			}
-		}
-		if pre == nil {
-			continue
-		}
-		bufp := s.bufs.Get().(*[]byte)
-		if size, err := pre.encode(*bufp, s.dim); err == nil {
-			_ = s.file.WritePage(id, (*bufp)[:size])
-		}
-		s.bufs.Put(bufp)
 	}
 	s.endMut()
+	return leaked
 }
 
 // commitMut links every dirty node into its page's version chain at epoch c
@@ -503,18 +512,14 @@ func (s *store) rollbackMut() {
 // this returns; readers filter chains by their snapshot epoch, so the
 // partially linked state is invisible until then.
 func (s *store) commitMut(c uint64) (leaked []pagefile.PageID) {
-	freed := make(map[pagefile.PageID]struct{}, len(s.mut.frees))
-	for _, id := range s.mut.frees {
-		freed[id] = struct{}{}
-	}
 	s.tableMu.Lock()
 	for _, id := range s.mut.dirtyOrder {
-		if _, ok := freed[id]; ok {
+		if _, ok := s.mut.freed[id]; ok {
 			continue
 		}
 		sl := s.slotLocked(id)
 		old := sl.head.Load()
-		nv := &nodeVersion{n: s.mut.dirty[id], epoch: c}
+		nv := &nodeVersion{n: s.mut.dirty[id].n, epoch: c}
 		nv.prev.Store(old)
 		sl.head.Store(nv)
 		if old != nil {
@@ -581,13 +586,7 @@ func (s *store) flushAll() error {
 		if v == nil || v.n == nil {
 			continue
 		}
-		bufp := s.bufs.Get().(*[]byte)
-		size, err := v.n.encode(*bufp, s.dim)
-		if err == nil {
-			err = s.file.WritePage(pagefile.PageID(id), (*bufp)[:size])
-		}
-		s.bufs.Put(bufp)
-		if err != nil {
+		if err := s.writePage(v.n); err != nil {
 			return err
 		}
 	}
@@ -599,8 +598,8 @@ func (s *store) flushAll() error {
 // exist precisely because a pinned reader may still need the older
 // versions, and the newest version may not have reached disk intact. Safe
 // against concurrent readers — an evicted page re-installs from its
-// (current, write-through) disk image at the base epoch, which is valid for
-// every epoch a reader can still be pinned at.
+// current disk image at the base epoch, which is valid for every epoch a
+// reader can still be pinned at.
 func (s *store) dropCache() {
 	tab := *s.table.Load()
 	for i := range tab {

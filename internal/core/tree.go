@@ -20,14 +20,14 @@ import (
 // Each search pins the current epoch on entry and traverses the immutable
 // version of the tree published by the last commit.
 type Tree struct {
-	cfg    Config
-	file   pagefile.File
+	cfg  Config
+	file pagefile.File
 	// tx is non-nil when file supports transactional durability
-	// (pagefile.TxFile — the write-ahead log). Each top-level mutation is
-	// then bracketed in a transaction and sealed durable before it is
-	// acknowledged; see sealMutation.
-	tx    pagefile.TxFile
-	store *store
+	// (pagefile.TxFile — the write-ahead log). Each top-level mutation's
+	// page writes are then bracketed in a transaction and sealed durable
+	// before it is acknowledged; see sealMutation.
+	tx     pagefile.TxFile
+	store  *store
 	els    *els.Table
 	meta   pagefile.PageID
 	root   pagefile.PageID
@@ -43,11 +43,15 @@ type Tree struct {
 	// methods; see queryctx.go. Safe for the concurrent read path: pooled
 	// contexts are exclusive to one search at a time by construction.
 	qcPool sync.Pool
-	// leaked holds pages whose deferred release failed during commit. The
-	// records they held are safe (the mutation had already detached them);
-	// only the space is lost — and only until the next Flush, which retries
-	// the frees (see reclaimLeaked).
+	// leaked holds pages whose release failed — a commit's deferred frees,
+	// or a rollback's frees of the pages the mutation had allocated. No
+	// live record is on them; only the space is lost — and only until the
+	// next Flush, which retries the frees (see reclaimLeaked).
 	leaked []pagefile.PageID
+	// torn: without a write-ahead log, a seal failed partway and left some
+	// of the rolled-back mutation's pages in the file. Memory stays
+	// authoritative; Flush (and Close) rewrite the file from it.
+	torn bool
 	// tracer produces per-query/per-mutation traces (nil = tracing off);
 	// metrics is the shared instrument bundle (nil = metrics off); mutTrace
 	// is the trace of the in-flight top-level mutation, so split and
@@ -111,54 +115,55 @@ func (t *Tree) beginMutation() mutationScope {
 	return mutationScope{root: t.root, height: t.height, size: t.size}
 }
 
-// sealMutation makes an outermost mutation durable before it is
-// acknowledged: the metadata page is rewritten inside the transaction (so
-// a recovered file opens with the post-mutation root/size) and the
-// transaction is sealed — the write-ahead log's commit point. The metadata
-// is logged with the ELS snapshot head cleared, because any mutation makes
-// a previously saved snapshot stale; recovery rebuilds the ELS table from
-// the data instead. A non-nil error means durability was NOT reached and
-// the caller must roll back: acknowledged always implies durable.
+// sealMutation is the only place an outermost mutation reaches storage: the
+// nodes it changed are written, once each, and under a write-ahead log the
+// metadata page follows (so a recovered file opens with the post-mutation
+// root/size) and the transaction is sealed — the log's commit point. The
+// metadata is logged with the ELS snapshot head cleared, because any
+// mutation makes a previously saved snapshot stale; recovery rebuilds the
+// ELS table from the data instead. A non-nil error means durability was NOT
+// reached and the caller must roll back: acknowledged always implies durable.
 func (t *Tree) sealMutation(m mutationScope) error {
-	if m.nested || t.tx == nil {
+	if m.nested {
 		return nil
 	}
-	if err := t.writeMetaAs(pagefile.InvalidPage); err != nil {
+	err := t.store.writeMut()
+	if t.tx == nil {
+		// No log underneath: the writes before a failed one are in the file.
+		t.torn = t.torn || err != nil
 		return err
 	}
-	if tr := t.mutTrace; tr != nil {
-		t0 := time.Now()
-		err := t.tx.SealTx()
-		tr.AddWALFsync(int64(time.Since(t0)))
+	if err == nil {
+		err = t.writeMetaAs(pagefile.InvalidPage)
+	}
+	if err != nil {
 		return err
 	}
-	return t.tx.SealTx()
+	t0 := time.Now()
+	err = t.tx.SealTx()
+	t.mutTrace.AddWALFsync(int64(time.Since(t0))) // no-op without a trace
+	return err
 }
 
-// rollbackMutation restores the pre-mutation state after an error. Shared
-// in-memory state was never touched (the mutation worked on private
-// clones), so this only discards the private set, repairs the eagerly
-// written disk pages, and rewinds the ELS table to the published snapshot.
+// rollbackMutation restores the pre-mutation state after an error, without
+// writing a page: shared in-memory state was never touched and an unsealed
+// transaction left nothing in the log, so this drops the staged transaction
+// and the private set, releases the pages the mutation allocated, and
+// rewinds the header fields and the ELS table to the published snapshot.
 func (t *Tree) rollbackMutation(m mutationScope) {
 	if m.nested {
 		return
 	}
-	// Drop the staged transaction before repairing pages: the pre-image
-	// rewrites below then log as fresh auto-committed writes, keeping the
-	// WAL's overlay consistent with the restored in-memory state.
 	if t.tx != nil {
 		t.tx.AbortTx()
 	}
-	t.store.rollbackMut()
+	t.leaked = append(t.leaked, t.store.rollbackMut()...)
 	if cur := t.current.Load(); cur != nil {
 		t.els.ResetTo(cur.els)
 	}
 	t.root, t.height, t.size = m.root, m.height, m.size
-	if t.tx != nil {
-		// The aborted transaction may have written the metadata page into
-		// the WAL overlay; restore it so a checkpoint cannot flush a header
-		// describing the rolled-back state.
-		_ = t.writeMetaAs(pagefile.InvalidPage)
+	if mt := t.metrics; mt != nil {
+		mt.leakedPages.Set(int64(len(t.leaked)))
 	}
 }
 
@@ -193,25 +198,6 @@ func (t *Tree) commitMutation(m mutationScope) {
 		mt.mvccEpoch.Set(int64(c))
 		mt.mvccRetired.Set(int64(remaining))
 	}
-}
-
-// elsSet, elsEnlarge and elsDelete are the mutation path's ELS accessors.
-// The table copy-on-writes any chunk shared with the published snapshot,
-// so no pre-image capture is needed: rollback rewinds with ResetTo.
-func (t *Tree) elsSet(id uint32, outer, live geom.Rect) {
-	t.els.Set(id, outer, live)
-}
-
-func (t *Tree) elsEnlarge(id uint32, outer geom.Rect, p geom.Point) {
-	t.els.EnlargeToInclude(id, outer, p)
-}
-
-func (t *Tree) elsEnlargeExisting(id uint32, outer geom.Rect, p geom.Point) {
-	t.els.EnlargeExisting(id, outer, p)
-}
-
-func (t *Tree) elsDelete(id uint32) {
-	t.els.Delete(id)
 }
 
 // SnapshotInfo reports the published version's epoch, size and height with
@@ -250,14 +236,14 @@ func (t *Tree) Pin() func() {
 }
 
 // LeakedPages reports how many pages could not be released because their
-// deferred free failed at commit (injected storage faults). The pages hold
-// no live records; their space is lost until a Flush reclaims them.
+// free failed at commit or rollback (injected storage faults). The pages
+// hold no live records; their space is lost until a Flush reclaims them.
 func (t *Tree) LeakedPages() int { return len(t.leaked) }
 
-// reclaimLeaked retries the deferred frees that failed at commit. Safe at
-// any quiet point: a leaked page is still allocated in the file (its Free
+// reclaimLeaked retries the frees that failed at commit or rollback. Safe
+// at any quiet point: a leaked page is still allocated in the file (its Free
 // failed), so Allocate can never have reused it, and it left the node cache
-// when the owning mutation committed.
+// when the owning mutation committed (or never entered it).
 func (t *Tree) reclaimLeaked() {
 	if len(t.leaked) == 0 {
 		return
@@ -274,21 +260,22 @@ func (t *Tree) reclaimLeaked() {
 	}
 }
 
-// Flush re-encodes every cached node to its page, rewrites the metadata
-// page, and syncs the file, so that when it returns nil the durable image
-// matches memory — not merely the acknowledged one. The decoded-node cache
-// is authoritative (write-through, never evicting), so after a period of
-// injected write faults a clean Flush makes the on-disk image match memory
-// again — the repair step to run before dropping caches. Flush also
-// retries the page frees that failed at commit, so a clean Flush leaves
-// LeakedPages at zero. Under a write-ahead log the node rewrite is skipped
-// (the log's overlay is already authoritative over the inner file) and the
-// sync is the checkpoint that flushes the overlay and truncates the log.
+// Flush makes the durable image match memory — not merely the acknowledged
+// one — and syncs the file. Without a write-ahead log every cached node is
+// re-encoded to its page: the decoded-node cache is authoritative (never
+// evicting), so this repairs whatever torn writes or a seal that failed
+// partway left in the file — the step to run before dropping caches. Under
+// a log the rewrite is skipped (the log's overlay holds only sealed
+// transactions and is authoritative over the inner file) and the sync is
+// the checkpoint that flushes the overlay and truncates the log. Flush also
+// rewrites the metadata page and retries the page frees that failed, so a
+// clean Flush leaves LeakedPages at zero.
 func (t *Tree) Flush() error {
 	if t.tx == nil {
 		if err := t.store.flushAll(); err != nil {
 			return err
 		}
+		t.torn = false
 	}
 	t.reclaimLeaked()
 	if err := t.writeMeta(); err != nil {
@@ -349,7 +336,7 @@ func New(file pagefile.File, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := t.store.put(root); err != nil {
+	if err := t.store.writeThrough(root); err != nil {
 		return nil, err
 	}
 	t.root = root.id
@@ -446,9 +433,16 @@ func (t *Tree) readMeta() error {
 }
 
 // Close snapshots the ELS side table into the file and flushes metadata,
-// so a subsequent Open restores without re-reading the whole tree. The
-// page file itself remains the caller's to close.
+// so a subsequent Open restores without re-reading the whole tree (after
+// rewriting the node pages from memory if a seal has failed partway since
+// the last Flush). The page file itself remains the caller's to close.
 func (t *Tree) Close() error {
+	if t.torn {
+		if err := t.store.flushAll(); err != nil {
+			return err
+		}
+		t.torn = false
+	}
 	head, err := t.saveELS(t.elsHead)
 	if err != nil {
 		return err
@@ -519,7 +513,7 @@ func (t *Tree) insertRecord(p geom.Point, rid RecordID) error {
 	// Fresh trees never store a root entry, but RebuildELS (recovery) and
 	// snapshot restore do, and that entry would otherwise go silently
 	// stale and under-report the live space.
-	t.elsEnlargeExisting(uint32(t.root), t.cfg.Space, p)
+	t.els.EnlargeExisting(uint32(t.root), t.cfg.Space, p)
 	sr, err := t.insertAt(t.root, t.cfg.Space, p.Clone(), rid)
 	if err != nil {
 		return err
@@ -545,9 +539,7 @@ func (t *Tree) growRoot(sr splitResult) error {
 		{Left: kdNone, Right: kdNone, Child: sr.right},
 	}
 	root.kdRoot = 0
-	if err := t.store.put(root); err != nil {
-		return err
-	}
+	t.store.put(root)
 	t.root = root.id
 	t.height++
 	return nil
@@ -569,10 +561,8 @@ func (t *Tree) insertAt(id pagefile.PageID, br geom.Rect, p geom.Point, rid Reco
 			}
 			return &sr, nil
 		}
-		if err := t.store.put(n); err != nil {
-			return nil, err
-		}
-		t.elsSet(uint32(n.id), t.cfg.Space, n.dataRect())
+		t.store.put(n)
+		t.els.Set(uint32(n.id), t.cfg.Space, n.dataRect())
 		return nil, nil
 	}
 
@@ -580,7 +570,7 @@ func (t *Tree) insertAt(id pagefile.PageID, br geom.Rect, p geom.Point, rid Reco
 	dirty := widenPath(n, path, p)
 	childBR := pathBR(n, br, path)
 	childID := n.kd[leafIdx].Child
-	t.elsEnlarge(uint32(childID), t.cfg.Space, p)
+	t.els.EnlargeToInclude(uint32(childID), t.cfg.Space, p)
 
 	sr, err := t.insertAt(childID, childBR, p, rid)
 	if err != nil {
@@ -598,9 +588,7 @@ func (t *Tree) insertAt(id pagefile.PageID, br geom.Rect, p geom.Point, rid Reco
 		dirty = true
 	}
 	if dirty {
-		if err := t.store.put(n); err != nil {
-			return nil, err
-		}
+		t.store.put(n)
 	}
 	return nil, nil
 }
@@ -615,12 +603,12 @@ func (t *Tree) insertAt(id pagefile.PageID, br geom.Rect, p geom.Point, rid Reco
 func (t *Tree) chooseChild(n *node, nodeBR geom.Rect, p geom.Point) (int32, []int32) {
 	br := nodeBR.Clone()
 	var (
-		bestIdx    int32 = kdNone
-		bestEnl          = 0.0
-		bestArea         = 0.0
-		first            = true
-		stack            = make([]int32, 0, 16)
-		bestPath         = make([]int32, 0, 16)
+		bestIdx  int32 = kdNone
+		bestEnl        = 0.0
+		bestArea       = 0.0
+		first          = true
+		stack          = make([]int32, 0, 16)
+		bestPath       = make([]int32, 0, 16)
 	)
 	var walk func(idx int32)
 	walk = func(idx int32) {
@@ -775,10 +763,8 @@ func (t *Tree) deleteRecord(p geom.Point, rid RecordID) (bool, error) {
 			break
 		}
 		child := rootN.kd[rootN.kdRoot].Child
-		if err := t.store.free(t.root); err != nil {
-			return false, err
-		}
-		t.elsDelete(uint32(t.root))
+		t.store.free(t.root)
+		t.els.Delete(uint32(t.root))
 		t.root = child
 		t.height--
 	}
@@ -811,7 +797,8 @@ func (t *Tree) deleteAt(id pagefile.PageID, br geom.Rect, p geom.Point, rid Reco
 		for i := range n.rids {
 			if n.rids[i] == rid && n.point(i).Equal(p) {
 				n.swapRemove(i)
-				return true, n.count() == 0, t.store.put(n)
+				t.store.put(n)
+				return true, n.count() == 0, nil
 			}
 		}
 		return false, false, nil
@@ -871,12 +858,10 @@ func (t *Tree) deleteAt(id pagefile.PageID, br geom.Rect, p geom.Point, rid Reco
 			// Prune the empty subtree. If it is our only child, we are
 			// empty too and our parent prunes us instead.
 			if n.removeChild(c.child) {
-				if err := t.freeSubtree(c.child); err != nil {
-					return false, false, err
-				}
-				return true, false, t.store.put(n)
+				t.store.put(n)
+				return true, false, t.freeSubtree(c.child)
 			}
-			return true, true, t.store.put(n)
+			return true, true, nil
 		}
 		// Underflow handling: eliminate underfull data children (unless
 		// they are this node's only child) and queue their entries for
@@ -888,12 +873,11 @@ func (t *Tree) deleteAt(id pagefile.PageID, br geom.Rect, p geom.Point, rid Reco
 		if child.leaf && child.count() < t.cfg.minDataFill() && n.removeChild(c.child) {
 			*orphanPts = child.materializePoints(*orphanPts)
 			*orphanRids = append(*orphanRids, child.rids...)
-			if err := t.store.free(c.child); err != nil {
-				return false, false, err
-			}
-			t.elsDelete(uint32(c.child))
+			t.store.free(c.child)
+			t.els.Delete(uint32(c.child))
+			t.store.put(n)
 		}
-		return true, false, t.store.put(n)
+		return true, false, nil
 	}
 	return false, false, nil
 }
@@ -913,8 +897,9 @@ func (t *Tree) freeSubtree(id pagefile.PageID) error {
 			}
 		}
 	}
-	t.elsDelete(uint32(id))
-	return t.store.free(id)
+	t.els.Delete(uint32(id))
+	t.store.free(id)
+	return nil
 }
 
 // RebuildELS recomputes the encoded-live-space table from the stored data

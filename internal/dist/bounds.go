@@ -2,7 +2,7 @@ package dist
 
 // DominatesL2 reports whether m(a,b) >= L2(a,b) for all points, i.e.
 // whether a Euclidean lower bound is also a lower bound under m. Distance
-//-based regions (the SR-tree's bounding spheres) are defined in Euclidean
+// -based regions (the SR-tree's bounding spheres) are defined in Euclidean
 // terms; when a query arrives under a different metric the sphere can only
 // be used for pruning if this holds. L_p norms with p <= 2 dominate L2
 // (power-mean inequality), as do weighted variants whose weights are all

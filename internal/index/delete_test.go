@@ -34,7 +34,7 @@ func TestDeleteAllMethods(t *testing.T) {
 
 	// Victim order is shared across methods so every structure sees the
 	// identical workload.
-	victims := rng.Perm(n)[: n/2]
+	victims := rng.Perm(n)[:n/2]
 	for _, idx := range idxs {
 		if idx.Name() == "hb" {
 			before, err := idx.SearchBox(all)
@@ -128,7 +128,7 @@ func TestDeleteThenQueryAgree(t *testing.T) {
 		pts[i] = p
 	}
 	idxs := buildAll(t, dim, 512, pts)
-	victims := rng.Perm(n)[: 2*n/3]
+	victims := rng.Perm(n)[:2*n/3]
 	for _, idx := range idxs {
 		if idx.Name() == "hb" {
 			continue

@@ -85,11 +85,11 @@ func TestBucketMidNs(t *testing.T) {
 		lo, hi float64
 		want   int64
 	}{
-		{0, 2e-6, 1000},       // mid of [0, 2us] = 1us
-		{-inf, 1e-6, 1000},    // open low edge: the finite bound
-		{1e-3, inf, 1000000},  // open high edge: the finite bound
-		{-inf, inf, 0},        // degenerate
-		{1e-6, 3e-6, 2000},    // plain midpoint
+		{0, 2e-6, 1000},      // mid of [0, 2us] = 1us
+		{-inf, 1e-6, 1000},   // open low edge: the finite bound
+		{1e-3, inf, 1000000}, // open high edge: the finite bound
+		{-inf, inf, 0},       // degenerate
+		{1e-6, 3e-6, 2000},   // plain midpoint
 	}
 	for _, c := range cases {
 		if got := bucketMidNs(c.lo, c.hi); got != c.want {

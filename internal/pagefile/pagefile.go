@@ -162,13 +162,14 @@ type File interface {
 // TxFile is the optional transactional extension a write-ahead-logged file
 // implements. Callers bracket a group of writes with BeginTx and SealTx;
 // SealTx returning nil means the whole group is durable (will survive a
-// crash) and will be replayed atomically on recovery. SealTx returning an
-// error means none of the group is promised — the caller must restore its
-// in-memory state and re-issue the pre-images as plain writes. Writes made
-// outside a bracket are logged as single-write transactions. AbortTx drops
-// a bracket without logging it. The core tree detects this interface at
-// open time and, when present, seals a transaction per mutation before
-// acknowledging it.
+// crash) and will be replayed atomically on recovery. Until then the group
+// is invisible: reads return the last committed image of every page, so a
+// caller that needs its own uncommitted writes keeps them itself. AbortTx,
+// or SealTx returning an error, drops the whole group and leaves the file
+// exactly as it was before BeginTx — the caller only has to restore its
+// in-memory state. Writes made outside a bracket are logged as single-write
+// transactions. The core tree detects this interface at open time and, when
+// present, seals a transaction per mutation before acknowledging it.
 type TxFile interface {
 	File
 	BeginTx()

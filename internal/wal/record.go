@@ -1,8 +1,8 @@
 // Package wal implements a physical-redo write-ahead log over
 // internal/pagefile. A wal.File interposes between the tree and its page
-// file: writes land in a volatile page overlay and are framed into an
-// append-only log; SealTx makes a group of writes durable with one log
-// fsync (the commit point); Sync checkpoints — flushes the overlay into the
+// file: writes are framed into an append-only log and, once committed, land
+// in a volatile page overlay; SealTx makes a group of writes durable with
+// one log fsync (the commit point); Sync checkpoints — flushes the overlay into the
 // inner file, fsyncs it, and truncates the log; Open replays the committed
 // log tail after a crash, discarding torn frames and uncommitted records.
 //

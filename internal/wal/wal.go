@@ -64,23 +64,25 @@ type Recovery struct {
 }
 
 // File layers a write-ahead log over a pagefile.File. It is a no-steal
-// design: writes land in a volatile page overlay and in log records — the
-// inner file is only touched by Allocate (growth is cheap metadata) and by
-// checkpoints. Reads hit the overlay first, so the tree above never
-// observes the difference.
+// design at both levels: committed writes live in a volatile page overlay
+// and in log records — the inner file is only touched by Allocate (growth
+// is cheap metadata) and by checkpoints — and an open transaction's writes
+// live only in its staged frames. Reads hit the overlay first, so they
+// return the last committed image; the tree above serves its own
+// uncommitted pages from its dirty set and never reads them back.
 //
 // Durability protocol, in order:
 //
-//	WritePage*        → overlay + staged log record (volatile)
-//	SealTx            → append records + commit frame, fsync log: COMMITTED
-//	Sync (checkpoint) → flush overlay to inner, fsync inner, truncate log
+//	WritePage* in a tx → staged log record (volatile, invisible to reads)
+//	SealTx             → append records + commit frame, fsync log:
+//	                     COMMITTED, then publish the images to the overlay
+//	Sync (checkpoint)  → flush overlay to inner, fsync inner, truncate log
 //
 // The invariant recovery relies on: every page whose overlay contents
 // differ from the inner file has a log record since the last checkpoint
 // whose replay reproduces those contents. Checkpoints preserve it by
-// truncating the log only after the inner fsync succeeds; failed commits
-// preserve it by rewinding the log and having the tree rewrite pre-images
-// (which log as fresh single-write transactions).
+// truncating the log only after the inner fsync succeeds; aborted and
+// failed commits rewind the log and never touched the overlay.
 //
 // Mutating calls (including BeginTx / SealTx / AbortTx / Sync) require
 // external exclusion from each other, like every pagefile implementation.
@@ -98,13 +100,19 @@ type File struct {
 	overlay map[pagefile.PageID][]byte
 
 	inTx     bool
-	pending  []byte // staged frames of the open transaction
-	staged   int    // write records staged in pending
-	seq      uint64 // last committed transaction sequence
-	unsynced int    // commits since the last log fsync
-	broken   error  // set when a rewind could not be made durable
+	pending  []byte        // staged frames of the open transaction
+	staged   []stagedWrite // the page images inside pending, in write order
+	seq      uint64        // last committed transaction sequence
+	unsynced int           // commits since the last log fsync
+	broken   error         // set when a rewind could not be made durable
 
 	m *walMetrics
+}
+
+// stagedWrite locates one page image inside File.pending (held once).
+type stagedWrite struct {
+	id       pagefile.PageID
+	off, end int
 }
 
 // Open attaches a write-ahead log to inner, replaying whatever committed
@@ -277,10 +285,10 @@ func (f *File) ReadPageSeq(id pagefile.PageID, buf []byte) error {
 	return f.inner.ReadPageSeq(id, buf)
 }
 
-// WritePage implements pagefile.File: the write is acknowledged into the
-// overlay and staged (inside a transaction) or logged as its own
-// single-write transaction (outside one). Either way the inner file is
-// untouched until the next checkpoint.
+// WritePage implements pagefile.File: inside a transaction the write is
+// only staged, and SealTx publishes it; outside one it is logged as its own
+// single-write transaction and published at once. Either way the inner file
+// is untouched until the next checkpoint.
 func (f *File) WritePage(id pagefile.PageID, data []byte) error {
 	if len(data) > f.inner.PageSize() {
 		return fmt.Errorf("%w: %d > %d", pagefile.ErrTooLarge, len(data), f.inner.PageSize())
@@ -290,16 +298,15 @@ func (f *File) WritePage(id pagefile.PageID, data []byte) error {
 	}
 	if f.inTx {
 		f.pending = appendWrite(f.pending, id, data)
-		f.staged++
-		f.setOverlay(id, data)
+		f.staged = append(f.staged, stagedWrite{id, len(f.pending) - len(data), len(f.pending)})
 		f.inner.Stats().AddWrites(1)
 		f.m.appends.Inc()
 		return nil
 	}
 	// Auto-commit: a single-write transaction, logged but not fsynced —
-	// out-of-tx writes (construction, rollback repairs, flushes) duplicate
-	// state that is either rebuilt or already covered by earlier records,
-	// so deferred durability is safe for them.
+	// out-of-tx writes (construction, flushes) duplicate state that is
+	// either rebuilt or already covered by earlier records, so deferred
+	// durability is safe for them.
 	frame := appendWrite(nil, id, data)
 	f.seq++
 	frame = appendCommit(frame, f.seq)
@@ -341,45 +348,37 @@ func (f *File) Free(id pagefile.PageID) error {
 // BeginTx implements pagefile.TxFile.
 func (f *File) BeginTx() { f.inTx = true }
 
-// AbortTx implements pagefile.TxFile: staged records are dropped without
-// reaching the log. Overlay contents written by the aborted transaction
-// remain until the caller rewrites the pre-images (which log as fresh
-// auto-committed writes), exactly mirroring how the tree repairs its
-// eager page writes on rollback.
+// AbortTx implements pagefile.TxFile: the staged records are dropped
+// without reaching the log or the overlay, so the file reads exactly as it
+// did before BeginTx.
 func (f *File) AbortTx() {
 	f.inTx = false
 	f.pending = f.pending[:0]
-	f.staged = 0
+	f.staged = f.staged[:0]
 }
 
 // SealTx implements pagefile.TxFile: the staged writes plus a commit frame
-// are appended to the log and, subject to FsyncEvery, fsynced. A nil
-// return with FsyncEvery ≤ 1 means the transaction is durable. On error
-// nothing is promised: the log is durably rewound so recovery can never
-// resurrect the failed transaction, and the caller must roll back. If even
-// the rewind fails, the file wedges itself (ErrBroken) instead.
+// are appended to the log and, subject to FsyncEvery, fsynced; only then
+// are the page images published to the overlay. A nil return with
+// FsyncEvery ≤ 1 means the transaction is durable. On error the
+// transaction is gone as if aborted: the log is durably rewound so recovery
+// can never resurrect it. If even the rewind fails, the file wedges itself
+// (ErrBroken) instead.
 func (f *File) SealTx() error {
 	if !f.inTx {
 		return nil
 	}
-	f.inTx = false
+	defer f.AbortTx() // published or not, the staging area is spent
 	if f.broken != nil {
-		f.pending = f.pending[:0]
-		f.staged = 0
 		return f.broken
 	}
-	if f.staged == 0 {
-		f.pending = f.pending[:0]
+	if len(f.staged) == 0 {
 		return nil
 	}
-	staged := f.staged
 	f.seq++
 	f.pending = appendCommit(f.pending, f.seq)
 	pos := f.log.Size()
-	err := f.log.Append(f.pending)
-	f.pending = f.pending[:0]
-	f.staged = 0
-	if err != nil {
+	if err := f.log.Append(f.pending); err != nil {
 		f.seq--
 		f.rewindTo(pos)
 		return fmt.Errorf("wal: log append: %w", err)
@@ -396,8 +395,11 @@ func (f *File) SealTx() error {
 			return err
 		}
 	}
+	for _, w := range f.staged {
+		f.setOverlay(w.id, f.pending[w.off:w.end])
+	}
 	f.m.commits.Inc()
-	f.m.groupedOps.Add(uint64(staged))
+	f.m.groupedOps.Add(uint64(len(f.staged)))
 	return nil
 }
 

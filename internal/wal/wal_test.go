@@ -206,10 +206,7 @@ func TestSealRewindsOnFsyncFailure(t *testing.T) {
 	if log.Size() != 0 {
 		t.Fatalf("failed tx left %d bytes in the log", log.Size())
 	}
-	// The caller's contract: rewrite the pre-image after a failed seal.
-	if err := f.WritePage(a, page(0x44)); err != nil {
-		t.Fatal(err)
-	}
+	// No repair write: the failed seal never reached the overlay.
 	inner.Crash(7)
 	log.Crash(8)
 	f2, rec := reopen(t, inner, log, Options{})
@@ -263,10 +260,6 @@ func TestAbortDropsStagedRecords(t *testing.T) {
 	f.AbortTx()
 	if log.Size() != before {
 		t.Fatalf("aborted tx reached the log")
-	}
-	// Mirror the tree's rollback: rewrite the pre-image.
-	if err := f.WritePage(a, page(0x66)); err != nil {
-		t.Fatal(err)
 	}
 	inner.Crash(9)
 	log.Crash(10)
@@ -476,9 +469,72 @@ func TestFailedRewindBricksTheWAL(t *testing.T) {
 	if err := f.Sync(); !errors.Is(err, ErrBroken) {
 		t.Fatalf("Sync after failed rewind: %v, want ErrBroken", err)
 	}
-	// Reads still serve the in-memory state.
-	if got := readPage(t, f, a); !bytes.Equal(got, page(0x22)) {
+	// Reads still serve the last committed image, never the rejected one.
+	if got := readPage(t, f, a); !bytes.Equal(got, page(0x11)) {
 		t.Fatalf("read after brick: %x...", got[0])
+	}
+}
+
+// TestUncommittedWritesAreInvisible: the file is no-steal within a
+// transaction too. Staged writes reach neither the overlay nor the log
+// until the commit is durable, so while a transaction is open, after an
+// abort and after a failed seal, every read returns the last committed
+// bytes and the replay work a crash would need is unchanged.
+func TestUncommittedWritesAreInvisible(t *testing.T) {
+	cases := []struct {
+		name string
+		end  func(t *testing.T, f *File, log *MemLog)
+	}{
+		{"open tx", func(*testing.T, *File, *MemLog) {}},
+		{"after AbortTx", func(_ *testing.T, f *File, _ *MemLog) { f.AbortTx() }},
+		{"after failed SealTx", func(t *testing.T, f *File, log *MemLog) {
+			log.FailNextSyncs(1)
+			if err := f.SealTx(); err == nil {
+				t.Fatal("SealTx succeeded despite fsync failure")
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f, _, log := newStack(t, Options{})
+			a, b := mustAlloc(t, f), mustAlloc(t, f)
+			// a's committed image is in the inner file, b's in the overlay.
+			if err := f.WritePage(a, page(0x11)); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			f.BeginTx()
+			if err := f.WritePage(b, page(0x22)); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.SealTx(); err != nil {
+				t.Fatal(err)
+			}
+			overlay, size := f.OverlayPages(), log.Size()
+
+			f.BeginTx()
+			for _, id := range []pagefile.PageID{a, b, a} {
+				if err := f.WritePage(id, page(0xEE)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.end(t, f, log)
+
+			if got := readPage(t, f, a); !bytes.Equal(got, page(0x11)) {
+				t.Fatalf("page a reads %x..., want the committed 11", got[0])
+			}
+			if got := readPage(t, f, b); !bytes.Equal(got, page(0x22)) {
+				t.Fatalf("page b reads %x..., want the committed 22", got[0])
+			}
+			if got := f.OverlayPages(); got != overlay {
+				t.Fatalf("overlay holds %d pages, want %d", got, overlay)
+			}
+			if got := log.Size(); got != size {
+				t.Fatalf("log is %d bytes, want %d", got, size)
+			}
+		})
 	}
 }
 
@@ -506,11 +562,7 @@ func TestRewindIsDurable(t *testing.T) {
 	if got, want := log.Synced(), int(log.Size()); got != want {
 		t.Fatalf("rewind not durable: synced %d, size %d", got, want)
 	}
-	// Caller contract: rewrite the pre-image, then crash. Recovery must
-	// see the repair, never the rejected commit.
-	if err := f.WritePage(a, page(0x11)); err != nil {
-		t.Fatal(err)
-	}
+	// Crash right away: recovery must never see the rejected commit.
 	inner.Crash(40)
 	log.Crash(41)
 	f2, _ := reopen(t, inner, log, Options{})
