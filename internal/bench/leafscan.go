@@ -122,11 +122,11 @@ func leafCount(page []byte, dim int) (int, error) {
 // squared distance through the pointer-per-point layout. Returns the best
 // squared distance found and the number of entries within bound.
 func ScanLegacyKNN(q geom.Point, l *LegacyLeaf, bound float64) (float64, int) {
-	sq, _ := dist.AsSquared(dist.L2())
+	add, _ := dist.AsAdditive(dist.L2())
 	best := math.Inf(1)
 	within := 0
 	for _, p := range l.Pts {
-		d2 := sq.DistanceSqBounded(q, p, bound)
+		d2 := add.SumBounded(q, p, bound)
 		if d2 > bound {
 			continue
 		}
@@ -141,10 +141,10 @@ func ScanLegacyKNN(q geom.Point, l *LegacyLeaf, bound float64) (float64, int) {
 // ScanSlabKNN is the slab leaf loop: one streaming kernel call over the
 // contiguous values, then a scalar pass over its output.
 func ScanSlabKNN(q geom.Point, l *SlabLeaf, bound float64, out []float64) (float64, int) {
-	slm, _ := dist.AsSlab(dist.L2())
+	add, _ := dist.AsAdditive(dist.L2())
 	n := len(l.Rids)
 	out = out[:n]
-	slm.DistanceSqSlab(q, l.Vals, l.Dim, bound, out)
+	add.SumSlab(q, l.Vals, l.Dim, bound, out)
 	best := math.Inf(1)
 	within := 0
 	for _, d2 := range out {

@@ -76,6 +76,14 @@ func TestSearchZeroAlloc(t *testing.T) {
 		return err
 	})
 
+	i = 0
+	run("SearchRangeCtx/L1", func() error {
+		var err error
+		nbrs, err = tree.SearchRangeCtx(c, queries[i%len(queries)], 1.5, l1, nbrs[:0])
+		i++
+		return err
+	})
+
 	// The no-op tracer must keep the hot path allocation-free: StartTrace
 	// returns nil and every per-event trace call is an inlined nil check.
 	tree.SetTracer(obs.Nop())

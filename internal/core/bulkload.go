@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hybridtree/internal/els"
@@ -134,7 +136,7 @@ func (t *Tree) bulkSplit(pts []geom.Point, rids []RecordID, order []int) (*bulkN
 		sub[i] = pts[j]
 	}
 	dim, pos := t.cfg.Policy.ChooseDataSplit(sub, geom.BoundingRect(sub))
-	sort.SliceStable(order, func(a, b int) bool { return pts[order[a]][dim] < pts[order[b]][dim] })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(pts[a][dim], pts[b][dim]) })
 	cut := sort.Search(len(order), func(i int) bool { return pts[order[i]][dim] > pos })
 	// Round the cut to a multiple of the page target (the VAMSplit trick):
 	// the left recursion then tiles into full pages and only the rightmost

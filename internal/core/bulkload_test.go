@@ -1,6 +1,7 @@
 package core
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -249,5 +250,39 @@ func TestApproxKNNValidation(t *testing.T) {
 	}
 	if _, err := tree.SearchKNNApprox(make(geom.Point, 4), 1, dist.L2(), -1); err == nil {
 		t.Fatal("negative epsilon accepted")
+	}
+}
+
+// TestBulkLoadPinnedFile pins a bulk-loaded file byte for byte. bulkSplit
+// orders every subset with a stable sort, and a stable sort has one answer,
+// so swapping the sort's implementation may not move a single page. The
+// coordinates are quantized to sixteen values so that every split sorts
+// through long runs of ties — the case stability decides.
+func TestBulkLoadPinnedFile(t *testing.T) {
+	const want = "580 pages 315a434829369b26"
+	rng := rand.New(rand.NewSource(77))
+	pts := make([]geom.Point, 6000)
+	rids := make([]RecordID, len(pts))
+	for i := range pts {
+		p := make(geom.Point, 16)
+		for d := range p {
+			p[d] = float32(rng.Intn(16)) / 16
+		}
+		pts[i], rids[i] = p, RecordID(i)
+	}
+	file := pagefile.NewMemFile(1024)
+	if _, err := BulkLoad(file, Config{Dim: 16, PageSize: 1024}, pts, rids); err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	buf := make([]byte, 1024)
+	for id := 0; id < file.NumPages(); id++ {
+		if err := file.ReadPage(pagefile.PageID(id), buf); err != nil {
+			t.Fatal(err)
+		}
+		h.Write(buf)
+	}
+	if got := fmt.Sprintf("%d pages %x", file.NumPages(), h.Sum(nil)[:8]); got != want {
+		t.Fatalf("bulk-loaded file is %s, pinned %s", got, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hybridtree/internal/dataset"
 	"hybridtree/internal/dist"
 	"hybridtree/internal/geom"
 	"hybridtree/internal/obs"
@@ -41,6 +42,23 @@ func benchTree(b *testing.B, n, dim int) (*Tree, []geom.Point) {
 		}
 	}
 	return tree, pts
+}
+
+// colHistTree bulk-loads the first n vectors of a synthetic COLHIST
+// collection (the benchmark's palette) and returns the tree with the next
+// held vectors, which are not in it.
+func colHistTree(tb testing.TB, n, held, dim int) (*Tree, []geom.Point) {
+	tb.Helper()
+	pts := dataset.ColHist(n+held, dim, 1999)
+	rids := make([]RecordID, n)
+	for i := range rids {
+		rids[i] = RecordID(i)
+	}
+	tree, err := BulkLoad(pagefile.NewMemFile(pagefile.DefaultPageSize), Config{Dim: dim}, pts[:n], rids)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tree, pts[n:]
 }
 
 func BenchmarkInsert16d(b *testing.B) {
@@ -135,6 +153,33 @@ func BenchmarkSearchRangeL1_64d(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tree.SearchRange(pts[i%len(pts)], 0.8, dist.L1()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSearchKNNCtxL1_64d is the query shape of the benchmark's k-NN
+// workloads, in process: COLHIST 64-d, n = 40,000 bulk-loaded (ELS on,
+// 4096-byte pages), k = 10 under L1 at held-out anchors, warm node cache and
+// query context.
+func BenchmarkSearchKNNCtxL1_64d(b *testing.B) {
+	tree, anchors := colHistTree(b, 40000, 1000, 64)
+	c := NewQueryContext()
+	l1 := dist.L1()
+	var dst []Neighbor
+	var err error
+	// Warm pass: every anchor once, so the node cache holds what the
+	// measured queries read and allocs/op is the hot path's alone.
+	for _, q := range anchors {
+		if dst, err = tree.SearchKNNCtx(c, q, 10, l1, dst[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst, err = tree.SearchKNNCtx(c, anchors[i%len(anchors)], 10, l1, dst[:0])
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

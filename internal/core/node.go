@@ -93,11 +93,14 @@ func (n *node) materializePoints(dst []geom.Point) []geom.Point {
 // never touched — the MVCC copy-on-write boundary.
 func (n *node) clone() *node {
 	c := &node{id: n.id, leaf: n.leaf, dim: n.dim, kdRoot: n.kdRoot}
+	// Room for exactly one more entry: an insert's clone takes one, and
+	// growing by append instead leaves the node cache holding a slab half
+	// again the size of every leaf ever inserted into.
 	if n.vals != nil {
-		c.vals = append([]float32(nil), n.vals...)
+		c.vals = append(make([]float32, 0, len(n.vals)+n.dim), n.vals...)
 	}
 	if n.rids != nil {
-		c.rids = append([]RecordID(nil), n.rids...)
+		c.rids = append(make([]RecordID, 0, len(n.rids)+1), n.rids...)
 	}
 	if n.kd != nil {
 		c.kd = append([]kdNode(nil), n.kd...)

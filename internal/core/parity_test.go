@@ -158,7 +158,10 @@ func (t *Tree) refRangeAt(id pagefile.PageID, br geom.Rect, q geom.Point, radius
 	return nil
 }
 
-func (t *Tree) refSearchKNN(q geom.Point, k int, m dist.Metric) ([]Neighbor, error) {
+// refSearchKNN is the seed's best-first search; eps > 0 shrinks its pruning
+// bound by 1/(1+eps), in plain distance space.
+func (t *Tree) refSearchKNN(q geom.Point, k int, m dist.Metric, eps float64) ([]Neighbor, error) {
+	shrink := 1 / (1 + eps)
 	type frontier struct {
 		id pagefile.PageID
 		br geom.Rect
@@ -170,7 +173,7 @@ func (t *Tree) refSearchKNN(q geom.Point, k int, m dist.Metric) ([]Neighbor, err
 	pq.Push(frontier{id: t.root, br: rootBR}, 0)
 	for pq.Len() > 0 {
 		f, mindist := pq.Pop()
-		if best.Full() && mindist > best.Bound() {
+		if best.Full() && mindist > best.Bound()*shrink {
 			break
 		}
 		n, err := t.store.get(f.id)
@@ -200,7 +203,7 @@ func (t *Tree) refSearchKNN(q geom.Point, k int, m dist.Metric) ([]Neighbor, err
 				} else {
 					md = m.MinDistRect(q, brWalk)
 				}
-				if !best.Full() || md <= best.Bound() {
+				if !best.Full() || md <= best.Bound()*shrink {
 					pq.Push(frontier{id: k2.Child, br: brWalk.Clone()}, md)
 				}
 				return
@@ -263,7 +266,44 @@ func reads(t *testing.T, st *pagefile.Stats, fn func() error) uint64 {
 	return st.RandomReads - before
 }
 
+// checkDistParity holds one range query and one k-NN query (approximate
+// when eps > 0) to the seed recursion: same neighbors, bit for bit and in
+// the same order, for the same number of node reads.
+func checkDistParity(t *testing.T, tree *Tree, st *pagefile.Stats, c *QueryContext, q geom.Point, m dist.Metric, radius float64, k int, eps float64) {
+	t.Helper()
+	var wantR, gotR, wantK, gotK []Neighbor
+	wantReads := reads(t, st, func() error { var e error; wantR, e = tree.refSearchRange(q, radius, m); return e })
+	gotReads := reads(t, st, func() error { var e error; gotR, e = tree.SearchRange(q, radius, m); return e })
+	if !reflect.DeepEqual(gotR, wantR) {
+		t.Fatalf("%s range r=%g: results differ from seed implementation", m.Name(), radius)
+	}
+	if gotReads != wantReads {
+		t.Fatalf("%s range r=%g: %d node reads, seed charged %d", m.Name(), radius, gotReads, wantReads)
+	}
+
+	wantReads = reads(t, st, func() error { var e error; wantK, e = tree.refSearchKNN(q, k, m, eps); return e })
+	gotReads = reads(t, st, func() error { var e error; gotK, e = tree.SearchKNNApprox(q, k, m, eps); return e })
+	if !reflect.DeepEqual(gotK, wantK) {
+		t.Fatalf("%s knn k=%d eps=%g: results differ from seed implementation", m.Name(), k, eps)
+	}
+	if gotReads != wantReads {
+		t.Fatalf("%s knn k=%d eps=%g: %d node reads, seed charged %d", m.Name(), k, eps, gotReads, wantReads)
+	}
+	gotKCtx, err := tree.SearchKNNApproxCtx(c, q, k, m, eps, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotKCtx, wantK) {
+		t.Fatalf("%s knn k=%d eps=%g: Ctx variant diverges", m.Name(), k, eps)
+	}
+}
+
 func TestSearchParityWithSeed(t *testing.T) {
+	t.Run("uniform12d", parityUniform12d)
+	t.Run("colhist64d", parityColHist64d)
+}
+
+func parityUniform12d(t *testing.T) {
 	tree, pts, st := parityTree(t, 6000, 12, 41)
 	rng := rand.New(rand.NewSource(42))
 	w := make([]float64, 12)
@@ -298,37 +338,40 @@ func TestSearchParityWithSeed(t *testing.T) {
 		}
 
 		q := pts[rng.Intn(len(pts))]
-		for mi, m := range metrics {
-			radius := 0.2 + rng.Float64()*0.6
-			var wantR []Neighbor
-			wantReads = reads(t, st, func() error { var e error; wantR, e = tree.refSearchRange(q, radius, m); return e })
-			var gotR []Neighbor
-			gotReads = reads(t, st, func() error { var e error; gotR, e = tree.SearchRange(q, radius, m); return e })
-			if !reflect.DeepEqual(gotR, wantR) {
-				t.Fatalf("range query %d metric %d: results differ from seed implementation", qi, mi)
-			}
-			if gotReads != wantReads {
-				t.Fatalf("range query %d metric %d: %d node reads, seed charged %d", qi, mi, gotReads, wantReads)
-			}
+		for _, m := range metrics {
+			checkDistParity(t, tree, st, c, q, m, 0.2+rng.Float64()*0.6, 1+rng.Intn(20), 0)
+		}
+	}
+}
 
-			k := 1 + rng.Intn(20)
-			var wantK []Neighbor
-			wantReads = reads(t, st, func() error { var e error; wantK, e = tree.refSearchKNN(q, k, m); return e })
-			var gotK []Neighbor
-			gotReads = reads(t, st, func() error { var e error; gotK, e = tree.SearchKNN(q, k, m); return e })
-			if !reflect.DeepEqual(gotK, wantK) {
-				t.Fatalf("knn query %d metric %d k=%d: results differ from seed implementation", qi, mi, k)
-			}
-			if gotReads != wantReads {
-				t.Fatalf("knn query %d metric %d k=%d: %d node reads, seed charged %d", qi, mi, k, gotReads, wantReads)
-			}
-			gotKCtx, err := tree.SearchKNNCtx(c, q, k, m, nil)
+// parityColHist64d is the same pin on the benchmark's tree shape,
+// where the additive kernel earns its keep: 64-d COLHIST, bulk-loaded, ELS
+// on, queried at held-out anchors under L1 and a weighted L1 — range, exact
+// k-NN and approximate k-NN (in L1's sum space the shrunk bound is the
+// seed's own, so even eps > 0 must agree exactly).
+func parityColHist64d(t *testing.T) {
+	tree, anchors := colHistTree(t, 8000, 40, 64)
+	st := tree.File().Stats()
+	rng := rand.New(rand.NewSource(45))
+	w := make([]float64, 64)
+	for i := range w {
+		w[i] = rng.Float64() * 2
+	}
+	wl1, err := dist.NewWeightedLp(1, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewQueryContext()
+	for _, q := range anchors {
+		for _, m := range []dist.Metric{dist.L1(), wl1} {
+			// A radius that reaches a handful of neighbors under m.
+			near, err := tree.SearchKNN(q, 5, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(gotKCtx, wantK) {
-				t.Fatalf("knn query %d metric %d k=%d: Ctx variant diverges", qi, mi, k)
-			}
+			k := 1 + rng.Intn(20)
+			checkDistParity(t, tree, st, c, q, m, near[4].Dist, k, 0)
+			checkDistParity(t, tree, st, c, q, m, near[4].Dist/2, k, 0.5)
 		}
 	}
 }

@@ -83,7 +83,7 @@ type queryCtx struct {
 	coords  []float32
 
 	// Leaf-scan scratch for the slab batch kernels: dists receives one
-	// squared distance per leaf point, hits the indices a box filter kept.
+	// additive-kernel sum per leaf point, hits the indices a box filter kept.
 	// Both grow to the query's high-water leaf size and are then reused.
 	dists []float64
 	hits  []int32

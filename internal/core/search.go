@@ -244,10 +244,10 @@ func (t *Tree) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]Neigh
 }
 
 // SearchRangeCtx is SearchRange with caller-managed scratch state and result
-// buffer (see SearchBoxCtx). When m supports the squared-distance fast path
-// (dist.AsSquared), membership and pruning compare squared distances and
-// each reported neighbor costs a single square root; leaf scans abandon a
-// candidate as soon as its partial sum exceeds the squared radius.
+// buffer (see SearchBoxCtx). When m has an additive kernel (dist.AsAdditive:
+// L1, L2 and their weighted forms) membership and pruning compare sums
+// against the radius mapped into sum space, leaf scans abandon a candidate
+// once its partial sum exceeds it, and only reported neighbors pay the root.
 func (t *Tree) SearchRangeCtx(c *QueryContext, q geom.Point, radius float64, m dist.Metric, dst []Neighbor) ([]Neighbor, error) {
 	return t.SearchRangeContext(nil, c, q, radius, m, Budget{}, dst)
 }
@@ -271,12 +271,8 @@ func (t *Tree) SearchRangeContext(ctx context.Context, c *QueryContext, q geom.P
 	tr, start := t.beginQuery(qc, opRange)
 	base := len(dst)
 
-	sqm, useSq := dist.AsSquared(m)
-	slm, useSlab := dist.AsSlab(m)
-	bound := radius
-	if useSq {
-		bound = radius * radius
-	}
+	mp := dispatch(m)
+	bound := mp.space(radius)
 
 	pending := append(qc.pending, visitRef{child: qc.ver.root, slot: qc.arena.put(t.cfg.Space), span: -1})
 	for len(pending) > 0 {
@@ -308,30 +304,21 @@ func (t *Tree) SearchRangeContext(ctx context.Context, c *QueryContext, q geom.P
 			if tr != nil {
 				scan0 = time.Now()
 			}
-			switch {
-			case useSlab:
+			if mp.fast {
 				// Batch kernel: one linear pass over the slab with
-				// partial-distance abandonment at the squared radius.
-				// Accepted values (<= bound) are bit-identical to the
-				// per-point DistanceSqBounded calls.
+				// partial-sum abandonment at the bound. Accepted sums
+				// (<= bound) root to exactly Metric.Distance.
 				out := qc.distSlab(n.count())
-				slm.DistanceSqSlab(q, n.vals, n.dim, bound, out)
-				for i, d2 := range out {
-					if d2 <= bound {
+				mp.add.SumSlab(q, n.vals, n.dim, bound, out)
+				for i, sum := range out {
+					if sum <= bound {
 						tr.Hit(span)
-						dst = append(dst, Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: math.Sqrt(d2)})
+						dst = append(dst, Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: mp.add.Root(sum)})
 					}
 				}
-			case useSq:
+			} else {
 				for i := 0; i < n.count(); i++ {
-					if d2 := sqm.DistanceSqBounded(q, n.point(i), bound); d2 <= bound {
-						tr.Hit(span)
-						dst = append(dst, Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: math.Sqrt(d2)})
-					}
-				}
-			default:
-				for i := 0; i < n.count(); i++ {
-					if d := m.Distance(q, n.point(i)); d <= radius {
+					if d := m.Distance(q, n.point(i)); d <= bound {
 						tr.Hit(span)
 						dst = append(dst, Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: d})
 					}
@@ -346,7 +333,7 @@ func (t *Tree) SearchRangeContext(ctx context.Context, c *QueryContext, q geom.P
 			continue
 		}
 		mark := len(pending)
-		pending = t.kdWalkDist(qc, n, q, m, sqm, useSq, bound, span, pending)
+		pending = t.kdWalkDist(qc, n, q, &mp, bound, false, span, pending)
 		reverseVisits(pending[mark:])
 	}
 	qc.pending = pending[:0]
@@ -354,12 +341,54 @@ func (t *Tree) SearchRangeContext(ctx context.Context, c *QueryContext, q geom.P
 	return dst, nil
 }
 
-// kdWalkDist is the distance-range query's intra-node kd walk: surviving
-// kd-leaves are those whose region (mapped BR ∩ encoded live space, a
-// strictly tighter bound than the max of the two separate MINDISTs) lies
-// within bound of q. bound and the MINDIST computation are in squared space
-// when useSq is set.
-func (t *Tree) kdWalkDist(qc *queryCtx, n *node, q geom.Point, m dist.Metric, sqm dist.SquaredMetric, useSq bool, bound float64, span int32, pending []visitRef) []visitRef {
+// metricPath is a query's one metric dispatch: the additive kernel when the
+// metric vouches for one — distances are then compared in its sum space —
+// and the generic Metric methods otherwise.
+type metricPath struct {
+	m    dist.Metric
+	add  dist.Additive
+	fast bool
+}
+
+func dispatch(m dist.Metric) metricPath {
+	add, fast := dist.AsAdditive(m)
+	return metricPath{m: m, add: add, fast: fast}
+}
+
+// space maps a distance bound, or a factor scaling one, into the space the
+// path compares in.
+func (mp *metricPath) space(b float64) float64 {
+	if mp.fast {
+		return mp.add.SumBound(b)
+	}
+	return b
+}
+
+// regionDist is the path-space MINDIST from q to br ∩ live — a strictly
+// tighter bound than the max of the two separate MINDISTs — or to br alone
+// for a child with no encoded live space, and whether the intersection is
+// empty. The additive kernel reads both rectangles once, writes nothing and
+// stops at a partial sum once that exceeds bound.
+func (mp *metricPath) regionDist(q geom.Point, br, live geom.Rect, hasLive bool, bound float64, scratch *geom.Rect) (float64, bool) {
+	switch {
+	case mp.fast && hasLive:
+		return mp.add.SumRectCap(q, br, live, bound)
+	case mp.fast:
+		return mp.add.SumRectCap(q, br, br, bound)
+	case !hasLive:
+		return mp.m.MinDistRect(q, br), false
+	case !intersectInto(scratch, br, live):
+		return 0, true
+	}
+	return mp.m.MinDistRect(q, *scratch), false
+}
+
+// kdWalkDist is the intra-node kd walk of the distance-based queries:
+// surviving kd-leaves are those whose region lies within bound (in mp's
+// space) of q. The range query appends them to pending in kd order; k-NN
+// (frontier set) pushes them onto the best-first frontier with the region's
+// MINDIST as priority.
+func (t *Tree) kdWalkDist(qc *queryCtx, n *node, q geom.Point, mp *metricPath, bound float64, frontier bool, span int32, pending []visitRef) []visitRef {
 	br := qc.walk
 	tr := qc.tr
 	kd, els, space := n.kd, qc.ver.els, t.cfg.Space
@@ -371,32 +400,27 @@ func (t *Tree) kdWalkDist(qc *queryCtx, n *node, q geom.Point, m dist.Metric, sq
 		case 0:
 			if k.isLeaf() {
 				st = st[:len(st)-1]
-				lb := 0.0
-				if live, ok := els.Get(uint32(k.Child), space); ok {
+				live, ok := els.Get(uint32(k.Child), space)
+				if ok {
 					qc.tally.elsHits++
 					tr.ELSHit(span)
-					if !intersectInto(&qc.scratch, br, live) {
-						qc.tally.elsPrunes++
-						tr.ELSPrune(span)
-						continue
-					}
-					if useSq {
-						lb = sqm.MinDistRectSq(q, qc.scratch)
-					} else {
-						lb = m.MinDistRect(q, qc.scratch)
-					}
-				} else if useSq {
-					lb = sqm.MinDistRectSq(q, br)
-				} else {
-					lb = m.MinDistRect(q, br)
 				}
-				if lb <= bound {
+				lb, empty := mp.regionDist(q, br, live, ok, bound, &qc.scratch)
+				switch {
+				case empty:
+					qc.tally.elsPrunes++
+					tr.ELSPrune(span)
+				case !(lb <= bound):
+					qc.tally.distPrunes++
+					tr.DistPrune(span)
+				case frontier:
+					qc.tally.heapPushes++
+					tr.Descend(span)
+					qc.pq.Push(visitRef{child: k.Child, slot: qc.arena.put(br), span: span}, lb)
+				default:
 					qc.tally.descents++
 					tr.Descend(span)
 					pending = append(pending, visitRef{child: k.Child, slot: qc.arena.put(br), span: span})
-				} else {
-					qc.tally.distPrunes++
-					tr.DistPrune(span)
 				}
 				continue
 			}
@@ -456,7 +480,7 @@ func (t *Tree) SearchKNNCtx(c *QueryContext, q geom.Point, k int, m dist.Metric,
 // SearchKNNContext is SearchKNNCtx under a request lifecycle (see
 // SearchBoxContext). Budget exhaustion degrades rather than fails: the
 // best-found-so-far neighbors are appended to dst, sorted and with true
-// (non-squared) distances — a valid answer to a smaller effort — alongside
+// (rooted) distances — a valid answer to a smaller effort — alongside
 // the *ErrBudgetExceeded. Context abandonment returns ctx.Err() with dst
 // unchanged past its input length.
 func (t *Tree) SearchKNNContext(ctx context.Context, c *QueryContext, q geom.Point, k int, m dist.Metric, b Budget, dst []Neighbor) ([]Neighbor, error) {
@@ -464,10 +488,10 @@ func (t *Tree) SearchKNNContext(ctx context.Context, c *QueryContext, q geom.Poi
 }
 
 // searchKNN is the shared exact/(1+epsilon)-approximate best-first search;
-// epsilon = 0 is exact. When m supports the squared-distance fast path,
-// frontier priorities, pruning bounds and leaf scans all work on squared
-// distances (with partial-distance early abandonment against the current
-// k-th best) and only the k reported results pay a square root.
+// epsilon = 0 is exact. When m has an additive kernel, frontier priorities,
+// pruning bounds and leaf scans all work in its sum space (with partial-sum
+// early abandonment against the current k-th best) and only the k reported
+// results pay the root.
 func (t *Tree) searchKNN(ctx context.Context, c *QueryContext, q geom.Point, k int, m dist.Metric, epsilon float64, b Budget, dst []Neighbor) ([]Neighbor, error) {
 	if len(q) != t.cfg.Dim {
 		return dst, fmt.Errorf("core: query has dim %d, tree expects %d", len(q), t.cfg.Dim)
@@ -486,15 +510,11 @@ func (t *Tree) searchKNN(ctx context.Context, c *QueryContext, q geom.Point, k i
 	tr, start := t.beginQuery(qc, opKNN)
 	base := len(dst)
 
-	sqm, useSq := dist.AsSquared(m)
-	slm, useSlab := dist.AsSlab(m)
-	// shrink scales the pruning bound for approximate search; for squared
-	// distances the factor is squared too. epsilon = 0 gives shrink = 1,
+	mp := dispatch(m)
+	// shrink scales the pruning bound for approximate search, mapped into
+	// the path's space like the bound itself. epsilon = 0 gives shrink = 1,
 	// and x*1 == x for floats, so the exact path is untouched.
-	shrink := 1 / (1 + epsilon)
-	if useSq {
-		shrink *= shrink
-	}
+	shrink := mp.space(1 / (1 + epsilon))
 
 	pq := &qc.pq
 	best := qc.kbest(k)
@@ -506,7 +526,7 @@ func (t *Tree) searchKNN(ctx context.Context, c *QueryContext, q geom.Point, k i
 				// collector is real, sorted and correctly ranked — it is
 				// the exact answer a smaller tree would have given.
 				prev := len(dst)
-				dst = flushKNN(best, useSq, dst)
+				dst = flushKNN(best, &mp, dst)
 				be.Partial = len(dst) - prev
 				t.finishQuery(qc, opKNN, start, len(dst)-prev, lerr)
 				return dst, lerr
@@ -533,46 +553,28 @@ func (t *Tree) searchKNN(ctx context.Context, c *QueryContext, q geom.Point, k i
 			if tr != nil {
 				scan0 = time.Now()
 			}
-			switch {
-			case useSlab:
+			if mp.fast {
 				// Batch kernel against the bound at leaf entry. A candidate
-				// whose exact distance beats only the *stale* bound reaches
+				// whose exact sum beats only the *stale* bound reaches
 				// Offer, which rejects it with no state change (priority >=
-				// current worst) — exactly the candidates the per-point loop
-				// skipped after refreshing the bound, so results and Hit
-				// counts are identical to the scalar path.
+				// current worst) — exactly the candidates a per-point loop
+				// would skip after refreshing the bound, so results and Hit
+				// counts are identical to the generic path.
 				bound := math.Inf(1)
 				if best.Full() {
 					bound = best.Bound()
 				}
 				out := qc.distSlab(n.count())
-				slm.DistanceSqSlab(q, n.vals, n.dim, bound, out)
-				for i, d2 := range out {
-					if d2 > bound {
+				mp.add.SumSlab(q, n.vals, n.dim, bound, out)
+				for i, sum := range out {
+					if sum > bound {
 						continue // abandoned or beaten; Offer would reject it
 					}
-					if best.Offer(Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: d2}, d2) {
+					if best.Offer(Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: sum}, sum) {
 						tr.Hit(span)
 					}
 				}
-			case useSq:
-				bound := math.Inf(1)
-				if best.Full() {
-					bound = best.Bound()
-				}
-				for i := 0; i < n.count(); i++ {
-					d2 := sqm.DistanceSqBounded(q, n.point(i), bound)
-					if d2 > bound {
-						continue // abandoned or beaten; Offer would reject it
-					}
-					if best.Offer(Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: d2}, d2) {
-						tr.Hit(span)
-					}
-					if best.Full() {
-						bound = best.Bound()
-					}
-				}
-			default:
+			} else {
 				for i := 0; i < n.count(); i++ {
 					d := m.Distance(q, n.point(i))
 					if best.Offer(Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: d}, d) {
@@ -586,117 +588,34 @@ func (t *Tree) searchKNN(ctx context.Context, c *QueryContext, q geom.Point, k i
 			continue
 		}
 		if n.kdRoot != kdNone {
-			t.kdWalkKNN(qc, n, q, m, sqm, useSq, best, shrink, span)
+			// The k-th best moves only in leaf scans, so one bound serves
+			// the whole walk.
+			bound := math.Inf(1)
+			if best.Full() {
+				bound = best.Bound() * shrink
+			}
+			t.kdWalkDist(qc, n, q, &mp, bound, true, span, nil)
 		}
 	}
-	if dst == nil {
-		dst = make([]Neighbor, 0, best.Len())
-	}
-	base = len(dst)
-	dst = best.AppendSorted(dst)
-	if useSq {
-		for i := base; i < len(dst); i++ {
-			dst[i].Dist = math.Sqrt(dst[i].Dist)
-		}
-	}
+	dst = flushKNN(best, &mp, dst)
 	t.finishQuery(qc, opKNN, start, len(dst)-base, nil)
 	return dst, nil
 }
 
 // flushKNN appends the collector's neighbors to dst, closest first,
-// converting squared distances back to true ones.
-func flushKNN(best *pqueue.KBest[Neighbor], useSq bool, dst []Neighbor) []Neighbor {
+// converting the additive path's sums back to distances.
+func flushKNN(best *pqueue.KBest[Neighbor], mp *metricPath, dst []Neighbor) []Neighbor {
 	if dst == nil {
 		dst = make([]Neighbor, 0, best.Len())
 	}
 	base := len(dst)
 	dst = best.AppendSorted(dst)
-	if useSq {
+	if mp.fast {
 		for i := base; i < len(dst); i++ {
-			dst[i].Dist = math.Sqrt(dst[i].Dist)
+			dst[i].Dist = mp.add.Root(dst[i].Dist)
 		}
 	}
 	return dst
-}
-
-// kdWalkKNN is the k-NN intra-node kd walk: each surviving kd-leaf joins
-// the best-first frontier with its (live-space-tightened) MINDIST as
-// priority, unless the current k-th best already rules it out.
-func (t *Tree) kdWalkKNN(qc *queryCtx, n *node, q geom.Point, m dist.Metric, sqm dist.SquaredMetric, useSq bool, best *pqueue.KBest[Neighbor], shrink float64, span int32) {
-	br := qc.walk
-	tr := qc.tr
-	kd, els, space := n.kd, qc.ver.els, t.cfg.Space
-	st := append(qc.frames, kdFrame{idx: n.kdRoot})
-	for len(st) > 0 {
-		f := &st[len(st)-1]
-		k := &kd[f.idx]
-		switch f.stage {
-		case 0:
-			if k.isLeaf() {
-				st = st[:len(st)-1]
-				var md float64
-				if live, ok := els.Get(uint32(k.Child), space); ok {
-					qc.tally.elsHits++
-					tr.ELSHit(span)
-					if !intersectInto(&qc.scratch, br, live) {
-						qc.tally.elsPrunes++
-						tr.ELSPrune(span)
-						continue
-					}
-					if useSq {
-						md = sqm.MinDistRectSq(q, qc.scratch)
-					} else {
-						md = m.MinDistRect(q, qc.scratch)
-					}
-				} else if useSq {
-					md = sqm.MinDistRectSq(q, br)
-				} else {
-					md = m.MinDistRect(q, br)
-				}
-				if !best.Full() || md <= best.Bound()*shrink {
-					qc.tally.heapPushes++
-					tr.Descend(span)
-					qc.pq.Push(visitRef{child: k.Child, slot: qc.arena.put(br), span: span}, md)
-				} else {
-					qc.tally.distPrunes++
-					tr.DistPrune(span)
-				}
-				continue
-			}
-			d := int(k.Dim)
-			f.saved = br.Hi[d]
-			f.stage = 1
-			if k.Lsp < br.Hi[d] {
-				br.Hi[d] = k.Lsp
-			}
-			if br.Hi[d] >= br.Lo[d] {
-				tr.KDLeft(span)
-				st = append(st, kdFrame{idx: k.Left})
-			} else {
-				qc.tally.kdPrunes++
-				tr.KDPrune(span)
-			}
-		case 1:
-			d := int(k.Dim)
-			br.Hi[d] = f.saved
-			f.saved = br.Lo[d]
-			f.stage = 2
-			if k.Rsp > br.Lo[d] {
-				br.Lo[d] = k.Rsp
-			}
-			if br.Hi[d] >= br.Lo[d] {
-				tr.KDRight(span)
-				st = append(st, kdFrame{idx: k.Right})
-			} else {
-				qc.tally.kdPrunes++
-				tr.KDPrune(span)
-			}
-		default:
-			br.Lo[int(k.Dim)] = f.saved
-			st = st[:len(st)-1]
-		}
-	}
-	qc.frames = st[:0]
 }
 
 // intersectInto writes the intersection of a and b into dst (which must

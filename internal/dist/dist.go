@@ -4,7 +4,9 @@
 // queries under *arbitrary* distance functions supplied at query time
 // (Section 3.5) — including the per-query weighted metrics produced by
 // relevance feedback. Any type satisfying Metric can drive range and k-NN
-// search.
+// search; the metrics whose distance is a root of a per-dimension sum (L1,
+// L2 and their weighted forms) also have an Additive kernel, the searches'
+// fast path.
 package dist
 
 import (
@@ -162,10 +164,10 @@ func (m WeightedLp) Name() string { return fmt.Sprintf("wL%g", m.P) }
 
 // Distance implements Metric.
 func (m WeightedLp) Distance(a, b geom.Point) float64 {
-	if m.P == 2 {
+	if k, ok := m.additive(); ok {
 		// Pow-free fast path, bit-identical to the general formula (see
-		// the LpMetric{P: 2} note).
-		return math.Sqrt(m.DistanceSq(a, b))
+		// the LpMetric{P: 2} note; math.Pow(x, 1) == x).
+		return k.Root(k.SumBounded(a, b, math.Inf(1)))
 	}
 	s := 0.0
 	for d := range a {
@@ -176,8 +178,8 @@ func (m WeightedLp) Distance(a, b geom.Point) float64 {
 
 // MinDistRect implements Metric.
 func (m WeightedLp) MinDistRect(q geom.Point, r geom.Rect) float64 {
-	if m.P == 2 {
-		return math.Sqrt(m.MinDistRectSq(q, r))
+	if k, ok := m.additive(); ok {
+		return k.Root(k.SumRect(q, r))
 	}
 	s := 0.0
 	for d := range q {

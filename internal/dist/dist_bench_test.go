@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -84,16 +85,29 @@ func BenchmarkLp2Distance64d(b *testing.B) {
 	}
 }
 
-func BenchmarkL2DistanceSqBounded64d(b *testing.B) {
+func BenchmarkL2SumBounded64d(b *testing.B) {
 	a, q, _ := benchVecs(64)
-	sqm, ok := AsSquared(L2())
+	k, ok := AsAdditive(L2())
 	if !ok {
-		b.Fatal("L2 must be squared-capable")
+		b.Fatal("L2 must be additive")
 	}
-	bound := sqm.DistanceSq(a, q) / 4 // force mid-vector abandonment
+	bound := k.SumBounded(a, q, math.Inf(1)) / 4 // force mid-vector abandonment
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sqm.DistanceSqBounded(a, q, bound)
+		k.SumBounded(a, q, bound)
+	}
+}
+
+// BenchmarkL1SumRectCap64d is the k-NN kd walk's per-child cost: MINDIST to
+// BR ∩ live space, evaluated in full (no abandonment).
+func BenchmarkL1SumRectCap64d(b *testing.B) {
+	_, q, r := benchVecs(64)
+	k, _ := AsAdditive(L1())
+	space := geom.NewRect(make(geom.Point, 64), r.Hi)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.SumRectCap(q, space, r, math.Inf(1))
 	}
 }

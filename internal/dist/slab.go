@@ -1,43 +1,6 @@
 package dist
 
-import (
-	"hybridtree/internal/geom"
-)
-
-// SlabMetric is the streaming leaf-scan fast path over a flat coordinate
-// slab: n points stored contiguously as slab[i*dim:(i+1)*dim], the layout
-// the hybrid tree's data nodes decode pages into. The batch kernel walks
-// the slab linearly — one pass, hardware-prefetch friendly, no per-point
-// slice headers — instead of calling DistanceSqBounded through an
-// interface once per point.
-//
-// Contracts, for instances whose SquaredOK reports true:
-//
-//   - DistanceSqSlab(q, slab, dim, bound, out) fills out[i] for every
-//     point i. out[i] accumulates per-dimension terms in exactly the order
-//     DistanceSq does, so accepted values are bit-identical to the scalar
-//     kernel: out[i] == DistanceSq(q, slab[i*dim:(i+1)*dim]) whenever that
-//     value is <= bound. When the running sum strictly exceeds bound the
-//     point is abandoned early and out[i] holds the partial sum (> bound).
-//   - len(out) >= n and len(q) == dim are the caller's responsibility.
-//
-// Use AsSlab to detect support, mirroring AsSquared.
-type SlabMetric interface {
-	SquaredMetric
-	// DistanceSqSlab computes the (early-abandoned) squared distance from q
-	// to every point of the slab, writing out[i] for point i.
-	DistanceSqSlab(q geom.Point, slab []float32, dim int, bound float64, out []float64)
-}
-
-// AsSlab reports whether m supports the batch slab kernel and returns its
-// SlabMetric view when it does. Every SlabMetric is a SquaredMetric, so the
-// same SquaredOK gate applies (e.g. LpMetric only when P == 2).
-func AsSlab(m Metric) (SlabMetric, bool) {
-	if s, ok := m.(SlabMetric); ok && s.SquaredOK() {
-		return s, true
-	}
-	return nil, false
-}
+import "hybridtree/internal/geom"
 
 // FilterBoxSlab appends to hits the index of every slab point contained in
 // the box [lo, hi], scanning linearly in point order. Containment matches
@@ -60,43 +23,4 @@ func FilterBoxSlab(lo, hi geom.Point, slab []float32, dim int, hits []int32) []i
 		}
 	}
 	return hits
-}
-
-// DistanceSqSlab implements SlabMetric.
-func (euclidean) DistanceSqSlab(q geom.Point, slab []float32, dim int, bound float64, out []float64) {
-	n := len(slab) / dim
-	for i := 0; i < n; i++ {
-		row := slab[i*dim : (i+1)*dim]
-		s := 0.0
-		for d := 0; d < dim; d++ {
-			dv := float64(q[d]) - float64(row[d])
-			s += dv * dv
-			if s > bound {
-				break
-			}
-		}
-		out[i] = s
-	}
-}
-
-// DistanceSqSlab implements SlabMetric (valid when P == 2).
-func (m LpMetric) DistanceSqSlab(q geom.Point, slab []float32, dim int, bound float64, out []float64) {
-	euclidean{}.DistanceSqSlab(q, slab, dim, bound, out)
-}
-
-// DistanceSqSlab implements SlabMetric (valid when P == 2).
-func (m WeightedLp) DistanceSqSlab(q geom.Point, slab []float32, dim int, bound float64, out []float64) {
-	n := len(slab) / dim
-	for i := 0; i < n; i++ {
-		row := slab[i*dim : (i+1)*dim]
-		s := 0.0
-		for d := 0; d < dim; d++ {
-			dv := float64(q[d]) - float64(row[d])
-			s += m.Weights[d] * (dv * dv)
-			if s > bound {
-				break
-			}
-		}
-		out[i] = s
-	}
 }

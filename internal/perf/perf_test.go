@@ -41,6 +41,8 @@ func fullMetrics() map[string]map[string]float64 {
 		BenchKNNCtx:        {"ns/op": 42000, "allocs/op": 0},
 		BenchBoxCtx:        {"ns/op": 30000, "allocs/op": 0},
 		BenchRangeCtx:      {"ns/op": 35000, "allocs/op": 0},
+		BenchKNNCtxL1:      {"ns/op": 200000, "allocs/op": 0},
+		BenchRangeL1:       {"ns/op": 210000, "allocs/op": 2},
 	}
 }
 

@@ -16,6 +16,8 @@ const (
 	BenchKNNCtx        = "internal/core.SearchKNNCtx16d"
 	BenchBoxCtx        = "internal/core.SearchBoxCtx16d"
 	BenchRangeCtx      = "internal/core.SearchRangeCtxL2_16d"
+	BenchKNNCtxL1      = "internal/core.SearchKNNCtxL1_64d"
+	BenchRangeL1       = "internal/core.SearchRangeL1_64d"
 )
 
 // DefaultRules is the CI rule table. It folds the three bespoke gates that
@@ -71,10 +73,16 @@ func DefaultRules() []Rule {
 		// Zero-allocation contract on the query hot path, traced off or nop.
 		AllocRule{Bench: BenchKNNTracerOff, MaxAllocs: 0},
 		AllocRule{Bench: BenchKNNTracerNop, MaxAllocs: 0},
+		// ... and on the additive-kernel path under the paper's metric.
+		// (SearchRangeL1_64d is the pooled-context call: its two allocations
+		// are the context check-out and the result slice, not the path.)
+		AllocRule{Bench: BenchKNNCtxL1, MaxAllocs: 0},
 		// Baseline trajectory: wall-clock medians of the hot-path suites.
 		nsDelta(BenchKNNCtx),
 		nsDelta(BenchBoxCtx),
 		nsDelta(BenchRangeCtx),
+		nsDelta(BenchKNNCtxL1),
+		nsDelta(BenchRangeL1),
 		nsDelta(BenchKNNTracerOff),
 		nsDelta(BenchLeafScanSlab),
 		nsDelta(BenchLeafDecSlab),

@@ -203,20 +203,20 @@ func (s *Scan) SearchBox(q geom.Rect) ([]index.Entry, error) {
 	return out, err
 }
 
-// SearchRange implements index.Index. Under a squared-capable metric (L2)
-// the scan compares squared distances against radius² with partial-distance
-// early abandonment, paying one sqrt per reported hit instead of one full
-// distance per stored point.
+// SearchRange implements index.Index. Under a metric with an additive kernel
+// (L1, L2 and their weighted forms) the scan compares sums against the
+// radius in sum space with partial-sum early abandonment, paying one root per
+// reported hit instead of one full distance per stored point.
 func (s *Scan) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]index.Neighbor, error) {
 	if len(q) != s.dim {
 		return nil, fmt.Errorf("seqscan: query has dim %d, want %d", len(q), s.dim)
 	}
 	var out []index.Neighbor
-	if sqm, ok := dist.AsSquared(m); ok {
-		bound := radius * radius
+	if add, ok := dist.AsAdditive(m); ok {
+		bound := add.SumBound(radius)
 		err := s.scan(func(p geom.Point, rid uint64) {
-			if d2 := sqm.DistanceSqBounded(q, p, bound); d2 <= bound {
-				out = append(out, index.Neighbor{Entry: index.Entry{Point: p.Clone(), RID: rid}, Dist: math.Sqrt(d2)})
+			if sum := add.SumBounded(q, p, bound); sum <= bound {
+				out = append(out, index.Neighbor{Entry: index.Entry{Point: p.Clone(), RID: rid}, Dist: add.Root(sum)})
 			}
 		})
 		return out, err
@@ -231,8 +231,8 @@ func (s *Scan) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]index
 
 // SearchKNN implements index.Index. Points are cloned only once they beat
 // the current k-th bound (the seed cloned every stored point), and under a
-// squared-capable metric the whole scan runs on squared distances with
-// early abandonment against that bound.
+// metric with an additive kernel the whole scan runs in sum space with early
+// abandonment against that bound.
 func (s *Scan) SearchKNN(q geom.Point, k int, m dist.Metric) ([]index.Neighbor, error) {
 	if len(q) != s.dim {
 		return nil, fmt.Errorf("seqscan: query has dim %d, want %d", len(q), s.dim)
@@ -241,15 +241,15 @@ func (s *Scan) SearchKNN(q geom.Point, k int, m dist.Metric) ([]index.Neighbor, 
 		return nil, fmt.Errorf("seqscan: k must be >= 1, got %d", k)
 	}
 	best := pqueue.NewKBest[index.Neighbor](k)
-	sqm, useSq := dist.AsSquared(m)
+	add, fast := dist.AsAdditive(m)
 	err := s.scan(func(p geom.Point, rid uint64) {
 		bound := math.Inf(1)
 		if best.Full() {
 			bound = best.Bound()
 		}
 		var d float64
-		if useSq {
-			d = sqm.DistanceSqBounded(q, p, bound)
+		if fast {
+			d = add.SumBounded(q, p, bound)
 		} else {
 			d = m.Distance(q, p)
 		}
@@ -262,9 +262,9 @@ func (s *Scan) SearchKNN(q geom.Point, k int, m dist.Metric) ([]index.Neighbor, 
 		return nil, err
 	}
 	ns, _ := best.Sorted()
-	if useSq {
+	if fast {
 		for i := range ns {
-			ns[i].Dist = math.Sqrt(ns[i].Dist)
+			ns[i].Dist = add.Root(ns[i].Dist)
 		}
 	}
 	return ns, nil

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -311,7 +312,8 @@ func metric(name string) (dist.Metric, error) {
 	}
 	if strings.HasPrefix(strings.ToUpper(name), "LP:") {
 		p, err := strconv.ParseFloat(name[3:], 64)
-		if err != nil || p < 1 {
+		// ParseFloat accepts "NaN" and "Inf", and NaN < 1 is false.
+		if err != nil || !(p >= 1) || math.IsInf(p, 1) {
 			return nil, fmt.Errorf("metric: bad Lp exponent %q", name[3:])
 		}
 		return dist.LpMetric{P: p}, nil

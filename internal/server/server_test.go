@@ -14,6 +14,7 @@ import (
 
 	"hybridtree/internal/concurrent"
 	"hybridtree/internal/core"
+	"hybridtree/internal/dist"
 	"hybridtree/internal/geom"
 	"hybridtree/internal/obs"
 	"hybridtree/internal/pagefile"
@@ -153,6 +154,9 @@ func TestClientRejections(t *testing.T) {
 		{"wrong dim", "/v1/knn", `{"point":[0.1,0.2],"k":3}`, nil, http.StatusBadRequest},
 		{"k missing", "/v1/knn", `{"point":[0.1,0.2,0.3]}`, nil, http.StatusBadRequest},
 		{"bad metric", "/v1/knn", `{"point":[0.1,0.2,0.3],"k":3,"metric":"cosine"}`, nil, http.StatusBadRequest},
+		{"Lp NaN", "/v1/knn", `{"point":[0.1,0.2,0.3],"k":3,"metric":"Lp:NaN"}`, nil, http.StatusBadRequest},
+		{"Lp +Inf", "/v1/range", `{"point":[0.1,0.2,0.3],"radius":1,"metric":"Lp:+Inf"}`, nil, http.StatusBadRequest},
+		{"Lp below 1", "/v1/knn", `{"point":[0.1,0.2,0.3],"k":3,"metric":"Lp:0.5"}`, nil, http.StatusBadRequest},
 		{"bad radius", "/v1/range", `{"point":[0.1,0.2,0.3],"radius":-1}`, nil, http.StatusBadRequest},
 		{"bad deadline", "/v1/knn", `{"point":[0.1,0.2,0.3],"k":3}`,
 			map[string]string{HeaderDeadlineMs: "soon"}, http.StatusBadRequest},
@@ -175,6 +179,18 @@ func TestClientRejections(t *testing.T) {
 	errs := s.cfg.Registry.Counter(`server_request_outcomes_total{outcome="error"}`).Value()
 	if reqs != uint64(len(cases)) || errs != uint64(len(cases)) {
 		t.Fatalf("tally: requests=%d error-outcomes=%d, want both %d", reqs, errs, len(cases))
+	}
+
+	// The exponents a client may spell out instead of naming L1 or L2 reach
+	// the same additive kernel; the rest of the family does not.
+	for name, fast := range map[string]bool{"L1": true, "": true, "Lp:1": true, "lp:2": true, "Lp:3": false, "Linf": false} {
+		m, err := metric(name)
+		if err != nil {
+			t.Fatalf("metric(%q): %v", name, err)
+		}
+		if _, ok := dist.AsAdditive(m); ok != fast {
+			t.Errorf("metric(%q): additive kernel = %v, want %v", name, ok, fast)
+		}
 	}
 }
 

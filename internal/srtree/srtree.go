@@ -473,16 +473,15 @@ func regionMinDist(q geom.Point, e *entry, m dist.Metric, sphereOK bool) float64
 	return lb
 }
 
-// regionMinDistSq is regionMinDist in the squared domain for metrics on the
-// sqrt-free fast path. The rectangle bound is squared natively; the sphere
-// bound keeps its one centroid sqrt (the L2 point distance) and squares the
-// resulting clearance, which is monotone because both bounds are
-// non-negative.
-func regionMinDistSq(q geom.Point, e *entry, sqm dist.SquaredMetric, sphereOK bool) float64 {
-	lb := sqm.MinDistRectSq(q, e.rect)
+// regionMinDistSum is regionMinDist in the sum space of a metric's additive
+// kernel. The rectangle bound is summed natively; the sphere bound keeps its
+// one centroid sqrt (the L2 point distance) and maps the resulting clearance
+// into sum space, which is monotone because both bounds are non-negative.
+func regionMinDistSum(q geom.Point, e *entry, add dist.Additive, sphereOK bool) float64 {
+	lb := add.SumRect(q, e.rect)
 	if sphereOK {
 		if dc := dist.L2().Distance(q, e.centroid) - e.radius; dc > 0 {
-			if sb := dc * dc; sb > lb {
+			if sb := add.SumBound(dc); sb > lb {
 				lb = sb
 			}
 		}
@@ -542,10 +541,10 @@ func (t *Tree) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]index
 		return nil, fmt.Errorf("srtree: negative radius %g", radius)
 	}
 	sphereOK := dist.DominatesL2(m)
-	sqm, useSq := dist.AsSquared(m)
+	add, fast := dist.AsAdditive(m)
 	bound := radius
-	if useSq {
-		bound = radius * radius
+	if fast {
+		bound = add.SumBound(radius)
 	}
 	var out []index.Neighbor
 	pruned := 0
@@ -557,9 +556,9 @@ func (t *Tree) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]index
 		}
 		if n.leaf {
 			for i, p := range n.pts {
-				if useSq {
-					if d2 := sqm.DistanceSqBounded(q, p, bound); d2 <= bound {
-						out = append(out, index.Neighbor{Entry: index.Entry{Point: p, RID: n.rids[i]}, Dist: math.Sqrt(d2)})
+				if fast {
+					if sum := add.SumBounded(q, p, bound); sum <= bound {
+						out = append(out, index.Neighbor{Entry: index.Entry{Point: p, RID: n.rids[i]}, Dist: add.Root(sum)})
 					}
 				} else if d := m.Distance(q, p); d <= radius {
 					out = append(out, index.Neighbor{Entry: index.Entry{Point: p, RID: n.rids[i]}, Dist: d})
@@ -569,8 +568,8 @@ func (t *Tree) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]index
 		}
 		for i := range n.ents {
 			var lb float64
-			if useSq {
-				lb = regionMinDistSq(q, &n.ents[i], sqm, sphereOK)
+			if fast {
+				lb = regionMinDistSum(q, &n.ents[i], add, sphereOK)
 			} else {
 				lb = regionMinDist(q, &n.ents[i], m, sphereOK)
 			}
@@ -599,7 +598,7 @@ func (t *Tree) SearchKNN(q geom.Point, k int, m dist.Metric) ([]index.Neighbor, 
 		return nil, fmt.Errorf("srtree: k must be >= 1, got %d", k)
 	}
 	sphereOK := dist.DominatesL2(m)
-	sqm, useSq := dist.AsSquared(m)
+	add, fast := dist.AsAdditive(m)
 	pruned := 0
 	var pq pqueue.Min[pagefile.PageID]
 	best := pqueue.NewKBest[index.Neighbor](k)
@@ -620,8 +619,8 @@ func (t *Tree) SearchKNN(q geom.Point, k int, m dist.Metric) ([]index.Neighbor, 
 			}
 			for i, p := range n.pts {
 				var d float64
-				if useSq {
-					d = sqm.DistanceSqBounded(q, p, bound)
+				if fast {
+					d = add.SumBounded(q, p, bound)
 				} else {
 					d = m.Distance(q, p)
 				}
@@ -637,8 +636,8 @@ func (t *Tree) SearchKNN(q geom.Point, k int, m dist.Metric) ([]index.Neighbor, 
 		}
 		for i := range n.ents {
 			var md float64
-			if useSq {
-				md = regionMinDistSq(q, &n.ents[i], sqm, sphereOK)
+			if fast {
+				md = regionMinDistSum(q, &n.ents[i], add, sphereOK)
 			} else {
 				md = regionMinDist(q, &n.ents[i], m, sphereOK)
 			}
@@ -651,9 +650,9 @@ func (t *Tree) SearchKNN(q geom.Point, k int, m dist.Metric) ([]index.Neighbor, 
 	}
 	t.prunes.Add(uint64(pruned))
 	ns, _ := best.Sorted()
-	if useSq {
+	if fast {
 		for i := range ns {
-			ns[i].Dist = math.Sqrt(ns[i].Dist)
+			ns[i].Dist = add.Root(ns[i].Dist)
 		}
 	}
 	return ns, nil
