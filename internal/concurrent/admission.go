@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"hybridtree/internal/core"
 	"hybridtree/internal/dist"
@@ -16,9 +17,9 @@ import (
 // Admission-control sentinels.
 var (
 	// ErrShed is returned when the executor rejects a request without
-	// running it: the queue was full at submission, or the request's
-	// deadline expired while it waited in the queue. A shed request did no
-	// tree work at all.
+	// running it: the queue was full at submission, or the request's context
+	// ended while it waited for a slot. A shed request did no tree work at
+	// all.
 	ErrShed = errors.New("concurrent: request shed by admission control")
 
 	// ErrClosed is returned for requests submitted after Close.
@@ -27,11 +28,12 @@ var (
 
 // ExecutorConfig sizes an Executor.
 type ExecutorConfig struct {
-	// Workers is the number of query workers (default GOMAXPROCS).
+	// Workers is the number of requests that may run at once (default
+	// GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the admission queue (default 2×Workers). A full
-	// queue sheds new requests with ErrShed instead of queueing them behind
-	// work that would blow their deadlines anyway.
+	// QueueDepth bounds the requests waiting for a slot (default 2×Workers).
+	// A full queue sheds new requests with ErrShed instead of queueing them
+	// behind work that would blow their deadlines anyway.
 	QueueDepth int
 }
 
@@ -45,17 +47,11 @@ func (cfg ExecutorConfig) withDefaults() ExecutorConfig {
 	return cfg
 }
 
-type execTask struct {
-	ctx  context.Context
-	run  func(c *core.QueryContext) error
-	done chan error // buffered: the worker never blocks on delivery
-}
-
 // execMetrics is the executor's shared obs bundle.
 type execMetrics struct {
 	outcomes *obs.Outcomes
 	panics   *obs.Counter
-	depth    *obs.Gauge // live queued-but-not-started requests
+	depth    *obs.Gauge // live requests waiting for a slot
 }
 
 var (
@@ -75,66 +71,103 @@ func execObs() *execMetrics {
 	return execMetricsVal
 }
 
-// Executor is the tree's admission-control front door: a bounded queue
-// feeding a fixed worker pool. Overload resolves at the edge — a full queue
-// sheds new requests immediately (ErrShed) rather than letting latency grow
-// without bound — and a request whose deadline expired while queued is shed
-// before it wastes a worker. Each worker owns one pooled QueryContext, every
-// request is panic-isolated, and every request resolves to exactly one
-// outcome counter in concurrent_request_outcomes_total. Close drains: queued
-// requests still run (or shed on their expired deadlines), then the workers
-// exit.
+// Executor is the tree's admission-control front door: two counting
+// semaphores under which the request's own goroutine runs the query. Workers
+// bounds the requests running at once, QueueDepth the requests waiting for a
+// slot. Overload resolves at the edge — a full queue sheds new requests
+// immediately (ErrShed) rather than letting latency grow without bound — and
+// a waiting request whose context ends sheds at that moment, before it costs
+// the tree anything. Every request runs on a pooled QueryContext, is
+// panic-isolated, and resolves to exactly one outcome counter in
+// concurrent_request_outcomes_total. Close drains: requests already admitted
+// still run (or shed when their contexts end), then Close returns.
 type Executor struct {
-	tree  *Tree
-	tasks chan *execTask
-	m     *execMetrics
-
-	mu     sync.Mutex // guards closed and the submit-vs-close race
-	closed bool
-	wg     sync.WaitGroup
+	tree   *Tree
+	admit  chan struct{} // one token per admitted request: Workers + QueueDepth
+	slots  chan struct{} // one token per running request: Workers
+	closed atomic.Bool
+	m      *execMetrics
 }
 
-// NewExecutor starts the worker pool over t.
+// NewExecutor builds the admission gate over t. It starts no goroutine.
 func NewExecutor(t *Tree, cfg ExecutorConfig) *Executor {
 	cfg = cfg.withDefaults()
-	e := &Executor{
+	return &Executor{
 		tree:  t,
-		tasks: make(chan *execTask, cfg.QueueDepth),
+		admit: make(chan struct{}, cfg.Workers+cfg.QueueDepth),
+		slots: make(chan struct{}, cfg.Workers),
 		m:     execObs(),
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		e.wg.Add(1)
-		go e.worker()
-	}
-	return e
 }
 
-// Do submits fn and blocks until it resolves. fn runs on a worker goroutine
-// with a pooled QueryContext, lock-free against the MVCC snapshot its
-// search pins (it never blocks behind a writer). The error is fn's
-// own, ErrShed (queue full or deadline expired while queued), ErrClosed, or
-// a panic converted to an error.
-func (e *Executor) Do(ctx context.Context, fn func(c *core.QueryContext) error) error {
+// Do admits fn and blocks until it resolves. fn runs on the calling
+// goroutine with a pooled QueryContext, lock-free against the MVCC snapshot
+// its search pins (it never blocks behind a writer). The error is fn's own,
+// ErrShed (queue full, or ctx ended before a slot came free), ErrClosed, or
+// a panic converted to an error: a panic in the search (or in fn itself)
+// fails that request alone. The snapshot pin unwinds through the deferred
+// release in the layers below; the query context a panic interrupted is
+// dropped rather than pooled.
+func (e *Executor) Do(ctx context.Context, fn func(c *core.QueryContext) error) (err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	t := &execTask{ctx: ctx, run: fn, done: make(chan error, 1)}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	if err := e.acquire(ctx); err != nil {
 		e.m.outcomes.Record(obs.OutcomeShed)
+		return err
+	}
+	c := getCtx()
+	defer func() {
+		if r := recover(); r != nil {
+			e.m.panics.Inc()
+			err = fmt.Errorf("concurrent: request panicked: %v", r)
+		} else {
+			putCtx(c)
+		}
+		<-e.slots
+		<-e.admit
+		e.m.outcomes.Record(core.ClassifyOutcome(err))
+	}()
+	return fn(c)
+}
+
+// acquire admits the request and takes a running slot, waiting for one if
+// need be. On nil the caller holds a token of each semaphore; on error it
+// holds neither and did no tree work.
+func (e *Executor) acquire(ctx context.Context) error {
+	if e.closed.Load() {
 		return ErrClosed
 	}
 	select {
-	case e.tasks <- t:
-		e.mu.Unlock()
-		e.m.depth.Add(1)
+	case e.admit <- struct{}{}:
 	default:
-		e.mu.Unlock()
-		e.m.outcomes.Record(obs.OutcomeShed)
 		return fmt.Errorf("%w: queue full", ErrShed)
 	}
-	return <-t.done
+	held := true
+	select {
+	case e.slots <- struct{}{}:
+	default:
+		// A released slot goes to a waiter, never to a newcomer: while
+		// anyone waits the channel is full, so the select above fails.
+		e.m.depth.Add(1)
+		select {
+		case e.slots <- struct{}{}:
+		case <-ctx.Done():
+			held = false
+		}
+		e.m.depth.Add(-1)
+	}
+	// Deadline-aware shedding: a request whose context ended before it got
+	// to run sheds instead of charging the tree, slot in hand or not (the
+	// select picks at random when a slot and the end arrive together).
+	if err := ctx.Err(); err != nil {
+		if held {
+			<-e.slots
+		}
+		<-e.admit
+		return fmt.Errorf("%w: %v while queued", ErrShed, err)
+	}
+	return nil
 }
 
 // SearchKNN runs a budgeted k-NN through the executor. Degraded results
@@ -174,51 +207,16 @@ func (e *Executor) SearchBox(ctx context.Context, q geom.Rect, b core.Budget) ([
 	return out, err
 }
 
-// Close stops admission (subsequent Do calls return ErrClosed), lets the
-// workers drain every queued request, and waits for them to exit.
+// Close stops admission (subsequent Do calls return ErrClosed) and waits
+// for every admitted request, running or waiting, to resolve: once Close
+// holds every admission token, no request does. A Do that read closed just
+// before the flag flipped either got its token first, and Close waits for
+// it, or finds none left and sheds.
 func (e *Executor) Close() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	if e.closed.Swap(true) {
 		return
 	}
-	e.closed = true
-	close(e.tasks) // safe: submits hold e.mu, so no send can race the close
-	e.mu.Unlock()
-	e.wg.Wait()
-}
-
-func (e *Executor) worker() {
-	defer e.wg.Done()
-	c := getCtx()
-	defer putCtx(c)
-	for t := range e.tasks {
-		e.m.depth.Add(-1)
-		// Deadline-aware shedding: a request that expired while queued
-		// never ran, so it sheds instead of charging the tree.
-		select {
-		case <-t.ctx.Done():
-			e.m.outcomes.Record(obs.OutcomeShed)
-			t.done <- fmt.Errorf("%w: %v while queued", ErrShed, t.ctx.Err())
-			continue
-		default:
-		}
-		err := e.runTask(c, t)
-		e.m.outcomes.Record(core.ClassifyOutcome(err))
-		t.done <- err
+	for i := 0; i < cap(e.admit); i++ {
+		e.admit <- struct{}{}
 	}
-}
-
-// runTask executes one admitted request with panic isolation: a panic in
-// the search (or in caller-supplied code) becomes that request's error and
-// the worker lives on. The query context (and its snapshot pin) unwinds
-// cleanly via the deferred release in the layers below.
-func (e *Executor) runTask(c *core.QueryContext, t *execTask) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.m.panics.Inc()
-			err = fmt.Errorf("concurrent: request panicked: %v", r)
-		}
-	}()
-	return t.run(c)
 }

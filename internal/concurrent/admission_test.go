@@ -24,10 +24,43 @@ func (panicMetric) MinDistRect(p geom.Point, r geom.Rect) float64 {
 	panic("injected metric panic")
 }
 
+// waiting is the number of admitted requests not yet holding a running slot.
+// It is exact once the requests it counts have parked (an admitted request
+// counts as waiting for the instant between its two tokens).
+func (e *Executor) waiting() int { return len(e.admit) - len(e.slots) }
+
+// awaitWaiting polls until n requests wait for a slot.
+func awaitWaiting(t *testing.T, e *Executor, n int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for e.waiting() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests waiting, want %d", e.waiting(), n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestExecutorStartsNoGoroutines: admission is a pair of semaphores, not a
+// worker pool — the request's own goroutine runs the query.
+func TestExecutorStartsNoGoroutines(t *testing.T) {
+	tree, pts := buildTree(t, 4, 500, 512)
+	defer tree.Close()
+	before := runtime.NumGoroutine()
+	e := NewExecutor(tree, ExecutorConfig{Workers: 8, QueueDepth: 16})
+	if _, err := e.SearchKNN(context.Background(), pts[0], 5, dist.L2(), core.Budget{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got != before {
+		t.Fatalf("goroutines: %d before NewExecutor, %d after a query", before, got)
+	}
+	e.Close()
+}
+
 func TestExecutorShedsWhenQueueFull(t *testing.T) {
 	tree, pts := buildTree(t, 4, 500, 512)
 	defer tree.Close()
-	// One worker, depth-1 queue, and the worker wedged on a blocking task:
+	// One running slot, depth-1 queue, and the slot held by a blocking task:
 	// the queue fills deterministically.
 	e := NewExecutor(tree, ExecutorConfig{Workers: 1, QueueDepth: 1})
 	block := make(chan struct{})
@@ -51,13 +84,7 @@ func TestExecutorShedsWhenQueueFull(t *testing.T) {
 		defer queued.Done()
 		_, _ = e.SearchKNN(context.Background(), pts[0], 5, dist.L2(), core.Budget{})
 	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for len(e.tasks) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("queued task never landed in the channel")
-		}
-		runtime.Gosched()
-	}
+	awaitWaiting(t, e, 1)
 
 	_, err := e.SearchKNN(context.Background(), pts[1], 5, dist.L2(), core.Budget{})
 	if !errors.Is(err, ErrShed) {
@@ -71,7 +98,7 @@ func TestExecutorShedsWhenQueueFull(t *testing.T) {
 }
 
 func TestExecutorShedsExpiredDeadlineWhileQueued(t *testing.T) {
-	tree, pts := buildTree(t, 4, 500, 512)
+	tree, _ := buildTree(t, 4, 500, 512)
 	defer tree.Close()
 	e := NewExecutor(tree, ExecutorConfig{Workers: 1, QueueDepth: 4})
 	block := make(chan struct{})
@@ -88,38 +115,42 @@ func TestExecutorShedsExpiredDeadlineWhileQueued(t *testing.T) {
 	}()
 	<-started
 
-	// This request queues behind the wedge; its context is cancelled before
-	// the worker frees up, so it must shed, not run.
+	// This request waits behind the wedge. Its context ends while the slot
+	// is still held, and it must shed at that moment — not run, and not
+	// wait for the slot to come free first.
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran bool
-	var shedErr error
-	var queued sync.WaitGroup
-	queued.Add(1)
+	shed := make(chan error, 1)
 	go func() {
-		defer queued.Done()
-		shedErr = e.Do(ctx, func(c *core.QueryContext) error {
+		shed <- e.Do(ctx, func(c *core.QueryContext) error {
 			ran = true
 			return nil
 		})
 	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for len(e.tasks) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("queued task never landed in the channel")
-		}
-		runtime.Gosched()
-	}
+	awaitWaiting(t, e, 1)
 	cancel()
-	close(block)
-	queued.Wait()
-	wedged.Wait()
-	if !errors.Is(shedErr, ErrShed) {
-		t.Fatalf("err = %v, want ErrShed", shedErr)
+	select {
+	case err := <-shed:
+		if !errors.Is(err, ErrShed) {
+			t.Fatalf("err = %v, want ErrShed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("queued request still waiting after its context ended")
 	}
 	if ran {
 		t.Fatal("expired request ran anyway")
 	}
-	_ = pts
+	if n := e.waiting(); n != 0 {
+		t.Fatalf("%d requests waiting after the shed, want 0", n)
+	}
+
+	// A context that has already ended sheds even when a slot is free.
+	close(block)
+	wedged.Wait()
+	err := e.Do(ctx, func(c *core.QueryContext) error { ran = true; return nil })
+	if !errors.Is(err, ErrShed) || ran {
+		t.Fatalf("ended context on an idle executor: err = %v, ran = %v; want ErrShed, false", err, ran)
+	}
 	e.Close()
 }
 
@@ -134,8 +165,8 @@ func TestExecutorPanicIsolation(t *testing.T) {
 		t.Fatalf("err = %v, want panic-converted error", err)
 	}
 
-	// The worker survived and the read lock was not leaked: a normal query
-	// and a mutation both still go through.
+	// The slot was released and no lock leaked: a normal query and a
+	// mutation both still go through.
 	ns, err := e.SearchKNN(context.Background(), pts[1], 5, dist.L2(), core.Budget{})
 	if err != nil || len(ns) != 5 {
 		t.Fatalf("post-panic query: %v (%d results)", err, len(ns))
@@ -172,10 +203,41 @@ func TestExecutorCloseDrains(t *testing.T) {
 	}
 	// Close is idempotent.
 	e.Close()
+
+	// Close waits for what it admitted: a running request and one waiting
+	// behind it both resolve before Close returns, and the waiter runs.
+	e = NewExecutor(tree, ExecutorConfig{Workers: 1, QueueDepth: 1})
+	block := make(chan struct{})
+	started := make(chan struct{})
+	var ran atomic.Int32
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		_ = e.Do(context.Background(), func(*core.QueryContext) error { close(started); <-block; ran.Add(1); return nil })
+	}()
+	<-started
+	go func() {
+		defer wg.Done()
+		_ = e.Do(context.Background(), func(*core.QueryContext) error { ran.Add(1); return nil })
+	}()
+	awaitWaiting(t, e, 1)
+	closed := make(chan struct{})
+	go func() { e.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned with a request running and one waiting")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(block)
+	<-closed
+	if n := ran.Load(); n != 2 {
+		t.Fatalf("%d admitted requests ran before Close returned, want 2", n)
+	}
+	wg.Wait()
 }
 
 // TestExecutorNoGoroutineLeak bounds goroutine growth across executor
-// lifecycles: everything started by NewExecutor exits by Close.
+// lifecycles.
 func TestExecutorNoGoroutineLeak(t *testing.T) {
 	tree, pts := buildTree(t, 4, 500, 512)
 	defer tree.Close()
@@ -261,7 +323,7 @@ func TestExecutorQueuedDeadlineShedVsClose(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		e := NewExecutor(tree, ExecutorConfig{Workers: 1, QueueDepth: 2})
 
-		// Wedge the worker so the queue saturates and queued deadlines
+		// Hold the only slot so the queue saturates and queued deadlines
 		// expire behind it.
 		block := make(chan struct{})
 		started := make(chan struct{})

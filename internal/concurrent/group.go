@@ -69,8 +69,14 @@ func NewGroupCommitter(t *Tree, maxBatch int) *GroupCommitter {
 }
 
 // Insert queues the insert and blocks until its group commits (or fails).
-// After Close it returns ErrClosed.
+// After Close it returns ErrClosed. A vector the tree would refuse (wrong
+// dimensionality, outside the data space: core.ErrBadVector) is refused
+// here, before it is queued — inside a batch its failure would roll back
+// every neighbour's work and re-run the batch one transaction at a time.
 func (g *GroupCommitter) Insert(p geom.Point, rid core.RecordID) error {
+	if err := g.t.tree.CheckVector(p); err != nil {
+		return err
+	}
 	op := &groupOp{p: p, rid: rid, done: make(chan groupResult, 1)}
 	if err := g.submit(op); err != nil {
 		return err

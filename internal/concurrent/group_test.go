@@ -338,3 +338,71 @@ func TestGroupCommitCloseDrainsInFlight(t *testing.T) {
 		t.Fatalf("invariants: %v", err)
 	}
 }
+
+// TestGroupCommitBadVectorCostsNoRollback: an insert the tree would refuse
+// (outside the data space, wrong dimensionality) is turned away before it is
+// queued, so it cannot roll back the batch it would have joined. A rolled
+// back batch is re-run one transaction per operation, so "no rollback" is
+// observable as: no more commits than batches. The tree's writer mutex is
+// held while the burst queues — as in TestGroupCommitAmortizesFsync — so the
+// bad ops arrive while the good ones are forming batches.
+func TestGroupCommitBadVectorCostsNoRollback(t *testing.T) {
+	const dim, pageSize = 2, 512
+	const good, maxBatch = 100, 32
+	tree, _, _, _ := newWALTree(t, dim, pageSize)
+	commits := obs.Default().Counter("wal_commits_total")
+	batches := obs.Default().Counter("wal_group_commit_batches_total")
+	commits0, batches0 := commits.Value(), batches.Value()
+
+	g := NewGroupCommitter(tree, maxBatch)
+	tree.mu.Lock()
+	var wg sync.WaitGroup
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < good; i++ {
+		p := geom.Point{float32(rng.Float64()), float32(rng.Float64())}
+		wg.Add(1)
+		go func(i int, p geom.Point) {
+			defer wg.Done()
+			if err := g.Insert(p, core.RecordID(i+1)); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+			}
+		}(i, p)
+	}
+	for _, bad := range []geom.Point{{2, 2}, {0.5}} {
+		wg.Add(1)
+		go func(bad geom.Point) {
+			defer wg.Done()
+			if err := g.Insert(bad, 9999); !errors.Is(err, core.ErrBadVector) {
+				t.Errorf("Insert(%v) = %v, want core.ErrBadVector", bad, err)
+			}
+		}(bad)
+	}
+	// Every good op is queued once the channel holds all of them but the
+	// one batch the worker may already have taken.
+	deadline := time.Now().Add(10 * time.Second)
+	for len(g.ch) < good-maxBatch {
+		if time.Now().After(deadline) {
+			tree.mu.Unlock()
+			t.Fatalf("queue never filled: %d/%d", len(g.ch), good-maxBatch)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	tree.mu.Unlock()
+	wg.Wait()
+
+	nBatches, nCommits := batches.Value()-batches0, commits.Value()-commits0
+	if nBatches == 0 || nBatches > good/4 {
+		t.Fatalf("%d batches for %d ops: the burst did not batch", nBatches, good)
+	}
+	if nCommits > nBatches {
+		t.Fatalf("%d commits for %d batches: a batch was rolled back and re-run op by op", nCommits, nBatches)
+	}
+	// Deleting a vector that cannot be in the index is a miss, not an error.
+	if found, err := g.Delete(geom.Point{2, 2}, 9999); err != nil || found {
+		t.Fatalf("Delete of an out-of-space vector = %v, %v; want false, nil", found, err)
+	}
+	g.Close()
+	if got := tree.Size(); got != good {
+		t.Fatalf("size %d, want %d", got, good)
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -478,6 +479,33 @@ func (t *Tree) SetELSPrecision(bits int) error {
 	return t.RebuildELS()
 }
 
+// ErrBadVector is wrapped by the error of every mutation that refuses its
+// vector before touching the tree: wrong dimensionality, or a position
+// outside the configured data space. It is the caller's mistake, not the
+// index's — layers above report it as a rejection (HTTP 400), not a failure.
+var ErrBadVector = errors.New("core: vector does not fit the index")
+
+// CheckVector reports whether Insert would refuse p: nil, or an error
+// wrapping ErrBadVector. It reads only immutable configuration, so a caller
+// may vet a vector without holding the writer lock — before queueing it
+// into a batch that one refused insert would roll back, say.
+func (t *Tree) CheckVector(p geom.Point) error {
+	if err := t.checkDim(p); err != nil {
+		return err
+	}
+	if !t.cfg.Space.Contains(p) {
+		return fmt.Errorf("%w: vector %v outside the data space %v", ErrBadVector, p, t.cfg.Space)
+	}
+	return nil
+}
+
+func (t *Tree) checkDim(p geom.Point) error {
+	if len(p) != t.cfg.Dim {
+		return fmt.Errorf("%w: vector has dim %d, tree expects %d", ErrBadVector, len(p), t.cfg.Dim)
+	}
+	return nil
+}
+
 // Insert adds (p, rid) to the tree. The vector must lie inside the
 // configured data space and have the configured dimensionality. Duplicate
 // (vector, rid) pairs are stored as distinct entries.
@@ -485,11 +513,8 @@ func (t *Tree) SetELSPrecision(bits int) error {
 // Insert is atomic: when it returns an error, the tree — nodes, header,
 // ELS side table — is exactly as it was before the call.
 func (t *Tree) Insert(p geom.Point, rid RecordID) error {
-	if len(p) != t.cfg.Dim {
-		return fmt.Errorf("core: vector has dim %d, tree expects %d", len(p), t.cfg.Dim)
-	}
-	if !t.cfg.Space.Contains(p) {
-		return fmt.Errorf("core: vector %v outside the data space %v", p, t.cfg.Space)
+	if err := t.CheckVector(p); err != nil {
+		return err
 	}
 	m := t.beginMutation()
 	tr, start := t.beginTreeMutation(m, mutInsert)
@@ -723,8 +748,8 @@ func pathBR(n *node, nodeBR geom.Rect, path []int32) geom.Rect {
 // orphan reinsertions — rolls the tree back to its pre-call state, so no
 // record is ever lost or duplicated by a failed delete.
 func (t *Tree) Delete(p geom.Point, rid RecordID) (bool, error) {
-	if len(p) != t.cfg.Dim {
-		return false, fmt.Errorf("core: vector has dim %d, tree expects %d", len(p), t.cfg.Dim)
+	if err := t.checkDim(p); err != nil {
+		return false, err
 	}
 	m := t.beginMutation()
 	tr, start := t.beginTreeMutation(m, mutDelete)

@@ -43,6 +43,8 @@ func fullMetrics() map[string]map[string]float64 {
 		BenchRangeCtx:      {"ns/op": 35000, "allocs/op": 0},
 		BenchKNNCtxL1:      {"ns/op": 200000, "allocs/op": 0},
 		BenchRangeL1:       {"ns/op": 210000, "allocs/op": 2},
+		BenchScanRequest:   {"ns/op": 3300, "allocs/op": 0},
+		BenchHandler:       {"ns/op": 6300, "allocs/op": 5},
 	}
 }
 

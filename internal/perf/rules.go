@@ -18,6 +18,8 @@ const (
 	BenchRangeCtx      = "internal/core.SearchRangeCtxL2_16d"
 	BenchKNNCtxL1      = "internal/core.SearchKNNCtxL1_64d"
 	BenchRangeL1       = "internal/core.SearchRangeL1_64d"
+	BenchScanRequest   = "internal/server.ScanRequestPoint64"
+	BenchHandler       = "internal/server.HandlerPoint64"
 )
 
 // DefaultRules is the CI rule table. It folds the three bespoke gates that
@@ -77,12 +79,18 @@ func DefaultRules() []Rule {
 		// (SearchRangeL1_64d is the pooled-context call: its two allocations
 		// are the context check-out and the result slice, not the path.)
 		AllocRule{Bench: BenchKNNCtxL1, MaxAllocs: 0},
+		// ... and on the wire decode of a /v1 body. (HandlerPoint64, the
+		// whole ServeHTTP around it, allocates a handful — the response
+		// encoder, the lifecycle context — and has a test-side ceiling.)
+		AllocRule{Bench: BenchScanRequest, MaxAllocs: 0},
 		// Baseline trajectory: wall-clock medians of the hot-path suites.
 		nsDelta(BenchKNNCtx),
 		nsDelta(BenchBoxCtx),
 		nsDelta(BenchRangeCtx),
 		nsDelta(BenchKNNCtxL1),
 		nsDelta(BenchRangeL1),
+		nsDelta(BenchScanRequest),
+		nsDelta(BenchHandler),
 		nsDelta(BenchKNNTracerOff),
 		nsDelta(BenchLeafScanSlab),
 		nsDelta(BenchLeafDecSlab),

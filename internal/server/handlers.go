@@ -241,9 +241,15 @@ func (s *Server) endpoint(h func(r *http.Request, req queryRequest) result) http
 				resp: queryResponse{Error: "server draining"}})
 			return
 		}
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-		var req queryRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		// The request vectors alias st's buffers: st is released only after
+		// the handler has returned and the response is written.
+		st := statePool.Get().(*reqState)
+		defer st.release()
+		err := st.readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength, s.cfg.MaxBodyBytes)
+		if err == nil {
+			err = st.scan()
+		}
+		if err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
 				finish(badRequest(http.StatusRequestEntityTooLarge,
@@ -253,7 +259,7 @@ func (s *Server) endpoint(h func(r *http.Request, req queryRequest) result) http
 			finish(badRequest(http.StatusBadRequest, "bad request body: %v", err))
 			return
 		}
-		finish(h(r, req))
+		finish(h(r, st.req))
 	})
 }
 
@@ -302,15 +308,15 @@ func (s *Server) point(field string, v []float32) (geom.Point, error) {
 
 // metric parses the metric name ("L1", "L2" default, "Linf", "Lp:<p>").
 func metric(name string) (dist.Metric, error) {
-	switch strings.ToUpper(name) {
-	case "", "L2":
+	switch {
+	case name == "" || strings.EqualFold(name, "L2"):
 		return dist.L2(), nil
-	case "L1":
+	case strings.EqualFold(name, "L1"):
 		return dist.L1(), nil
-	case "LINF":
+	case strings.EqualFold(name, "Linf"):
 		return dist.Linf(), nil
 	}
-	if strings.HasPrefix(strings.ToUpper(name), "LP:") {
+	if len(name) >= 3 && strings.EqualFold(name[:3], "Lp:") {
 		p, err := strconv.ParseFloat(name[3:], 64)
 		// ParseFloat accepts "NaN" and "Inf", and NaN < 1 is false.
 		if err != nil || !(p >= 1) || math.IsInf(p, 1) {
@@ -325,6 +331,11 @@ func metric(name string) (dist.Metric, error) {
 // into the response envelope. Degraded answers keep their results and gain
 // the partial marker; abandoned and failed queries report empty.
 func settle(err error, resp queryResponse) result {
+	if errors.Is(err, core.ErrBadVector) {
+		// The vector cannot be stored in this index (outside its data
+		// space): the client's mistake, reported before any tree work.
+		return badRequest(http.StatusBadRequest, "%v", err)
+	}
 	k := classify(err)
 	switch k {
 	case obs.OutcomeOK:
@@ -395,11 +406,15 @@ func (s *Server) serveBox(r *http.Request, req queryRequest) result {
 	}
 	defer cancel()
 	es, err := s.exec.SearchBox(ctx, geom.NewRect(lo, hi), budget)
-	rids := make([]uint64, len(es))
-	for i, e := range es {
-		rids[i] = uint64(e.RID)
+	var resp queryResponse
+	if k := classify(err); k == obs.OutcomeOK || k == obs.OutcomeDegraded {
+		// Only these two outcomes report results (see settle).
+		resp.Count, resp.RIDs = len(es), make([]uint64, len(es))
+		for i, e := range es {
+			resp.RIDs[i] = uint64(e.RID)
+		}
 	}
-	return settle(err, queryResponse{Count: len(rids), RIDs: rids})
+	return settle(err, resp)
 }
 
 // acquireWriteSlot is write admission: a free slot or an immediate shed.

@@ -22,9 +22,10 @@ import (
 
 // newTestServer builds a Server over a fresh in-memory tree of n uniform
 // points, with its own registry so outcome tallies are exact.
-func newTestServer(t *testing.T, dim, n int, mutate func(*Config)) (*Server, *concurrent.Tree) {
+func newTestServer(t testing.TB, dim, n int, mutate func(*Config)) (*Server, *concurrent.Tree) {
 	t.Helper()
-	tree, err := concurrent.New(pagefile.NewMemFile(512), core.Config{Dim: dim, PageSize: 512})
+	pageSize := max(512, 64*dim) // 4096 at 64-d, as the benchmark builds it
+	tree, err := concurrent.New(pagefile.NewMemFile(pageSize), core.Config{Dim: dim, PageSize: pageSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +129,38 @@ func TestServeWrites(t *testing.T) {
 	if got := tree.Size(); got != before+1 {
 		t.Fatalf("size after insert %d, want %d", got, before+1)
 	}
+
+	// The request vectors alias pooled buffers that are overwritten with NaN
+	// the moment the handler returns (poisonReleased): whatever the index
+	// kept of an insert must be its own copy. Insert through one pooled
+	// state after another, then read every vector back exactly.
+	rng := rand.New(rand.NewSource(5))
+	inserted := make([]geom.Point, 200)
+	for i := range inserted {
+		p := geom.Point{float32(rng.Float64()), float32(rng.Float64())}
+		inserted[i] = p
+		body := fmt.Sprintf(`{"point":[%v,%v],"rid":%d}`, p[0], p[1], 1000+i)
+		if w := post(t, h, "/v1/insert", body, nil); w.Code != http.StatusOK {
+			t.Fatalf("insert %d: status %d, body %s", i, w.Code, w.Body.String())
+		}
+	}
+	for i, p := range inserted {
+		es, err := tree.SearchBox(geom.Rect{Lo: p, Hi: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, e := range es {
+			found = found || (e.RID == core.RecordID(1000+i) && e.Point.Equal(p))
+		}
+		if !found {
+			t.Fatalf("vector %d %v not stored exactly: point query found %v", i, p, es)
+		}
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatalf("invariants (a NaN that leaked into a node breaks its bounds): %v", err)
+	}
+
 	w := post(t, h, "/v1/delete", `{"point":[0.25,0.75],"rid":777}`, nil)
 	resp := decode(t, w)
 	if w.Code != http.StatusOK || resp.Found == nil || !*resp.Found {
@@ -139,33 +172,48 @@ func TestServeWrites(t *testing.T) {
 	}
 }
 
+// rejectionCases is every request TestClientRejections expects a 4xx for
+// (dim 3, 256-byte body cap, writes on). FuzzScanRequest seeds from the
+// bodies.
+var rejectionCases = []struct {
+	name, path, body string
+	hdr              map[string]string
+	want             int
+}{
+	{"bad json", "/v1/knn", `{"point":[0.1,`, nil, http.StatusBadRequest},
+	{"wrong dim", "/v1/knn", `{"point":[0.1,0.2],"k":3}`, nil, http.StatusBadRequest},
+	{"k missing", "/v1/knn", `{"point":[0.1,0.2,0.3]}`, nil, http.StatusBadRequest},
+	{"bad metric", "/v1/knn", `{"point":[0.1,0.2,0.3],"k":3,"metric":"cosine"}`, nil, http.StatusBadRequest},
+	{"Lp NaN", "/v1/knn", `{"point":[0.1,0.2,0.3],"k":3,"metric":"Lp:NaN"}`, nil, http.StatusBadRequest},
+	{"Lp +Inf", "/v1/range", `{"point":[0.1,0.2,0.3],"radius":1,"metric":"Lp:+Inf"}`, nil, http.StatusBadRequest},
+	{"Lp below 1", "/v1/knn", `{"point":[0.1,0.2,0.3],"k":3,"metric":"Lp:0.5"}`, nil, http.StatusBadRequest},
+	{"bad radius", "/v1/range", `{"point":[0.1,0.2,0.3],"radius":-1}`, nil, http.StatusBadRequest},
+	{"bad deadline", "/v1/knn", `{"point":[0.1,0.2,0.3],"k":3}`,
+		map[string]string{HeaderDeadlineMs: "soon"}, http.StatusBadRequest},
+	{"bad budget", "/v1/knn", `{"point":[0.1,0.2,0.3],"k":3}`,
+		map[string]string{HeaderBudgetPages: "-5"}, http.StatusBadRequest},
+	{"oversized body", "/v1/box",
+		fmt.Sprintf(`{"lo":[0,0,0],"hi":[1,1,1],"metric":%q}`, strings.Repeat("x", 4096)),
+		nil, http.StatusRequestEntityTooLarge},
+	// A body is one JSON value: json.Decoder stopped at the closing brace
+	// and served this one.
+	{"trailing bytes", "/v1/knn", `{"point":[0.1,0.2,0.3],"k":3} garbage`, nil, http.StatusBadRequest},
+	{"second value", "/v1/knn", `{"point":[0.1,0.2,0.3],"k":3}{}`, nil, http.StatusBadRequest},
+	{"fractional k", "/v1/knn", `{"point":[0.1,0.2,0.3],"k":3.0}`, nil, http.StatusBadRequest},
+	{"negative rid", "/v1/insert", `{"point":[0.1,0.2,0.3],"rid":-1}`, nil, http.StatusBadRequest},
+	{"float32 overflow", "/v1/knn", `{"point":[0.1,0.2,1e39],"k":3}`, nil, http.StatusBadRequest},
+	// The index covers [0,1]^3: a vector outside it is the client's mistake
+	// (it was a 500, and it rolled its whole commit group back).
+	{"insert outside the data space", "/v1/insert", `{"point":[2,2,2],"rid":1}`, nil, http.StatusBadRequest},
+}
+
 // TestClientRejections: every malformed request resolves to the documented
 // 4xx with an outcome header, and still counts exactly one outcome.
 func TestClientRejections(t *testing.T) {
-	s, _ := newTestServer(t, 3, 50, func(c *Config) { c.MaxBodyBytes = 256 })
+	s, _ := newTestServer(t, 3, 50, func(c *Config) { c.MaxBodyBytes = 256; c.EnableWrites = true })
 	h := s.Handler()
 
-	cases := []struct {
-		name, path, body string
-		hdr              map[string]string
-		want             int
-	}{
-		{"bad json", "/v1/knn", `{"point":[0.1,`, nil, http.StatusBadRequest},
-		{"wrong dim", "/v1/knn", `{"point":[0.1,0.2],"k":3}`, nil, http.StatusBadRequest},
-		{"k missing", "/v1/knn", `{"point":[0.1,0.2,0.3]}`, nil, http.StatusBadRequest},
-		{"bad metric", "/v1/knn", `{"point":[0.1,0.2,0.3],"k":3,"metric":"cosine"}`, nil, http.StatusBadRequest},
-		{"Lp NaN", "/v1/knn", `{"point":[0.1,0.2,0.3],"k":3,"metric":"Lp:NaN"}`, nil, http.StatusBadRequest},
-		{"Lp +Inf", "/v1/range", `{"point":[0.1,0.2,0.3],"radius":1,"metric":"Lp:+Inf"}`, nil, http.StatusBadRequest},
-		{"Lp below 1", "/v1/knn", `{"point":[0.1,0.2,0.3],"k":3,"metric":"Lp:0.5"}`, nil, http.StatusBadRequest},
-		{"bad radius", "/v1/range", `{"point":[0.1,0.2,0.3],"radius":-1}`, nil, http.StatusBadRequest},
-		{"bad deadline", "/v1/knn", `{"point":[0.1,0.2,0.3],"k":3}`,
-			map[string]string{HeaderDeadlineMs: "soon"}, http.StatusBadRequest},
-		{"bad budget", "/v1/knn", `{"point":[0.1,0.2,0.3],"k":3}`,
-			map[string]string{HeaderBudgetPages: "-5"}, http.StatusBadRequest},
-		{"oversized body", "/v1/box",
-			fmt.Sprintf(`{"lo":[0,0,0],"hi":[1,1,1],"metric":%q}`, strings.Repeat("x", 4096)),
-			nil, http.StatusRequestEntityTooLarge},
-	}
+	cases := rejectionCases
 	for _, tc := range cases {
 		w := post(t, h, tc.path, tc.body, tc.hdr)
 		if w.Code != tc.want {
@@ -179,6 +227,11 @@ func TestClientRejections(t *testing.T) {
 	errs := s.cfg.Registry.Counter(`server_request_outcomes_total{outcome="error"}`).Value()
 	if reqs != uint64(len(cases)) || errs != uint64(len(cases)) {
 		t.Fatalf("tally: requests=%d error-outcomes=%d, want both %d", reqs, errs, len(cases))
+	}
+	// Deleting a vector that cannot be in the index is a miss, not a mistake.
+	w := post(t, h, "/v1/delete", `{"point":[2,2,2],"rid":1}`, nil)
+	if resp := decode(t, w); w.Code != http.StatusOK || resp.Found == nil || *resp.Found {
+		t.Errorf("delete outside the data space: status %d found %v, want 200 found=false", w.Code, resp.Found)
 	}
 
 	// The exponents a client may spell out instead of naming L1 or L2 reach
