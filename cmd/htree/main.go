@@ -84,16 +84,16 @@ func main() {
 		defer file.Close()
 		tree, err := core.Open(file, core.Config{Dim: *dim, PageSize: *pageSize})
 		check(err)
-		lc := lifecycle{deadline: *deadline, budget: core.Budget{MaxPageReads: *budgetPg}}
+		budget := core.Budget{MaxPageReads: *budgetPg}
 		switch cmd {
 		case "knn":
-			runKNN(tree, parsePoint(*point, *dim), *k, parseMetric(*metric), lc)
+			runQuery(tree, core.Query{Kind: core.KNN, Point: parsePoint(*point, *dim), K: *k, Metric: parseMetric(*metric), Budget: budget}, *deadline)
 		case "range":
-			runRange(tree, parsePoint(*point, *dim), *radius, parseMetric(*metric), lc)
+			runQuery(tree, core.Query{Kind: core.Range, Point: parsePoint(*point, *dim), Radius: *radius, Metric: parseMetric(*metric), Budget: budget}, *deadline)
 		case "box":
-			runBox(tree, parsePoint(*loStr, *dim), parsePoint(*hiStr, *dim), lc)
+			runQuery(tree, core.Query{Kind: core.Box, Rect: parseBox(*loStr, *hiStr, *dim), Budget: budget}, *deadline)
 		case "explain":
-			runExplain(tree, parsePoint(*loStr, *dim), parsePoint(*hiStr, *dim))
+			runExplain(tree, parseBox(*loStr, *hiStr, *dim))
 		case "stats":
 			runStats(tree, file)
 		case "verify":
@@ -272,6 +272,12 @@ func parsePoint(s string, dim int) geom.Point {
 	return p
 }
 
+// parseBox takes the corners as typed: whether they form a box is the
+// query's validation to say (core.ErrBadQuery), not a panic's.
+func parseBox(lo, hi string, dim int) geom.Rect {
+	return geom.Rect{Lo: parsePoint(lo, dim), Hi: parsePoint(hi, dim)}
+}
+
 func parseMetric(s string) dist.Metric {
 	switch strings.ToUpper(s) {
 	case "L1":
@@ -290,78 +296,46 @@ func parseMetric(s string) dist.Metric {
 	return nil
 }
 
-// lifecycle carries the per-query deadline and budget flags. ctx returns
-// the query context; settle handles the query error: a budget-exhausted
-// query prints a degraded-answer note and keeps its partial results, any
-// other error is fatal.
-type lifecycle struct {
-	deadline time.Duration
-	budget   core.Budget
-}
-
-func (lc lifecycle) ctx() (context.Context, context.CancelFunc) {
-	if lc.deadline > 0 {
-		return context.WithTimeout(context.Background(), lc.deadline)
+// runQuery answers q within deadline (0 = none) and prints the results in
+// the kind's format. A budget-exhausted query prints a degraded-answer note
+// and keeps its partial results; any other error is fatal.
+func runQuery(tree *core.Tree, q core.Query, deadline time.Duration) {
+	stats := tree.File().Stats()
+	stats.Reset()
+	ctx := context.Background()
+	if deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, deadline)
+		defer cancel()
 	}
-	return context.Background(), func() {}
-}
-
-func settle(err error) {
-	if err == nil {
-		return
-	}
+	start := time.Now()
+	ns, err := tree.Search(ctx, nil, q, nil)
 	var be *core.ErrBudgetExceeded
 	if errors.As(err, &be) {
 		fmt.Printf("degraded: %v\n", be)
-		return
+	} else {
+		check(err)
 	}
-	check(err)
-}
-
-func runKNN(tree *core.Tree, q geom.Point, k int, m dist.Metric, lc lifecycle) {
-	stats := tree.File().Stats()
-	stats.Reset()
-	ctx, cancel := lc.ctx()
-	defer cancel()
-	start := time.Now()
-	ns, err := tree.SearchKNNContext(ctx, core.NewQueryContext(), q, k, m, lc.budget, nil)
-	settle(err)
 	for i, nb := range ns {
-		fmt.Printf("%2d. rid=%d dist=%.6f\n", i+1, nb.RID, nb.Dist)
+		switch q.Kind {
+		case core.KNN:
+			fmt.Printf("%2d. rid=%d dist=%.6f\n", i+1, nb.RID, nb.Dist)
+		case core.Range:
+			fmt.Printf("rid=%d dist=%.6f\n", nb.RID, nb.Dist)
+		default:
+			fmt.Printf("rid=%d\n", nb.RID)
+		}
 	}
-	fmt.Printf("(%d page reads, %v)\n", stats.Reads(), time.Since(start).Round(time.Microsecond))
+	took := time.Since(start).Round(time.Microsecond)
+	if q.Kind == core.KNN {
+		fmt.Printf("(%d page reads, %v)\n", stats.Reads(), took)
+	} else {
+		fmt.Printf("(%d results, %d page reads, %v)\n", len(ns), stats.Reads(), took)
+	}
 }
 
-func runRange(tree *core.Tree, q geom.Point, radius float64, m dist.Metric, lc lifecycle) {
-	stats := tree.File().Stats()
-	stats.Reset()
-	ctx, cancel := lc.ctx()
-	defer cancel()
-	start := time.Now()
-	ns, err := tree.SearchRangeContext(ctx, core.NewQueryContext(), q, radius, m, lc.budget, nil)
-	settle(err)
-	for _, nb := range ns {
-		fmt.Printf("rid=%d dist=%.6f\n", nb.RID, nb.Dist)
-	}
-	fmt.Printf("(%d results, %d page reads, %v)\n", len(ns), stats.Reads(), time.Since(start).Round(time.Microsecond))
-}
-
-func runBox(tree *core.Tree, lo, hi geom.Point, lc lifecycle) {
-	stats := tree.File().Stats()
-	stats.Reset()
-	ctx, cancel := lc.ctx()
-	defer cancel()
-	start := time.Now()
-	es, err := tree.SearchBoxContext(ctx, core.NewQueryContext(), geom.NewRect(lo, hi), lc.budget, nil)
-	settle(err)
-	for _, e := range es {
-		fmt.Printf("rid=%d\n", e.RID)
-	}
-	fmt.Printf("(%d results, %d page reads, %v)\n", len(es), stats.Reads(), time.Since(start).Round(time.Microsecond))
-}
-
-func runExplain(tree *core.Tree, lo, hi geom.Point) {
-	_, ex, err := tree.ExplainBox(geom.NewRect(lo, hi))
+func runExplain(tree *core.Tree, box geom.Rect) {
+	_, ex, err := tree.ExplainBox(box)
 	check(err)
 	fmt.Print(ex.String())
 }

@@ -195,7 +195,7 @@ func RunBox(idx index.Index, queries []geom.Rect, scanPages int, scanCPU time.Du
 }
 
 // RunRange executes the distance-range batch under metric m.
-func RunRange(idx index.Index, queries []workload.RangeQuery, m dist.Metric, scanPages int, scanCPU time.Duration) (Measurement, error) {
+func RunRange(idx index.Index, queries []workload.Ball, m dist.Metric, scanPages int, scanCPU time.Duration) (Measurement, error) {
 	return run(idx, scanPages, scanCPU, len(queries), func(i int) (int, error) {
 		res, err := idx.SearchRange(queries[i].Center, queries[i].Radius, m)
 		return len(res), err
@@ -255,7 +255,7 @@ func ScanCPU(s *seqscan.Scan, queries []geom.Rect) (time.Duration, error) {
 }
 
 // ScanCPURange measures scan CPU for a distance-range batch.
-func ScanCPURange(s *seqscan.Scan, queries []workload.RangeQuery, metric dist.Metric) (time.Duration, error) {
+func ScanCPURange(s *seqscan.Scan, queries []workload.Ball, metric dist.Metric) (time.Duration, error) {
 	m, err := RunRange(s, queries, metric, 0, 0)
 	if err != nil {
 		return 0, err

@@ -170,41 +170,31 @@ func (e *Executor) acquire(ctx context.Context) error {
 	return nil
 }
 
-// SearchKNN runs a budgeted k-NN through the executor. Degraded results
-// (budget exhausted) are returned alongside their *core.ErrBudgetExceeded.
+// Search runs q through the executor, bounded by ctx and q.Budget. Degraded
+// results (budget exhausted) are returned alongside their
+// *core.ErrBudgetExceeded.
+func (e *Executor) Search(ctx context.Context, q core.Query) ([]core.Neighbor, error) {
+	var out []core.Neighbor
+	err := e.Do(ctx, func(c *core.QueryContext) (err error) {
+		out, err = cloned(e.tree.tree.Search(ctx, c, q, nil))
+		return err
+	})
+	return out, err
+}
+
+// SearchKNN is Search for a budgeted k-NN.
 func (e *Executor) SearchKNN(ctx context.Context, q geom.Point, k int, m dist.Metric, b core.Budget) ([]core.Neighbor, error) {
-	var out []core.Neighbor
-	err := e.Do(ctx, func(c *core.QueryContext) error {
-		ns, err := e.tree.tree.SearchKNNContext(ctx, c, q, k, m, b, nil)
-		cloneNeighbors(ns)
-		out = ns
-		return err
-	})
-	return out, err
+	return e.Search(ctx, core.Query{Kind: core.KNN, Point: q, K: k, Metric: m, Budget: b})
 }
 
-// SearchRange runs a budgeted range query through the executor.
+// SearchRange is Search for a budgeted range query.
 func (e *Executor) SearchRange(ctx context.Context, q geom.Point, radius float64, m dist.Metric, b core.Budget) ([]core.Neighbor, error) {
-	var out []core.Neighbor
-	err := e.Do(ctx, func(c *core.QueryContext) error {
-		ns, err := e.tree.tree.SearchRangeContext(ctx, c, q, radius, m, b, nil)
-		cloneNeighbors(ns)
-		out = ns
-		return err
-	})
-	return out, err
+	return e.Search(ctx, core.Query{Kind: core.Range, Point: q, Radius: radius, Metric: m, Budget: b})
 }
 
-// SearchBox runs a budgeted box query through the executor.
+// SearchBox is Search for a budgeted box query, narrowed to entries.
 func (e *Executor) SearchBox(ctx context.Context, q geom.Rect, b core.Budget) ([]core.Entry, error) {
-	var out []core.Entry
-	err := e.Do(ctx, func(c *core.QueryContext) error {
-		es, err := e.tree.tree.SearchBoxContext(ctx, c, q, b, nil)
-		cloneEntries(es)
-		out = es
-		return err
-	})
-	return out, err
+	return core.Entries(e.Search(ctx, core.Query{Kind: core.Box, Rect: q, Budget: b}))
 }
 
 // Close stops admission (subsequent Do calls return ErrClosed) and waits

@@ -266,12 +266,12 @@ func TestBatchPanicIsolation(t *testing.T) {
 
 	// Every query panics via the metric; the batch must return an error
 	// yet leave the tree fully usable (no leaked read locks).
-	_, err := tree.SearchKNNBatch(qs, 5, panicMetric{})
+	_, err := tree.SearchBatch(knnQueries(qs, 5, panicMetric{}))
 	if err == nil {
 		t.Fatal("panicking batch returned nil error")
 	}
 
-	out, err := tree.SearchKNNBatch(qs, 5, dist.L2())
+	out, err := tree.SearchBatch(knnQueries(qs, 5, dist.L2()))
 	if err != nil {
 		t.Fatalf("post-panic batch: %v", err)
 	}
@@ -386,5 +386,31 @@ func TestExecutorQueuedDeadlineShedVsClose(t *testing.T) {
 		if err := e.Do(context.Background(), func(c *core.QueryContext) error { return nil }); !errors.Is(err, ErrClosed) {
 			t.Fatalf("round %d: post-close Do: err = %v, want ErrClosed", round, err)
 		}
+	}
+}
+
+// TestSearchZeroAlloc is core's zero-allocation property seen through the
+// front door: on a warm pool, Executor.Search allocates the answer — the
+// result slice and one cloned point per result — and nothing else; the
+// admission gate, the pooled context and the Query value cost no allocation.
+func TestSearchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts through sync.Pool are not exact under -race")
+	}
+	tree, pts := buildTree(t, 6, 3000, 512)
+	defer tree.Close()
+	e := NewExecutor(tree, ExecutorConfig{Workers: 1})
+	defer e.Close()
+	const k = 10
+	ctx := context.Background()
+	q := core.Query{Kind: core.KNN, Point: pts[0], K: k, Metric: dist.L2()}
+	run := func() {
+		if ns, err := e.Search(ctx, q); err != nil || len(ns) != k {
+			t.Fatalf("%d results, err %v", len(ns), err)
+		}
+	}
+	run()
+	if got := testing.AllocsPerRun(50, run); got != k+1 {
+		t.Errorf("Executor.Search: %v allocs/op for %d results, want %d", got, k, k+1)
 	}
 }

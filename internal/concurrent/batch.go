@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"hybridtree/internal/core"
-	"hybridtree/internal/dist"
-	"hybridtree/internal/geom"
 	"hybridtree/internal/obs"
 )
 
@@ -163,56 +161,16 @@ func (t *Tree) runBatch(n int, do func(c *core.QueryContext, i int) error) error
 	return firstErr
 }
 
-// SearchKNNBatch answers one k-NN query per element of qs, fanning the
-// batch across a bounded worker pool. out[i] corresponds to qs[i]. On
-// error, the slice holds whatever queries completed before the failure;
-// unfinished slots are nil.
-func (t *Tree) SearchKNNBatch(qs []geom.Point, k int, m dist.Metric) ([][]core.Neighbor, error) {
+// SearchBatch answers qs — any mix of kinds — across the worker pool;
+// out[i] corresponds to qs[i]. On error, the slice holds whatever queries
+// completed before the failure; unfinished slots are nil.
+func (t *Tree) SearchBatch(qs []core.Query) ([][]core.Neighbor, error) {
 	out := make([][]core.Neighbor, len(qs))
 	err := t.runBatch(len(qs), func(c *core.QueryContext, i int) error {
-		ns, err := t.tree.SearchKNNCtx(c, qs[i], k, m, nil)
+		ns, err := cloned(t.tree.Search(nil, c, qs[i], nil))
 		if err != nil {
 			return err
 		}
-		cloneNeighbors(ns)
-		out[i] = ns
-		return nil
-	})
-	return out, err
-}
-
-// SearchBoxBatch answers one box query per element of qs in parallel;
-// out[i] corresponds to qs[i].
-func (t *Tree) SearchBoxBatch(qs []geom.Rect) ([][]core.Entry, error) {
-	out := make([][]core.Entry, len(qs))
-	err := t.runBatch(len(qs), func(c *core.QueryContext, i int) error {
-		es, err := t.tree.SearchBoxCtx(c, qs[i], nil)
-		if err != nil {
-			return err
-		}
-		cloneEntries(es)
-		out[i] = es
-		return nil
-	})
-	return out, err
-}
-
-// RangeQuery pairs a center with a radius for SearchRangeBatch.
-type RangeQuery struct {
-	Center geom.Point
-	Radius float64
-}
-
-// SearchRangeBatch answers one distance-range query per element of qs in
-// parallel; out[i] corresponds to qs[i].
-func (t *Tree) SearchRangeBatch(qs []RangeQuery, m dist.Metric) ([][]core.Neighbor, error) {
-	out := make([][]core.Neighbor, len(qs))
-	err := t.runBatch(len(qs), func(c *core.QueryContext, i int) error {
-		ns, err := t.tree.SearchRangeCtx(c, qs[i].Center, qs[i].Radius, m, nil)
-		if err != nil {
-			return err
-		}
-		cloneNeighbors(ns)
 		out[i] = ns
 		return nil
 	})

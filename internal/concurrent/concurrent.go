@@ -12,9 +12,8 @@
 // byte-identical Stats whether it ran serially or fanned out (see
 // TestBatchStatsParity).
 //
-// For query-heavy workloads, the batch executor (SearchKNNBatch,
-// SearchBoxBatch, SearchRangeBatch) fans a query slice across a bounded
-// pool of GOMAXPROCS workers.
+// For query-heavy workloads, SearchBatch fans a slice of queries (of any
+// mix of kinds) across a bounded pool of GOMAXPROCS workers.
 package concurrent
 
 import (
@@ -109,59 +108,28 @@ func (t *Tree) Update(old, new geom.Point, rid core.RecordID) (found bool, err e
 	return found, err
 }
 
-// SearchBox is a goroutine-safe core.Tree.SearchBox; it runs lock-free
-// against the snapshot current at entry, concurrently with other searches
-// and with writers. Returned points are cloned so they remain valid after
-// later commits retire the snapshot.
+// Search is a goroutine-safe core.Tree.Search on a pooled context: it runs
+// lock-free against the snapshot current at entry, concurrently with other
+// searches and with writers, honoring ctx and q.Budget (see core.Tree.Search
+// for how each ends a query). Returned points are cloned so they remain
+// valid after later commits retire the snapshot.
+func (t *Tree) Search(ctx context.Context, q core.Query) ([]core.Neighbor, error) {
+	return cloned(t.tree.Search(ctx, nil, q, nil))
+}
+
+// SearchBox is Search for a box, narrowed to entries.
 func (t *Tree) SearchBox(q geom.Rect) ([]core.Entry, error) {
-	es, err := t.tree.SearchBox(q)
-	cloneEntries(es)
-	return es, err
+	return core.Entries(t.Search(nil, core.Query{Kind: core.Box, Rect: q}))
 }
 
-// SearchRange is a goroutine-safe core.Tree.SearchRange; it runs lock-free
-// against the snapshot current at entry.
+// SearchRange is Search for a distance range.
 func (t *Tree) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]core.Neighbor, error) {
-	ns, err := t.tree.SearchRange(q, radius, m)
-	cloneNeighbors(ns)
-	return ns, err
+	return t.Search(nil, core.Query{Kind: core.Range, Point: q, Radius: radius, Metric: m})
 }
 
-// SearchKNN is a goroutine-safe core.Tree.SearchKNN; it runs lock-free
-// against the snapshot current at entry.
+// SearchKNN is Search for the k nearest neighbors.
 func (t *Tree) SearchKNN(q geom.Point, k int, m dist.Metric) ([]core.Neighbor, error) {
-	ns, err := t.tree.SearchKNN(q, k, m)
-	cloneNeighbors(ns)
-	return ns, err
-}
-
-// SearchKNNContext is a goroutine-safe core.Tree.SearchKNNContext: the
-// search checks ctx and the budget once per node visit, degrading to
-// best-found-so-far on budget exhaustion (see core.Budget).
-func (t *Tree) SearchKNNContext(ctx context.Context, q geom.Point, k int, m dist.Metric, b core.Budget) ([]core.Neighbor, error) {
-	c := getCtx()
-	defer putCtx(c)
-	ns, err := t.tree.SearchKNNContext(ctx, c, q, k, m, b, nil)
-	cloneNeighbors(ns)
-	return ns, err
-}
-
-// SearchBoxContext is a goroutine-safe core.Tree.SearchBoxContext.
-func (t *Tree) SearchBoxContext(ctx context.Context, q geom.Rect, b core.Budget) ([]core.Entry, error) {
-	c := getCtx()
-	defer putCtx(c)
-	es, err := t.tree.SearchBoxContext(ctx, c, q, b, nil)
-	cloneEntries(es)
-	return es, err
-}
-
-// SearchRangeContext is a goroutine-safe core.Tree.SearchRangeContext.
-func (t *Tree) SearchRangeContext(ctx context.Context, q geom.Point, radius float64, m dist.Metric, b core.Budget) ([]core.Neighbor, error) {
-	c := getCtx()
-	defer putCtx(c)
-	ns, err := t.tree.SearchRangeContext(ctx, c, q, radius, m, b, nil)
-	cloneNeighbors(ns)
-	return ns, err
+	return t.Search(nil, core.Query{Kind: core.KNN, Point: q, K: k, Metric: m})
 }
 
 // CountBox is a goroutine-safe core.Tree.CountBox; it runs lock-free
@@ -238,14 +206,11 @@ func (t *Tree) Close() error {
 	return t.tree.Close()
 }
 
-func cloneEntries(es []core.Entry) {
-	for i := range es {
-		es[i].Point = es[i].Point.Clone()
-	}
-}
-
-func cloneNeighbors(ns []core.Neighbor) {
+// cloned detaches a search's result points from the node version they
+// alias; it wraps the core.Tree.Search call directly.
+func cloned(ns []core.Neighbor, err error) ([]core.Neighbor, error) {
 	for i := range ns {
 		ns[i].Point = ns[i].Point.Clone()
 	}
+	return ns, err
 }

@@ -232,89 +232,76 @@ func TestUpdateRollback(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesSequential checks that the batch executors return, slot
-// for slot, exactly what one-at-a-time calls return.
-func TestBatchMatchesSequential(t *testing.T) {
-	const dim = 5
-	tree, _ := buildTree(t, dim, 2500, 1024)
-	rng := rand.New(rand.NewSource(9))
+// knnQueries is one k-NN query per point.
+func knnQueries(pts []geom.Point, k int, m dist.Metric) []core.Query {
+	qs := make([]core.Query, len(pts))
+	for i, p := range pts {
+		qs[i] = core.Query{Kind: core.KNN, Point: p, K: k, Metric: m}
+	}
+	return qs
+}
 
-	knnQs := make([]geom.Point, 40)
-	boxQs := make([]geom.Rect, 40)
-	rangeQs := make([]RangeQuery, 40)
-	for i := range knnQs {
+// mixedQueries is one batch holding all three kinds, interleaved: a k-NN, a
+// box and an L1 range query around each of n random centers.
+func mixedQueries(rng *rand.Rand, dim, n int) []core.Query {
+	var qs []core.Query
+	for i := 0; i < n; i++ {
 		c := randPoint(rng, dim)
-		knnQs[i] = c
 		lo, hi := make(geom.Point, dim), make(geom.Point, dim)
 		for d := 0; d < dim; d++ {
 			lo[d], hi[d] = c[d]*0.5, c[d]*0.5+0.3
 		}
-		boxQs[i] = geom.Rect{Lo: lo, Hi: hi}
-		rangeQs[i] = RangeQuery{Center: c, Radius: 0.25}
+		qs = append(qs,
+			core.Query{Kind: core.KNN, Point: c, K: 5, Metric: dist.L2()},
+			core.Query{Kind: core.Box, Rect: geom.Rect{Lo: lo, Hi: hi}},
+			core.Query{Kind: core.Range, Point: c, Radius: 0.25, Metric: dist.L1()})
 	}
+	return qs
+}
 
-	gotKNN, err := tree.SearchKNNBatch(knnQs, 5, dist.L2())
+// TestBatchMatchesSequential checks that a mixed-kind batch returns, slot
+// for slot, exactly what one-at-a-time calls return.
+func TestBatchMatchesSequential(t *testing.T) {
+	const dim = 5
+	tree, _ := buildTree(t, dim, 2500, 1024)
+	qs := mixedQueries(rand.New(rand.NewSource(9)), dim, 40)
+
+	got, err := tree.SearchBatch(qs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBox, err := tree.SearchBoxBatch(boxQs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRange, err := tree.SearchRangeBatch(rangeQs, dist.L1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range knnQs {
-		wantK, err := tree.SearchKNN(knnQs[i], 5, dist.L2())
+	for i, q := range qs {
+		want, err := tree.Search(nil, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(gotKNN[i], wantK) {
-			t.Fatalf("knn batch result %d differs from sequential", i)
-		}
-		wantB, err := tree.SearchBox(boxQs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(wantB) != len(gotBox[i]) {
-			t.Fatalf("box batch result %d: %d entries, sequential %d", i, len(gotBox[i]), len(wantB))
-		}
-		wantR, err := tree.SearchRange(rangeQs[i].Center, rangeQs[i].Radius, dist.L1())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(wantR) != len(gotRange[i]) {
-			t.Fatalf("range batch result %d: %d entries, sequential %d", i, len(gotRange[i]), len(wantR))
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("batch result %d (%v) differs from sequential", i, q.Kind)
 		}
 	}
 }
 
 // TestBatchStatsParity pins the accounting guarantee the paper's
-// evaluation depends on: a query batch charges byte-identical Stats
-// whether it runs sequentially or fanned across the worker pool. Every
-// logical node access is one atomic increment either way, and increments
-// commute.
+// evaluation depends on: a query batch — here one mixing all three kinds —
+// charges byte-identical Stats whether it runs sequentially or fanned
+// across the worker pool. Every logical node access is one atomic increment
+// either way, and increments commute.
 func TestBatchStatsParity(t *testing.T) {
 	const dim = 6
 	tree, _ := buildTree(t, dim, 4000, 1024)
-	rng := rand.New(rand.NewSource(11))
-	qs := make([]geom.Point, 64)
-	for i := range qs {
-		qs[i] = randPoint(rng, dim)
-	}
+	qs := mixedQueries(rand.New(rand.NewSource(11)), dim, 24)
 	stats := tree.tree.File().Stats()
 
 	stats.Reset()
 	for _, q := range qs {
-		if _, err := tree.SearchKNN(q, 5, dist.L2()); err != nil {
+		if _, err := tree.Search(nil, q); err != nil {
 			t.Fatal(err)
 		}
 	}
 	sequential := stats.Snapshot()
 
 	stats.Reset()
-	if _, err := tree.SearchKNNBatch(qs, 5, dist.L2()); err != nil {
+	if _, err := tree.SearchBatch(qs); err != nil {
 		t.Fatal(err)
 	}
 	parallel := stats.Snapshot()
@@ -336,7 +323,7 @@ func TestBatchError(t *testing.T) {
 		{0.2, 0.2}, // wrong dimensionality
 		{0.3, 0.3, 0.3, 0.3},
 	}
-	if _, err := tree.SearchKNNBatch(qs, 3, dist.L2()); err == nil {
+	if _, err := tree.SearchBatch(knnQueries(qs, 3, dist.L2())); err == nil {
 		t.Fatal("batch with bad query reported success")
 	}
 }
@@ -361,7 +348,7 @@ func TestBatchContextPoolStress(t *testing.T) {
 	for i := range qs {
 		qs[i] = pts[rng.Intn(len(pts))].Clone()
 	}
-	want, err := tree.SearchKNNBatch(qs, 5, dist.L2())
+	want, err := tree.SearchBatch(knnQueries(qs, 5, dist.L2()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +359,7 @@ func TestBatchContextPoolStress(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := tree.SearchKNNBatch(qs, 5, dist.L2())
+			got, err := tree.SearchBatch(knnQueries(qs, 5, dist.L2()))
 			if err != nil {
 				errs <- err
 				return

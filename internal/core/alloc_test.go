@@ -27,88 +27,47 @@ func TestSearchZeroAlloc(t *testing.T) {
 	}
 
 	c := NewQueryContext()
-	var ents []Entry
-	var nbrs []Neighbor
+	var dst []Neighbor
 	// Box the metrics once: converting LpMetric{P: 1} to the interface
 	// inside the measured closure would itself allocate.
 	l2, l1 := dist.L2(), dist.L1()
-	run := func(name string, fn func() error) {
+	kinds := []struct {
+		name  string
+		query func(i int) Query
+	}{
+		{"Box", func(i int) Query { return Query{Kind: Box, Rect: boxes[i%len(boxes)]} }},
+		{"KNN/L2", func(i int) Query { return Query{Kind: KNN, Point: queries[i%len(queries)], K: 10, Metric: l2} }},
+		{"Range/L2", func(i int) Query { return Query{Kind: Range, Point: queries[i%len(queries)], Radius: 0.5, Metric: l2} }},
+		{"KNN/L1", func(i int) Query { return Query{Kind: KNN, Point: queries[i%len(queries)], K: 10, Metric: l1} }},
+		{"Range/L1", func(i int) Query { return Query{Kind: Range, Point: queries[i%len(queries)], Radius: 1.5, Metric: l1} }},
+	}
+	run := func(name string, query func(i int) Query) {
 		t.Helper()
-		// Warm pass: grow every reusable buffer to its steady-state size.
-		if err := fn(); err != nil {
-			t.Fatal(err)
-		}
-		if got := testing.AllocsPerRun(20, func() {
-			if err := fn(); err != nil {
+		i := 0
+		fn := func() {
+			var err error
+			if dst, err = tree.Search(nil, c, query(i), dst[:0]); err != nil {
 				t.Fatal(err)
 			}
-		}); got != 0 {
-			t.Errorf("%s: %v allocs/op on warm context, want 0", name, got)
+			i++
+		}
+		// Warm pass: grow every reusable buffer to its steady-state size.
+		fn()
+		if got := testing.AllocsPerRun(20, fn); got != 0 {
+			t.Errorf("Search/%s: %v allocs/op on warm context, want 0", name, got)
 		}
 	}
-
-	i := 0
-	run("SearchBoxCtx", func() error {
-		var err error
-		ents, err = tree.SearchBoxCtx(c, boxes[i%len(boxes)], ents[:0])
-		i++
-		return err
-	})
-	i = 0
-	run("SearchKNNCtx/L2", func() error {
-		var err error
-		nbrs, err = tree.SearchKNNCtx(c, queries[i%len(queries)], 10, l2, nbrs[:0])
-		i++
-		return err
-	})
-	i = 0
-	run("SearchKNNCtx/L1", func() error {
-		var err error
-		nbrs, err = tree.SearchKNNCtx(c, queries[i%len(queries)], 10, l1, nbrs[:0])
-		i++
-		return err
-	})
-	i = 0
-	run("SearchRangeCtx/L2", func() error {
-		var err error
-		nbrs, err = tree.SearchRangeCtx(c, queries[i%len(queries)], 0.5, l2, nbrs[:0])
-		i++
-		return err
-	})
-
-	i = 0
-	run("SearchRangeCtx/L1", func() error {
-		var err error
-		nbrs, err = tree.SearchRangeCtx(c, queries[i%len(queries)], 1.5, l1, nbrs[:0])
-		i++
-		return err
-	})
+	for _, k := range kinds {
+		run(k.name, k.query)
+	}
 
 	// The no-op tracer must keep the hot path allocation-free: StartTrace
 	// returns nil and every per-event trace call is an inlined nil check.
 	tree.SetTracer(obs.Nop())
 	defer tree.SetTracer(nil)
-	i = 0
-	run("SearchBoxCtx/NopTracer", func() error {
-		var err error
-		ents, err = tree.SearchBoxCtx(c, boxes[i%len(boxes)], ents[:0])
-		i++
-		return err
-	})
-	i = 0
-	run("SearchKNNCtx/L2/NopTracer", func() error {
-		var err error
-		nbrs, err = tree.SearchKNNCtx(c, queries[i%len(queries)], 10, l2, nbrs[:0])
-		i++
-		return err
-	})
-	i = 0
-	run("SearchRangeCtx/L2/NopTracer", func() error {
-		var err error
-		nbrs, err = tree.SearchRangeCtx(c, queries[i%len(queries)], 0.5, l2, nbrs[:0])
-		i++
-		return err
-	})
+	for _, k := range kinds[:3] {
+		run(k.name+"/NopTracer", k.query)
+	}
 }
 
 // TestQueryContextBusyPanics pins the misuse guard: one context may not

@@ -51,27 +51,14 @@ func (e *Explanation) String() string {
 }
 
 // ExplainBox runs a box query and returns both its results and the
-// traversal explanation. It is the ordinary box-query loop run with a
+// traversal explanation. It is the ordinary Search run with a
 // locally-owned trace — the one traversal has one instrumentation
 // mechanism, whether the consumer is a Tracer sink or this aggregation.
 func (t *Tree) ExplainBox(q geom.Rect) ([]Entry, *Explanation, error) {
-	if q.Dim() != t.cfg.Dim {
-		return nil, nil, fmt.Errorf("core: query has dim %d, tree expects %d", q.Dim(), t.cfg.Dim)
-	}
-	c := t.getCtx()
-	defer t.putCtx(c)
-	qc := &c.qc
-	qc.acquire(t.cfg.Dim)
-	defer qc.release()
-	ver := t.pinCtx(qc)
-
-	qc.tally = tally{}
-	tr := obs.NewTrace("box")
-	qc.tr = tr
-	out, err := t.runBox(qc, q, nil)
-	t.finishQuery(qc, opBox, tr.Start, len(out), err)
-
-	ex := explanationFromTrace(tr, ver.height)
+	tr := obs.NewTrace(Box.String())
+	out, err := Entries(t.search(nil, nil, &Query{Kind: Box, Rect: q}, nil, nil, tr))
+	_, _, height := t.SnapshotInfo()
+	ex := explanationFromTrace(tr, height)
 	ex.Results = len(out)
 	return out, ex, err
 }
@@ -85,7 +72,8 @@ func explanationFromTrace(tr *obs.Trace, height int) *Explanation {
 	for i := range tr.Spans {
 		s := &tr.Spans[i]
 		for int(s.Level) >= len(ex.Levels) {
-			// Defensive: stale height after concurrent-looking misuse; grow.
+			// The height was read after the walk: a commit in between may
+			// have changed it. Grow.
 			ex.Levels = append(ex.Levels, LevelStats{})
 		}
 		ls := &ex.Levels[s.Level]

@@ -624,52 +624,3 @@ func TestELSSnapshotPrecisionMismatchRebuilds(t *testing.T) {
 		t.Fatal("rebuild produced no entries")
 	}
 }
-
-// The tree composes with the LRU buffer pool: logical access counting then
-// reflects buffer misses instead of cold reads, and correctness is
-// unaffected.
-func TestTreeOnBufferedFile(t *testing.T) {
-	inner := pagefile.NewMemFile(512)
-	buffered := pagefile.NewBuffered(inner, 16)
-	tree, err := New(buffered, Config{Dim: 4, PageSize: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(601))
-	pts := make([]geom.Point, 1500)
-	for i := range pts {
-		p := geom.Point{rng.Float32(), rng.Float32(), rng.Float32(), rng.Float32()}
-		pts[i] = p
-		if err := tree.Insert(p, RecordID(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tree.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	for q := 0; q < 10; q++ {
-		rect := randQueryRect(rng, 4, 0.4)
-		got, err := tree.SearchBox(rect)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameSet(t, entriesToSet(got), bruteBox(pts, rect), "buffered box")
-	}
-	if err := tree.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := buffered.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// The flushed inner file is a complete, reopenable index.
-	reopened, err := Open(inner, Config{Dim: 4, PageSize: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reopened.Size() != 1500 {
-		t.Fatalf("reopened size = %d", reopened.Size())
-	}
-	if err := reopened.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -8,16 +8,6 @@ import (
 	"hybridtree/internal/obs"
 )
 
-// Query-operation indices for the per-op metric arrays.
-const (
-	opBox = iota
-	opRange
-	opKNN
-	numOps
-)
-
-var opNames = [numOps]string{"box", "range", "knn"}
-
 // treeMetrics is the hybrid tree's bundle of pre-resolved instruments. One
 // process-wide bundle is shared by every Tree (the metric names are fixed),
 // so resolving it costs one sync.Once and the hot path only pays atomic
@@ -25,8 +15,8 @@ var opNames = [numOps]string{"box", "range", "knn"}
 // query context (tally) and flushed here once per query, keeping atomic
 // operations out of the innermost kd-walk loops.
 type treeMetrics struct {
-	queries    [numOps]*obs.Counter
-	latency    [numOps]*obs.Histogram
+	queries    [numKinds]*obs.Counter
+	latency    [numKinds]*obs.Histogram
 	outcomes   *obs.Outcomes
 	queryErrs  *obs.Counter
 	results    *obs.Counter
@@ -100,9 +90,9 @@ func hybridMetrics() *treeMetrics {
 
 			unifiedPrunes: obs.PruneCounter(r, "hybrid"),
 		}
-		for op := 0; op < numOps; op++ {
-			m.queries[op] = r.Counter(`core_queries_total{op="` + opNames[op] + `"}`)
-			m.latency[op] = r.Histogram(`core_query_ns{op="` + opNames[op] + `"}`)
+		for k, name := range kindNames {
+			m.queries[k] = r.Counter(`core_queries_total{op="` + name + `"}`)
+			m.latency[k] = r.Histogram(`core_query_ns{op="` + name + `"}`)
 		}
 		hybridMetricsVal = m
 	})
@@ -157,13 +147,15 @@ type tally struct {
 }
 
 // beginQuery starts instrumentation for one search: it clears the tally,
-// asks the tracer for a trace (nil when tracing is off or declined) and
-// stamps the start time. A zero start time means neither metrics nor
-// tracing are active and finishQuery will return immediately.
-func (t *Tree) beginQuery(qc *queryCtx, op int) (tr *obs.Trace, start time.Time) {
+// installs the query's trace — own when the caller brought one, else the
+// tracer's (nil when tracing is off or declined) — and stamps the start
+// time. A zero start time means neither metrics nor tracing are active and
+// finishQuery will return immediately.
+func (t *Tree) beginQuery(qc *queryCtx, kind Kind, own *obs.Trace) (start time.Time) {
 	qc.tally = tally{}
-	if t.tracer != nil {
-		tr = t.tracer.StartTrace(opNames[op])
+	tr := own
+	if tr == nil && t.tracer != nil {
+		tr = t.tracer.StartTrace(kind.String())
 	}
 	qc.tr = tr
 	if qc.queueWait != 0 {
@@ -173,19 +165,19 @@ func (t *Tree) beginQuery(qc *queryCtx, op int) (tr *obs.Trace, start time.Time)
 	if t.metrics != nil || tr != nil {
 		start = time.Now()
 	}
-	return tr, start
+	return start
 }
 
 // finishQuery flushes the query's tally into the shared counters, observes
 // its latency and finishes its trace. results is the number of entries this
 // query contributed; err is its outcome.
-func (t *Tree) finishQuery(qc *queryCtx, op int, start time.Time, results int, err error) {
+func (t *Tree) finishQuery(qc *queryCtx, kind Kind, start time.Time, results int, err error) {
 	if start.IsZero() {
 		return
 	}
 	if m := t.metrics; m != nil {
-		m.queries[op].Inc()
-		m.latency[op].Observe(int64(time.Since(start)))
+		m.queries[kind].Inc()
+		m.latency[kind].Observe(int64(time.Since(start)))
 		m.outcomes.Record(classifyOutcome(err))
 		ta := &qc.tally
 		if ta.kdPrunes > 0 {

@@ -171,14 +171,14 @@ func BenchmarkSearchKNNCtxL1_64d(b *testing.B) {
 	// Warm pass: every anchor once, so the node cache holds what the
 	// measured queries read and allocs/op is the hot path's alone.
 	for _, q := range anchors {
-		if dst, err = tree.SearchKNNCtx(c, q, 10, l1, dst[:0]); err != nil {
+		if dst, err = tree.Search(nil, c, Query{Kind: KNN, Point: q, K: 10, Metric: l1}, dst[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, err = tree.SearchKNNCtx(c, anchors[i%len(anchors)], 10, l1, dst[:0])
+		dst, err = tree.Search(nil, c, Query{Kind: KNN, Point: anchors[i%len(anchors)], K: 10, Metric: l1}, dst[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -260,12 +260,12 @@ func BenchmarkSearchBoxCtx16d(b *testing.B) {
 		queries[i] = randQueryRect(rng, 16, 0.4)
 	}
 	c := NewQueryContext()
-	var dst []Entry
+	var dst []Neighbor
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		dst, err = tree.SearchBoxCtx(c, queries[i%len(queries)], dst[:0])
+		dst, err = tree.Search(nil, c, Query{Kind: Box, Rect: queries[i%len(queries)]}, dst[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func BenchmarkSearchKNNCtx16d(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		dst, err = tree.SearchKNNCtx(c, pts[i%len(pts)], 10, dist.L2(), dst[:0])
+		dst, err = tree.Search(nil, c, Query{Kind: KNN, Point: pts[i%len(pts)], K: 10, Metric: dist.L2()}, dst[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -301,13 +301,13 @@ func BenchmarkSearchKNNTracerOff(b *testing.B) {
 	// Warm pass: grow the context arena and result buffer to steady state so
 	// allocs/op measures the hot path, not one-time growth.
 	var err error
-	if dst, err = tree.SearchKNNCtx(c, pts[0], 10, dist.L2(), dst[:0]); err != nil {
+	if dst, err = tree.Search(nil, c, Query{Kind: KNN, Point: pts[0], K: 10, Metric: dist.L2()}, dst[:0]); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, err = tree.SearchKNNCtx(c, pts[i%len(pts)], 10, dist.L2(), dst[:0])
+		dst, err = tree.Search(nil, c, Query{Kind: KNN, Point: pts[i%len(pts)], K: 10, Metric: dist.L2()}, dst[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -320,13 +320,13 @@ func BenchmarkSearchKNNTracerNop(b *testing.B) {
 	c := NewQueryContext()
 	var dst []Neighbor
 	var err error
-	if dst, err = tree.SearchKNNCtx(c, pts[0], 10, dist.L2(), dst[:0]); err != nil {
+	if dst, err = tree.Search(nil, c, Query{Kind: KNN, Point: pts[0], K: 10, Metric: dist.L2()}, dst[:0]); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, err = tree.SearchKNNCtx(c, pts[i%len(pts)], 10, dist.L2(), dst[:0])
+		dst, err = tree.Search(nil, c, Query{Kind: KNN, Point: pts[i%len(pts)], K: 10, Metric: dist.L2()}, dst[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func BenchmarkSearchRangeCtxL2_16d(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		dst, err = tree.SearchRangeCtx(c, pts[i%len(pts)], 0.5, dist.L2(), dst[:0])
+		dst, err = tree.Search(nil, c, Query{Kind: Range, Point: pts[i%len(pts)], Radius: 0.5, Metric: dist.L2()}, dst[:0])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -244,7 +244,7 @@ func TestTracerOverheadGate(t *testing.T) {
 	bench := func() testing.BenchmarkResult {
 		// Warm pass so the measured passes never grow buffers.
 		var err error
-		if nbrs, err = tree.SearchKNNCtx(c, pts[0], 10, l2, nbrs[:0]); err != nil {
+		if nbrs, err = tree.SearchKNNContext(nil, c, pts[0], 10, l2, Budget{}, nbrs[:0]); err != nil {
 			t.Fatal(err)
 		}
 		var best testing.BenchmarkResult
@@ -252,7 +252,7 @@ func TestTracerOverheadGate(t *testing.T) {
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					var err error
-					nbrs, err = tree.SearchKNNCtx(c, pts[i%len(pts)], 10, l2, nbrs[:0])
+					nbrs, err = tree.SearchKNNContext(nil, c, pts[i%len(pts)], 10, l2, Budget{}, nbrs[:0])
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -273,7 +273,11 @@ func checkDistParity(t *testing.T, tree *Tree, st *pagefile.Stats, c *QueryConte
 	t.Helper()
 	var wantR, gotR, wantK, gotK []Neighbor
 	wantReads := reads(t, st, func() error { var e error; wantR, e = tree.refSearchRange(q, radius, m); return e })
-	gotReads := reads(t, st, func() error { var e error; gotR, e = tree.SearchRange(q, radius, m); return e })
+	gotReads := reads(t, st, func() error {
+		var e error
+		gotR, e = tree.Search(nil, nil, Query{Kind: Range, Point: q, Radius: radius, Metric: m}, nil)
+		return e
+	})
 	if !reflect.DeepEqual(gotR, wantR) {
 		t.Fatalf("%s range r=%g: results differ from seed implementation", m.Name(), radius)
 	}
@@ -282,19 +286,20 @@ func checkDistParity(t *testing.T, tree *Tree, st *pagefile.Stats, c *QueryConte
 	}
 
 	wantReads = reads(t, st, func() error { var e error; wantK, e = tree.refSearchKNN(q, k, m, eps); return e })
-	gotReads = reads(t, st, func() error { var e error; gotK, e = tree.SearchKNNApprox(q, k, m, eps); return e })
+	knn := Query{Kind: KNN, Point: q, K: k, Metric: m, Epsilon: eps}
+	gotReads = reads(t, st, func() error { var e error; gotK, e = tree.Search(nil, nil, knn, nil); return e })
 	if !reflect.DeepEqual(gotK, wantK) {
 		t.Fatalf("%s knn k=%d eps=%g: results differ from seed implementation", m.Name(), k, eps)
 	}
 	if gotReads != wantReads {
 		t.Fatalf("%s knn k=%d eps=%g: %d node reads, seed charged %d", m.Name(), k, eps, gotReads, wantReads)
 	}
-	gotKCtx, err := tree.SearchKNNApproxCtx(c, q, k, m, eps, nil)
+	gotKCtx, err := tree.Search(nil, c, knn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(gotKCtx, wantK) {
-		t.Fatalf("%s knn k=%d eps=%g: Ctx variant diverges", m.Name(), k, eps)
+		t.Fatalf("%s knn k=%d eps=%g: caller-held context diverges", m.Name(), k, eps)
 	}
 }
 
@@ -322,19 +327,23 @@ func parityUniform12d(t *testing.T) {
 		var want []Entry
 		wantReads := reads(t, st, func() error { var e error; want, e = tree.refSearchBox(box); return e })
 		var got []Entry
-		gotReads := reads(t, st, func() error { var e error; got, e = tree.SearchBox(box); return e })
+		gotReads := reads(t, st, func() error {
+			var e error
+			got, e = Entries(tree.Search(nil, nil, Query{Kind: Box, Rect: box}, nil))
+			return e
+		})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("box query %d: results differ from seed implementation", qi)
 		}
 		if gotReads != wantReads {
 			t.Fatalf("box query %d: %d node reads, seed charged %d", qi, gotReads, wantReads)
 		}
-		gotCtx, err := tree.SearchBoxCtx(c, box, nil)
+		gotCtx, err := Entries(tree.Search(nil, c, Query{Kind: Box, Rect: box}, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(gotCtx, want) {
-			t.Fatalf("box query %d: Ctx variant diverges", qi)
+			t.Fatalf("box query %d: caller-held context diverges", qi)
 		}
 
 		q := pts[rng.Intn(len(pts))]
@@ -377,25 +386,30 @@ func parityColHist64d(t *testing.T) {
 }
 
 // TestSearchBoxFuncParity checks the streaming traversal emits the same
-// entries in the same order as SearchBox.
+// entries in the same order as the seed recursion, for the same node reads
+// as SearchBox: it is the one depth-first loop with a visitor attached.
 func TestSearchBoxFuncParity(t *testing.T) {
-	tree, _, _ := parityTree(t, 3000, 8, 43)
+	tree, _, st := parityTree(t, 3000, 8, 43)
 	rng := rand.New(rand.NewSource(44))
 	for qi := 0; qi < 20; qi++ {
 		box := randQueryRect(rng, 8, 0.6)
-		want, err := tree.SearchBox(box)
+		want, err := tree.refSearchBox(box)
 		if err != nil {
 			t.Fatal(err)
 		}
+		wantReads := reads(t, st, func() error { _, e := tree.SearchBox(box); return e })
 		var got []Entry
-		if err := tree.SearchBoxFunc(box, func(e Entry) bool {
-			got = append(got, e)
-			return true
-		}); err != nil {
-			t.Fatal(err)
-		}
+		gotReads := reads(t, st, func() error {
+			return tree.SearchBoxFunc(box, func(e Entry) bool {
+				got = append(got, e)
+				return true
+			})
+		})
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("box func query %d: stream differs from SearchBox", qi)
+			t.Fatalf("box func query %d: stream differs from seed implementation", qi)
+		}
+		if gotReads != wantReads {
+			t.Fatalf("box func query %d: %d node reads, SearchBox charged %d", qi, gotReads, wantReads)
 		}
 	}
 }

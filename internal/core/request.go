@@ -80,7 +80,7 @@ func (qc *queryCtx) disarm() {
 // zero budget) it is a handful of always-false branches — no allocation, no
 // syscall — which is what keeps TestSearchZeroAlloc and the tracer overhead
 // gate intact. time.Now is consulted only when a wall-time budget is set.
-func (qc *queryCtx) checkVisit(op int) error {
+func (qc *queryCtx) checkVisit(kind Kind) error {
 	qc.visited++
 	if qc.done != nil {
 		select {
@@ -90,15 +90,15 @@ func (qc *queryCtx) checkVisit(op int) error {
 		}
 	}
 	if qc.maxPages > 0 && qc.visited > qc.maxPages {
-		return &ErrBudgetExceeded{Op: opNames[op], Resource: "page_reads",
+		return &ErrBudgetExceeded{Op: kind.String(), Resource: "page_reads",
 			Limit: int64(qc.maxPages), Used: int64(qc.visited)}
 	}
 	if qc.maxPushes > 0 && qc.tally.heapPushes > qc.maxPushes {
-		return &ErrBudgetExceeded{Op: opNames[op], Resource: "heap_pushes",
+		return &ErrBudgetExceeded{Op: kind.String(), Resource: "heap_pushes",
 			Limit: int64(qc.maxPushes), Used: int64(qc.tally.heapPushes)}
 	}
 	if !qc.budgetDeadline.IsZero() && time.Now().After(qc.budgetDeadline) {
-		return &ErrBudgetExceeded{Op: opNames[op], Resource: "wall_time",
+		return &ErrBudgetExceeded{Op: kind.String(), Resource: "wall_time",
 			Limit: qc.budgetDeadline.UnixNano(), Used: time.Now().UnixNano()}
 	}
 	return nil

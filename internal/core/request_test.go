@@ -116,7 +116,7 @@ func TestCancelMidKNNDeterministic(t *testing.T) {
 	const k = 20
 
 	c := NewQueryContext()
-	want, err := tree.SearchKNNCtx(c, q, k, dist.L2(), nil)
+	want, err := tree.SearchKNNContext(nil, c, q, k, dist.L2(), Budget{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCancelMidKNNDeterministic(t *testing.T) {
 	hf.mu.Unlock()
 
 	// Same context, same buffer reuse pattern as an uncancelled caller.
-	got, err := tree.SearchKNNCtx(c, q, k, dist.L2(), nil)
+	got, err := tree.SearchKNNContext(nil, c, q, k, dist.L2(), Budget{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestCancelMidKNNDeterministic(t *testing.T) {
 func TestCancelMidKNNRace(t *testing.T) {
 	tree, _, pts := requestTree(t, 3000, 8, 73)
 	c := NewQueryContext()
-	want, err := tree.SearchKNNCtx(c, pts[2], 10, dist.L2(), nil)
+	want, err := tree.SearchKNNContext(nil, c, pts[2], 10, dist.L2(), Budget{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestBudgetExceededBoxKeepsPartialSubset(t *testing.T) {
 	for d := 0; d < 8; d++ {
 		q.Lo[d], q.Hi[d] = 0.1, 0.9
 	}
-	full, err := tree.SearchBoxCtx(c, q, nil)
+	full, err := tree.SearchBoxContext(nil, c, q, Budget{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestQueryOutcomeCountersExclusive(t *testing.T) {
 	}
 
 	before := snapshot()
-	if _, err := tree.SearchKNNCtx(c, pts[0], 5, dist.L2(), nil); err != nil {
+	if _, err := tree.SearchKNNContext(nil, c, pts[0], 5, dist.L2(), Budget{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	expectDelta(before, "ok")

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"time"
 
@@ -55,290 +53,92 @@ func (t *Tree) getqTraced(tr *obs.Trace, id pagefile.PageID, epoch uint64) (*nod
 	return n, hit, err
 }
 
-// SearchBox returns every entry whose vector lies inside q (boundaries
-// inclusive) — the feature-based bounding-box query of Section 3.5, and the
-// query type of the paper's Figures 5 and 6.
-func (t *Tree) SearchBox(q geom.Rect) ([]Entry, error) {
-	c := t.getCtx()
-	defer t.putCtx(c)
-	return t.SearchBoxCtx(c, q, nil)
-}
-
-// SearchBoxCtx is SearchBox with caller-managed scratch state: results are
-// appended to dst (which may be nil or a recycled buffer). A caller that
-// reuses both c and dst runs the cached-node query path without allocating.
-// On error the entries appended so far remain in the returned slice.
-func (t *Tree) SearchBoxCtx(c *QueryContext, q geom.Rect, dst []Entry) ([]Entry, error) {
-	return t.SearchBoxContext(nil, c, q, Budget{}, dst)
-}
-
-// SearchBoxContext is SearchBoxCtx under a request lifecycle: cancellation
-// and the context deadline are checked once per node visit (abandoning the
-// query returns ctx.Err() with dst unchanged past its input length), and
-// budget exhaustion returns *ErrBudgetExceeded with the entries found so far
-// kept in dst — a valid subset of the full answer. A nil ctx and zero
-// Budget run the plain unarmed path.
-func (t *Tree) SearchBoxContext(ctx context.Context, c *QueryContext, q geom.Rect, b Budget, dst []Entry) ([]Entry, error) {
-	if q.Dim() != t.cfg.Dim {
-		return dst, fmt.Errorf("core: query has dim %d, tree expects %d", q.Dim(), t.cfg.Dim)
-	}
-	qc := &c.qc
-	qc.acquire(t.cfg.Dim)
-	defer qc.release()
-	t.pinCtx(qc)
-	qc.arm(ctx, b)
-	_, start := t.beginQuery(qc, opBox)
-	base := len(dst)
-	dst, err := t.runBox(qc, q, dst)
-	if err != nil {
-		if isCtxErr(err) {
-			dst = dst[:base]
-		} else if be, ok := err.(*ErrBudgetExceeded); ok {
-			be.Partial = len(dst) - base
-		}
-	}
-	t.finishQuery(qc, opBox, start, len(dst)-base, err)
-	return dst, err
-}
-
-// runBox is the box query's traversal loop, shared by SearchBoxCtx and
-// ExplainBox (which supplies its own trace via qc.tr).
-func (t *Tree) runBox(qc *queryCtx, q geom.Rect, dst []Entry) ([]Entry, error) {
+// depthFirst is the traversal of the box and range queries: an explicit
+// pending stack of subtree visits popped in kd order. The leaf scan is the
+// only place the two kinds differ. A non-nil visit (box only) receives each
+// hit instead of dst and stops the walk by returning false; streamed counts
+// the hits it was handed.
+func (t *Tree) depthFirst(qc *queryCtx, q *Query, dst []Neighbor, visit func(Entry) bool) (_ []Neighbor, streamed int, _ error) {
 	tr := qc.tr
-	pending := append(qc.pending, visitRef{child: qc.ver.root, slot: qc.arena.put(t.cfg.Space), span: -1})
-	for len(pending) > 0 {
-		if err := qc.checkVisit(opBox); err != nil {
-			qc.pending = pending[:0]
-			return dst, err
+	var mp metricPath
+	var bound float64
+	if q.Kind == Range {
+		// With an additive kernel (dist.AsAdditive: L1, L2 and their
+		// weighted forms) membership and pruning compare sums against the
+		// radius mapped into sum space; only reported neighbors pay the root.
+		mp = dispatch(q.Metric)
+		bound = mp.space(q.Radius)
+	}
+	qc.pending = append(qc.pending, visitRef{child: qc.ver.root, slot: qc.arena.put(t.cfg.Space), span: -1})
+	for len(qc.pending) > 0 {
+		if err := qc.checkVisit(q.Kind); err != nil {
+			return dst, streamed, err
 		}
-		v := pending[len(pending)-1]
-		pending = pending[:len(pending)-1]
+		v := qc.pending[len(qc.pending)-1]
+		qc.pending = qc.pending[:len(qc.pending)-1]
 		qc.arena.copyOut(v.slot, qc.walk)
 		qc.arena.release(v.slot)
 		n, hit, err := t.getqTraced(tr, v.child, qc.ver.epoch)
 		if err != nil {
-			qc.pending = pending[:0]
-			return dst, err
+			return dst, streamed, err
 		}
 		span := tr.Visit(v.span, uint32(v.child), n.leaf, hit)
-		if n.leaf {
-			qc.tally.scanned += n.count()
-			tr.Scan(span, n.count())
-			var scan0 time.Time
-			if tr != nil {
-				scan0 = time.Now()
+		if !n.leaf {
+			if n.kdRoot != kdNone {
+				mark := len(qc.pending)
+				t.kdWalk(qc, n, q, &mp, bound, span)
+				reverseVisits(qc.pending[mark:])
 			}
+			continue
+		}
+		qc.tally.scanned += n.count()
+		tr.Scan(span, n.count())
+		var scan0 time.Time
+		if tr != nil {
+			scan0 = time.Now()
+		}
+		switch {
+		case q.Kind == Box:
 			// One linear pass over the slab collects the contained indices;
 			// the containment test matches geom.Rect.Contains exactly.
-			qc.hits = dist.FilterBoxSlab(q.Lo, q.Hi, n.vals, n.dim, qc.hits[:0])
+			qc.hits = dist.FilterBoxSlab(q.Rect.Lo, q.Rect.Hi, n.vals, n.dim, qc.hits[:0])
 			for _, i := range qc.hits {
 				tr.Hit(span)
-				dst = append(dst, Entry{Point: n.point(int(i)), RID: n.rids[i]})
-			}
-			if tr != nil {
-				tr.AddCompute(int64(time.Since(scan0)))
-			}
-			continue
-		}
-		if n.kdRoot == kdNone {
-			continue
-		}
-		mark := len(pending)
-		pending = t.kdWalkBox(qc, n, q, span, pending)
-		reverseVisits(pending[mark:])
-	}
-	qc.pending = pending[:0]
-	return dst, nil
-}
-
-// kdWalkBox runs the box query's intra-node kd walk over index node n,
-// narrowing one boundary of qc.walk per internal record (and re-testing only
-// that boundary — the "a boundary is checked only once" property of Section
-// 3.1) and appending one visit per surviving kd-leaf, in kd order. Leaves
-// pass the second step of the paper's two-step overlap check (the encoded
-// live space) before being kept. span is the current node's trace span.
-func (t *Tree) kdWalkBox(qc *queryCtx, n *node, q geom.Rect, span int32, pending []visitRef) []visitRef {
-	br := qc.walk
-	tr := qc.tr
-	kd, els, space := n.kd, qc.ver.els, t.cfg.Space
-	st := append(qc.frames, kdFrame{idx: n.kdRoot})
-	for len(st) > 0 {
-		f := &st[len(st)-1]
-		k := &kd[f.idx]
-		switch f.stage {
-		case 0:
-			if k.isLeaf() {
-				st = st[:len(st)-1]
-				live, ok := els.Get(uint32(k.Child), space)
-				if ok {
-					qc.tally.elsHits++
-					tr.ELSHit(span)
-					if !live.Intersects(q) {
-						qc.tally.elsPrunes++
-						tr.ELSPrune(span)
-						continue
-					}
+				e := Entry{Point: n.point(int(i)), RID: n.rids[i]}
+				if visit == nil {
+					dst = append(dst, Neighbor{Entry: e})
+					continue
 				}
-				qc.tally.descents++
-				tr.Descend(span)
-				pending = append(pending, visitRef{child: k.Child, slot: qc.arena.put(br), span: span})
-				continue
+				streamed++
+				if !visit(e) {
+					return dst, streamed, nil
+				}
 			}
-			d := int(k.Dim)
-			f.saved = br.Hi[d]
-			f.stage = 1
-			if k.Lsp < br.Hi[d] {
-				br.Hi[d] = k.Lsp
-			}
-			if q.Lo[d] <= br.Hi[d] && br.Hi[d] >= br.Lo[d] {
-				tr.KDLeft(span)
-				st = append(st, kdFrame{idx: k.Left})
-			} else {
-				qc.tally.kdPrunes++
-				tr.KDPrune(span)
-			}
-		case 1:
-			d := int(k.Dim)
-			br.Hi[d] = f.saved
-			f.saved = br.Lo[d]
-			f.stage = 2
-			if k.Rsp > br.Lo[d] {
-				br.Lo[d] = k.Rsp
-			}
-			if q.Hi[d] >= br.Lo[d] && br.Hi[d] >= br.Lo[d] {
-				tr.KDRight(span)
-				st = append(st, kdFrame{idx: k.Right})
-			} else {
-				qc.tally.kdPrunes++
-				tr.KDPrune(span)
+		case mp.fast:
+			// Batch kernel: one linear pass over the slab with partial-sum
+			// abandonment at the bound. Accepted sums (<= bound) root to
+			// exactly Metric.Distance.
+			out := qc.distSlab(n.count())
+			mp.add.SumSlab(q.Point, n.vals, n.dim, bound, out)
+			for i, sum := range out {
+				if sum <= bound {
+					tr.Hit(span)
+					dst = append(dst, Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: mp.add.Root(sum)})
+				}
 			}
 		default:
-			br.Lo[int(k.Dim)] = f.saved
-			st = st[:len(st)-1]
-		}
-	}
-	qc.frames = st[:0]
-	return pending
-}
-
-// SearchPoint returns the record ids stored exactly at p.
-func (t *Tree) SearchPoint(p geom.Point) ([]RecordID, error) {
-	entries, err := t.SearchBox(geom.Rect{Lo: p, Hi: p})
-	if err != nil {
-		return nil, err
-	}
-	rids := make([]RecordID, 0, len(entries))
-	for _, e := range entries {
-		rids = append(rids, e.RID)
-	}
-	return rids, nil
-}
-
-// SearchRange returns every entry within distance radius of q under metric
-// m — the distance-based range query of Section 3.5. The metric is supplied
-// per query: nothing about the tree is specialized to it.
-func (t *Tree) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]Neighbor, error) {
-	c := t.getCtx()
-	defer t.putCtx(c)
-	return t.SearchRangeCtx(c, q, radius, m, nil)
-}
-
-// SearchRangeCtx is SearchRange with caller-managed scratch state and result
-// buffer (see SearchBoxCtx). When m has an additive kernel (dist.AsAdditive:
-// L1, L2 and their weighted forms) membership and pruning compare sums
-// against the radius mapped into sum space, leaf scans abandon a candidate
-// once its partial sum exceeds it, and only reported neighbors pay the root.
-func (t *Tree) SearchRangeCtx(c *QueryContext, q geom.Point, radius float64, m dist.Metric, dst []Neighbor) ([]Neighbor, error) {
-	return t.SearchRangeContext(nil, c, q, radius, m, Budget{}, dst)
-}
-
-// SearchRangeContext is SearchRangeCtx under a request lifecycle (see
-// SearchBoxContext): ctx abandonment discards partial results and returns
-// ctx.Err(); budget exhaustion keeps the neighbors found so far in dst — a
-// valid subset of the full answer — and returns *ErrBudgetExceeded.
-func (t *Tree) SearchRangeContext(ctx context.Context, c *QueryContext, q geom.Point, radius float64, m dist.Metric, b Budget, dst []Neighbor) ([]Neighbor, error) {
-	if len(q) != t.cfg.Dim {
-		return dst, fmt.Errorf("core: query has dim %d, tree expects %d", len(q), t.cfg.Dim)
-	}
-	if radius < 0 {
-		return dst, fmt.Errorf("core: negative radius %g", radius)
-	}
-	qc := &c.qc
-	qc.acquire(t.cfg.Dim)
-	defer qc.release()
-	t.pinCtx(qc)
-	qc.arm(ctx, b)
-	tr, start := t.beginQuery(qc, opRange)
-	base := len(dst)
-
-	mp := dispatch(m)
-	bound := mp.space(radius)
-
-	pending := append(qc.pending, visitRef{child: qc.ver.root, slot: qc.arena.put(t.cfg.Space), span: -1})
-	for len(pending) > 0 {
-		if err := qc.checkVisit(opRange); err != nil {
-			qc.pending = pending[:0]
-			if isCtxErr(err) {
-				dst = dst[:base]
-			} else if be, ok := err.(*ErrBudgetExceeded); ok {
-				be.Partial = len(dst) - base
-			}
-			t.finishQuery(qc, opRange, start, len(dst)-base, err)
-			return dst, err
-		}
-		v := pending[len(pending)-1]
-		pending = pending[:len(pending)-1]
-		qc.arena.copyOut(v.slot, qc.walk)
-		qc.arena.release(v.slot)
-		n, hit, err := t.getqTraced(tr, v.child, qc.ver.epoch)
-		if err != nil {
-			qc.pending = pending[:0]
-			t.finishQuery(qc, opRange, start, len(dst)-base, err)
-			return dst, err
-		}
-		span := tr.Visit(v.span, uint32(v.child), n.leaf, hit)
-		if n.leaf {
-			qc.tally.scanned += n.count()
-			tr.Scan(span, n.count())
-			var scan0 time.Time
-			if tr != nil {
-				scan0 = time.Now()
-			}
-			if mp.fast {
-				// Batch kernel: one linear pass over the slab with
-				// partial-sum abandonment at the bound. Accepted sums
-				// (<= bound) root to exactly Metric.Distance.
-				out := qc.distSlab(n.count())
-				mp.add.SumSlab(q, n.vals, n.dim, bound, out)
-				for i, sum := range out {
-					if sum <= bound {
-						tr.Hit(span)
-						dst = append(dst, Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: mp.add.Root(sum)})
-					}
-				}
-			} else {
-				for i := 0; i < n.count(); i++ {
-					if d := m.Distance(q, n.point(i)); d <= bound {
-						tr.Hit(span)
-						dst = append(dst, Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: d})
-					}
+			for i := 0; i < n.count(); i++ {
+				if d := q.Metric.Distance(q.Point, n.point(i)); d <= bound {
+					tr.Hit(span)
+					dst = append(dst, Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: d})
 				}
 			}
-			if tr != nil {
-				tr.AddCompute(int64(time.Since(scan0)))
-			}
-			continue
 		}
-		if n.kdRoot == kdNone {
-			continue
+		if tr != nil {
+			tr.AddCompute(int64(time.Since(scan0)))
 		}
-		mark := len(pending)
-		pending = t.kdWalkDist(qc, n, q, &mp, bound, false, span, pending)
-		reverseVisits(pending[mark:])
 	}
-	qc.pending = pending[:0]
-	t.finishQuery(qc, opRange, start, len(dst)-base, nil)
-	return dst, nil
+	return dst, streamed, nil
 }
 
 // metricPath is a query's one metric dispatch: the additive kernel when the
@@ -383,14 +183,20 @@ func (mp *metricPath) regionDist(q geom.Point, br, live geom.Rect, hasLive bool,
 	return mp.m.MinDistRect(q, *scratch), false
 }
 
-// kdWalkDist is the intra-node kd walk of the distance-based queries:
-// surviving kd-leaves are those whose region lies within bound (in mp's
-// space) of q. The range query appends them to pending in kd order; k-NN
-// (frontier set) pushes them onto the best-first frontier with the region's
-// MINDIST as priority.
-func (t *Tree) kdWalkDist(qc *queryCtx, n *node, q geom.Point, mp *metricPath, bound float64, frontier bool, span int32, pending []visitRef) []visitRef {
+// kdWalk is the intra-node kd walk over index node n, shared by all three
+// kinds: it narrows one boundary of qc.walk per internal record (re-testing
+// only that boundary — the "a boundary is checked only once" property of
+// Section 3.1) and keeps the kd-leaves the query can reach. A box keeps a
+// leaf whose encoded live space it intersects (the second step of the
+// paper's two-step overlap check); the distance queries keep one whose
+// region lies within bound (in mp's space) of the point. Box and range
+// append survivors to qc.pending in kd order; k-NN pushes them onto the
+// best-first frontier with the region's MINDIST as priority.
+func (t *Tree) kdWalk(qc *queryCtx, n *node, q *Query, mp *metricPath, bound float64, span int32) {
 	br := qc.walk
 	tr := qc.tr
+	box := q.Kind == Box
+	rect := q.Rect
 	kd, els, space := n.kd, qc.ver.els, t.cfg.Space
 	st := append(qc.frames, kdFrame{idx: n.kdRoot})
 	for len(st) > 0 {
@@ -405,7 +211,13 @@ func (t *Tree) kdWalkDist(qc *queryCtx, n *node, q geom.Point, mp *metricPath, b
 					qc.tally.elsHits++
 					tr.ELSHit(span)
 				}
-				lb, empty := mp.regionDist(q, br, live, ok, bound, &qc.scratch)
+				var lb float64
+				var empty bool
+				if box {
+					empty = ok && !live.Intersects(rect)
+				} else {
+					lb, empty = mp.regionDist(q.Point, br, live, ok, bound, &qc.scratch)
+				}
 				switch {
 				case empty:
 					qc.tally.elsPrunes++
@@ -413,14 +225,14 @@ func (t *Tree) kdWalkDist(qc *queryCtx, n *node, q geom.Point, mp *metricPath, b
 				case !(lb <= bound):
 					qc.tally.distPrunes++
 					tr.DistPrune(span)
-				case frontier:
+				case q.Kind == KNN:
 					qc.tally.heapPushes++
 					tr.Descend(span)
 					qc.pq.Push(visitRef{child: k.Child, slot: qc.arena.put(br), span: span}, lb)
 				default:
 					qc.tally.descents++
 					tr.Descend(span)
-					pending = append(pending, visitRef{child: k.Child, slot: qc.arena.put(br), span: span})
+					qc.pending = append(qc.pending, visitRef{child: k.Child, slot: qc.arena.put(br), span: span})
 				}
 				continue
 			}
@@ -430,7 +242,7 @@ func (t *Tree) kdWalkDist(qc *queryCtx, n *node, q geom.Point, mp *metricPath, b
 			if k.Lsp < br.Hi[d] {
 				br.Hi[d] = k.Lsp
 			}
-			if br.Hi[d] >= br.Lo[d] {
+			if br.Hi[d] >= br.Lo[d] && (!box || rect.Lo[d] <= br.Hi[d]) {
 				tr.KDLeft(span)
 				st = append(st, kdFrame{idx: k.Left})
 			} else {
@@ -445,7 +257,7 @@ func (t *Tree) kdWalkDist(qc *queryCtx, n *node, q geom.Point, mp *metricPath, b
 			if k.Rsp > br.Lo[d] {
 				br.Lo[d] = k.Rsp
 			}
-			if br.Hi[d] >= br.Lo[d] {
+			if br.Hi[d] >= br.Lo[d] && (!box || rect.Hi[d] >= br.Lo[d]) {
 				tr.KDRight(span)
 				st = append(st, kdFrame{idx: k.Right})
 			} else {
@@ -458,81 +270,37 @@ func (t *Tree) kdWalkDist(qc *queryCtx, n *node, q geom.Point, mp *metricPath, b
 		}
 	}
 	qc.frames = st[:0]
-	return pending
 }
 
-// SearchKNN returns the k entries nearest to q under metric m, closest
-// first, using best-first (Hjaltason–Samet) traversal: nodes are expanded
-// in order of the MINDIST between q and their (live-space-tightened) BRs,
-// stopping when the next node cannot beat the current k-th distance.
-func (t *Tree) SearchKNN(q geom.Point, k int, m dist.Metric) ([]Neighbor, error) {
-	c := t.getCtx()
-	defer t.putCtx(c)
-	return t.SearchKNNCtx(c, q, k, m, nil)
-}
-
-// SearchKNNCtx is SearchKNN with caller-managed scratch state and result
-// buffer (see SearchBoxCtx): the k results are appended to dst.
-func (t *Tree) SearchKNNCtx(c *QueryContext, q geom.Point, k int, m dist.Metric, dst []Neighbor) ([]Neighbor, error) {
-	return t.searchKNN(nil, c, q, k, m, 0, Budget{}, dst)
-}
-
-// SearchKNNContext is SearchKNNCtx under a request lifecycle (see
-// SearchBoxContext). Budget exhaustion degrades rather than fails: the
-// best-found-so-far neighbors are appended to dst, sorted and with true
-// (rooted) distances — a valid answer to a smaller effort — alongside
-// the *ErrBudgetExceeded. Context abandonment returns ctx.Err() with dst
-// unchanged past its input length.
-func (t *Tree) SearchKNNContext(ctx context.Context, c *QueryContext, q geom.Point, k int, m dist.Metric, b Budget, dst []Neighbor) ([]Neighbor, error) {
-	return t.searchKNN(ctx, c, q, k, m, 0, b, dst)
-}
-
-// searchKNN is the shared exact/(1+epsilon)-approximate best-first search;
-// epsilon = 0 is exact. When m has an additive kernel, frontier priorities,
-// pruning bounds and leaf scans all work in its sum space (with partial-sum
-// early abandonment against the current k-th best) and only the k reported
-// results pay the root.
-func (t *Tree) searchKNN(ctx context.Context, c *QueryContext, q geom.Point, k int, m dist.Metric, epsilon float64, b Budget, dst []Neighbor) ([]Neighbor, error) {
-	if len(q) != t.cfg.Dim {
-		return dst, fmt.Errorf("core: query has dim %d, tree expects %d", len(q), t.cfg.Dim)
-	}
-	if k < 1 {
-		return dst, fmt.Errorf("core: k must be >= 1, got %d", k)
-	}
-	if epsilon < 0 {
-		return dst, fmt.Errorf("core: epsilon %g must be >= 0", epsilon)
-	}
-	qc := &c.qc
-	qc.acquire(t.cfg.Dim)
-	defer qc.release()
-	t.pinCtx(qc)
-	qc.arm(ctx, b)
-	tr, start := t.beginQuery(qc, opKNN)
-	base := len(dst)
-
-	mp := dispatch(m)
+// bestFirst is the k-NN traversal (Hjaltason–Samet): nodes are expanded in
+// order of the MINDIST between the query point and their
+// (live-space-tightened) BRs, stopping when the next node cannot beat the
+// current k-th distance — shrunk by 1/(1+Epsilon) for approximate search.
+// When the metric has an additive kernel, frontier priorities, pruning
+// bounds and leaf scans all work in its sum space (with partial-sum early
+// abandonment against the current k-th best) and only the k reported
+// results pay the root. A budget error ends the walk early and still
+// flushes: every neighbor in the collector is real, sorted and correctly
+// ranked — the exact answer a smaller tree would have given.
+func (t *Tree) bestFirst(qc *queryCtx, q *Query, dst []Neighbor) ([]Neighbor, error) {
+	tr := qc.tr
+	mp := dispatch(q.Metric)
 	// shrink scales the pruning bound for approximate search, mapped into
 	// the path's space like the bound itself. epsilon = 0 gives shrink = 1,
 	// and x*1 == x for floats, so the exact path is untouched.
-	shrink := mp.space(1 / (1 + epsilon))
+	shrink := mp.space(1 / (1 + q.Epsilon))
 
 	pq := &qc.pq
-	best := qc.kbest(k)
+	best := qc.kbest(q.K)
+	var budgetErr error
 	pq.Push(visitRef{child: qc.ver.root, slot: qc.arena.put(t.cfg.Space), span: -1}, 0)
 	for pq.Len() > 0 {
-		if lerr := qc.checkVisit(opKNN); lerr != nil {
-			if be, ok := lerr.(*ErrBudgetExceeded); ok {
-				// Degrade to best-found-so-far: every neighbor in the
-				// collector is real, sorted and correctly ranked — it is
-				// the exact answer a smaller tree would have given.
-				prev := len(dst)
-				dst = flushKNN(best, &mp, dst)
-				be.Partial = len(dst) - prev
-				t.finishQuery(qc, opKNN, start, len(dst)-prev, lerr)
-				return dst, lerr
+		if err := qc.checkVisit(KNN); err != nil {
+			if isCtxErr(err) {
+				return dst, err
 			}
-			t.finishQuery(qc, opKNN, start, 0, lerr)
-			return dst, lerr
+			budgetErr = err
+			break
 		}
 		v, mindist := pq.Pop()
 		if best.Full() && mindist > best.Bound()*shrink {
@@ -542,64 +310,61 @@ func (t *Tree) searchKNN(ctx context.Context, c *QueryContext, q geom.Point, k i
 		qc.arena.release(v.slot)
 		n, hit, err := t.getqTraced(tr, v.child, qc.ver.epoch)
 		if err != nil {
-			t.finishQuery(qc, opKNN, start, 0, err)
 			return dst, err
 		}
 		span := tr.Visit(v.span, uint32(v.child), n.leaf, hit)
-		if n.leaf {
-			qc.tally.scanned += n.count()
-			tr.Scan(span, n.count())
-			var scan0 time.Time
-			if tr != nil {
-				scan0 = time.Now()
-			}
-			if mp.fast {
-				// Batch kernel against the bound at leaf entry. A candidate
-				// whose exact sum beats only the *stale* bound reaches
-				// Offer, which rejects it with no state change (priority >=
-				// current worst) — exactly the candidates a per-point loop
-				// would skip after refreshing the bound, so results and Hit
-				// counts are identical to the generic path.
+		if !n.leaf {
+			if n.kdRoot != kdNone {
+				// The k-th best moves only in leaf scans, so one bound serves
+				// the whole walk.
 				bound := math.Inf(1)
 				if best.Full() {
-					bound = best.Bound()
+					bound = best.Bound() * shrink
 				}
-				out := qc.distSlab(n.count())
-				mp.add.SumSlab(q, n.vals, n.dim, bound, out)
-				for i, sum := range out {
-					if sum > bound {
-						continue // abandoned or beaten; Offer would reject it
-					}
-					if best.Offer(Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: sum}, sum) {
-						tr.Hit(span)
-					}
-				}
-			} else {
-				for i := 0; i < n.count(); i++ {
-					d := m.Distance(q, n.point(i))
-					if best.Offer(Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: d}, d) {
-						tr.Hit(span)
-					}
-				}
-			}
-			if tr != nil {
-				tr.AddCompute(int64(time.Since(scan0)))
+				t.kdWalk(qc, n, q, &mp, bound, span)
 			}
 			continue
 		}
-		if n.kdRoot != kdNone {
-			// The k-th best moves only in leaf scans, so one bound serves
-			// the whole walk.
+		qc.tally.scanned += n.count()
+		tr.Scan(span, n.count())
+		var scan0 time.Time
+		if tr != nil {
+			scan0 = time.Now()
+		}
+		if mp.fast {
+			// Batch kernel against the bound at leaf entry. A candidate
+			// whose exact sum beats only the *stale* bound reaches Offer,
+			// which rejects it with no state change (priority >= current
+			// worst) — exactly the candidates a per-point loop would skip
+			// after refreshing the bound, so results and Hit counts are
+			// identical to the generic path.
 			bound := math.Inf(1)
 			if best.Full() {
-				bound = best.Bound() * shrink
+				bound = best.Bound()
 			}
-			t.kdWalkDist(qc, n, q, &mp, bound, true, span, nil)
+			out := qc.distSlab(n.count())
+			mp.add.SumSlab(q.Point, n.vals, n.dim, bound, out)
+			for i, sum := range out {
+				if sum > bound {
+					continue // abandoned or beaten; Offer would reject it
+				}
+				if best.Offer(Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: sum}, sum) {
+					tr.Hit(span)
+				}
+			}
+		} else {
+			for i := 0; i < n.count(); i++ {
+				d := q.Metric.Distance(q.Point, n.point(i))
+				if best.Offer(Neighbor{Entry: Entry{Point: n.point(i), RID: n.rids[i]}, Dist: d}, d) {
+					tr.Hit(span)
+				}
+			}
+		}
+		if tr != nil {
+			tr.AddCompute(int64(time.Since(scan0)))
 		}
 	}
-	dst = flushKNN(best, &mp, dst)
-	t.finishQuery(qc, opKNN, start, len(dst)-base, nil)
-	return dst, nil
+	return flushKNN(best, &mp, dst), budgetErr
 }
 
 // flushKNN appends the collector's neighbors to dst, closest first,

@@ -112,15 +112,3 @@ func TestConcurrentReadsAfterReopenRace(t *testing.T) {
 	reopened.DropCaches() // force the concurrent decode path in store.get too
 	hammerReads(t, reopened, dim)
 }
-
-// TestConcurrentReadsBufferedRace runs the same hammer over a Buffered
-// page file, whose LRU list reorders on every read and carries its own
-// lock.
-func TestConcurrentReadsBufferedRace(t *testing.T) {
-	const dim = 8
-	inner := pagefile.NewMemFile(1024)
-	file := pagefile.NewBuffered(inner, 16)
-	tree := raceTree(t, file, dim, 2000)
-	tree.DropCaches()
-	hammerReads(t, tree, dim)
-}

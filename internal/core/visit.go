@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"hybridtree/internal/dist"
 	"hybridtree/internal/geom"
 )
@@ -13,56 +11,8 @@ import (
 // with the node cache and must be cloned if retained. Entries arrive in the
 // same depth-first order SearchBox returns them.
 func (t *Tree) SearchBoxFunc(q geom.Rect, fn func(Entry) bool) error {
-	if q.Dim() != t.cfg.Dim {
-		return fmt.Errorf("core: query has dim %d, tree expects %d", q.Dim(), t.cfg.Dim)
-	}
-	c := t.getCtx()
-	defer t.putCtx(c)
-	qc := &c.qc
-	qc.acquire(t.cfg.Dim)
-	defer qc.release()
-	t.pinCtx(qc)
-	tr, start := t.beginQuery(qc, opBox)
-	accepted := 0
-
-	pending := append(qc.pending, visitRef{child: qc.ver.root, slot: qc.arena.put(t.cfg.Space), span: -1})
-	for len(pending) > 0 {
-		v := pending[len(pending)-1]
-		pending = pending[:len(pending)-1]
-		qc.arena.copyOut(v.slot, qc.walk)
-		qc.arena.release(v.slot)
-		n, hit, err := t.store.getq(v.child, qc.ver.epoch)
-		if err != nil {
-			qc.pending = pending[:0]
-			t.finishQuery(qc, opBox, start, accepted, err)
-			return err
-		}
-		span := tr.Visit(v.span, uint32(v.child), n.leaf, hit)
-		if n.leaf {
-			qc.tally.scanned += n.count()
-			tr.Scan(span, n.count())
-			qc.hits = dist.FilterBoxSlab(q.Lo, q.Hi, n.vals, n.dim, qc.hits[:0])
-			for _, i := range qc.hits {
-				tr.Hit(span)
-				accepted++
-				if !fn(Entry{Point: n.point(int(i)), RID: n.rids[i]}) {
-					qc.pending = pending[:0]
-					t.finishQuery(qc, opBox, start, accepted, nil)
-					return nil
-				}
-			}
-			continue
-		}
-		if n.kdRoot == kdNone {
-			continue
-		}
-		mark := len(pending)
-		pending = t.kdWalkBox(qc, n, q, span, pending)
-		reverseVisits(pending[mark:])
-	}
-	qc.pending = pending[:0]
-	t.finishQuery(qc, opBox, start, accepted, nil)
-	return nil
+	_, err := t.search(nil, nil, &Query{Kind: Box, Rect: q}, nil, fn, nil)
+	return err
 }
 
 // CountBox returns the number of entries inside q without materializing

@@ -2,7 +2,6 @@ package index
 
 import (
 	"context"
-	"sync"
 
 	"hybridtree/internal/core"
 	"hybridtree/internal/dist"
@@ -39,77 +38,31 @@ func (h *Hybrid) Delete(p geom.Point, rid uint64) (bool, error) {
 	return h.Tree.Delete(p, core.RecordID(rid))
 }
 
-// SearchBox implements Index.
-func (h *Hybrid) SearchBox(q geom.Rect) ([]Entry, error) {
-	es, err := h.Tree.SearchBox(q)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Entry, len(es))
-	for i, e := range es {
-		out[i] = Entry{Point: e.Point, RID: uint64(e.RID)}
-	}
-	return out, nil
-}
-
-// SearchRange implements Index.
-func (h *Hybrid) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]Neighbor, error) {
-	ns, err := h.Tree.SearchRange(q, radius, m)
-	if err != nil {
-		return nil, err
-	}
-	return convertNeighbors(ns), nil
-}
-
-// SearchKNN implements Index.
-func (h *Hybrid) SearchKNN(q geom.Point, k int, m dist.Metric) ([]Neighbor, error) {
-	ns, err := h.Tree.SearchKNN(q, k, m)
-	if err != nil {
-		return nil, err
-	}
-	return convertNeighbors(ns), nil
-}
-
-// qcPool recycles the arena-backed query contexts the lifecycle adapters
-// hand to the tree, so a harness loop doesn't re-grow the scratch buffers
-// on every budgeted query.
-var qcPool = sync.Pool{New: func() any { return core.NewQueryContext() }}
-
-// SearchBoxContext implements Lifecycle. It shadows the promoted core.Tree
-// method with the index-typed signature the harness drives.
-func (h *Hybrid) SearchBoxContext(ctx context.Context, q geom.Rect, b core.Budget) ([]Entry, error) {
-	c := qcPool.Get().(*core.QueryContext)
-	defer qcPool.Put(c)
-	es, err := h.Tree.SearchBoxContext(ctx, c, q, b, nil)
-	out := make([]Entry, len(es))
-	for i, e := range es {
-		out[i] = Entry{Point: e.Point, RID: uint64(e.RID)}
-	}
-	return out, err
-}
-
-// SearchRangeContext implements Lifecycle.
-func (h *Hybrid) SearchRangeContext(ctx context.Context, q geom.Point, radius float64, m dist.Metric, b core.Budget) ([]Neighbor, error) {
-	c := qcPool.Get().(*core.QueryContext)
-	defer qcPool.Put(c)
-	ns, err := h.Tree.SearchRangeContext(ctx, c, q, radius, m, b, nil)
-	return convertNeighbors(ns), err
-}
-
-// SearchKNNContext implements Lifecycle.
-func (h *Hybrid) SearchKNNContext(ctx context.Context, q geom.Point, k int, m dist.Metric, b core.Budget) ([]Neighbor, error) {
-	c := qcPool.Get().(*core.QueryContext)
-	defer qcPool.Put(c)
-	ns, err := h.Tree.SearchKNNContext(ctx, c, q, k, m, b, nil)
-	return convertNeighbors(ns), err
-}
-
-func convertNeighbors(ns []core.Neighbor) []Neighbor {
+// Search implements Lifecycle: q runs on the tree's own context pool under
+// ctx and q.Budget, and the result — partial when the error says so — is
+// converted to the index types. It shadows the promoted core.Tree method.
+func (h *Hybrid) Search(ctx context.Context, q core.Query) ([]Neighbor, error) {
+	ns, err := h.Tree.Search(ctx, nil, q, nil)
 	out := make([]Neighbor, len(ns))
 	for i, n := range ns {
 		out[i] = Neighbor{Entry: Entry{Point: n.Point, RID: uint64(n.RID)}, Dist: n.Dist}
 	}
-	return out
+	return out, err
+}
+
+// SearchBox implements Index.
+func (h *Hybrid) SearchBox(q geom.Rect) ([]Entry, error) {
+	return Entries(h.Search(nil, core.Query{Kind: core.Box, Rect: q}))
+}
+
+// SearchRange implements Index.
+func (h *Hybrid) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]Neighbor, error) {
+	return h.Search(nil, core.Query{Kind: core.Range, Point: q, Radius: radius, Metric: m})
+}
+
+// SearchKNN implements Index.
+func (h *Hybrid) SearchKNN(q geom.Point, k int, m dist.Metric) ([]Neighbor, error) {
+	return h.Search(nil, core.Query{Kind: core.KNN, Point: q, K: k, Metric: m})
 }
 
 // File implements Index.

@@ -32,17 +32,27 @@ type Neighbor struct {
 // paper excludes from Figure 7(c,d) for exactly this reason (footnote 2).
 var ErrUnsupported = errors.New("index: query type unsupported by this access method")
 
-// Lifecycle is the optional request-lifecycle extension of Index: queries
-// that honor a context (cancellation, deadline) and a per-query resource
-// budget. Budget exhaustion degrades — the partial result is returned
-// alongside a *core.ErrBudgetExceeded — while context abandonment discards
-// partials and returns ctx.Err(). The harness type-asserts for this
-// interface and falls back to the plain methods when a method lacks it.
+// Lifecycle is the optional request-lifecycle extension of Index: one
+// Search taking the query as a value, honoring a context (cancellation,
+// deadline) and the query's resource budget. Budget exhaustion degrades —
+// the partial result is returned alongside a *core.ErrBudgetExceeded —
+// while context abandonment discards partials and returns ctx.Err(). Box
+// hits come back as Neighbors with Dist 0 (see Entries). The harness
+// type-asserts for this interface and falls back to the plain methods when
+// a method lacks it.
 type Lifecycle interface {
 	Index
-	SearchBoxContext(ctx context.Context, q geom.Rect, b core.Budget) ([]Entry, error)
-	SearchRangeContext(ctx context.Context, q geom.Point, radius float64, m dist.Metric, b core.Budget) ([]Neighbor, error)
-	SearchKNNContext(ctx context.Context, q geom.Point, k int, m dist.Metric, b core.Budget) ([]Neighbor, error)
+	Search(ctx context.Context, q core.Query) ([]Neighbor, error)
+}
+
+// Entries narrows a box Search's results to their entries; it wraps the
+// call directly.
+func Entries(ns []Neighbor, err error) ([]Entry, error) {
+	out := make([]Entry, len(ns))
+	for i, n := range ns {
+		out[i] = n.Entry
+	}
+	return out, err
 }
 
 // Index is a paginated multidimensional access method.

@@ -65,57 +65,3 @@ func TestMemFileConcurrentReads(t *testing.T) {
 		t.Fatalf("reads = %d, want %d", got, goroutines*rounds*pages)
 	}
 }
-
-// TestBufferedConcurrentReads hammers a small Buffered pool (forcing
-// constant eviction and LRU reordering) from many goroutines. The LRU is
-// mutated on every read, so this is the regression test for Buffered's
-// internal locking.
-func TestBufferedConcurrentReads(t *testing.T) {
-	inner := NewMemFile(64)
-	b := NewBuffered(inner, 4) // much smaller than the working set
-	const pages = 32
-	ids := make([]PageID, pages)
-	buf := make([]byte, 64)
-	for i := range ids {
-		id, err := b.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		binary.LittleEndian.PutUint64(buf, uint64(i))
-		if err := b.WritePage(id, buf); err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = id
-	}
-
-	const goroutines = 8
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			local := make([]byte, 64)
-			for r := 0; r < 50; r++ {
-				for i, id := range ids {
-					if err := b.ReadPage(id, local); err != nil {
-						errs <- err
-						return
-					}
-					if got := binary.LittleEndian.Uint64(local); got != uint64(i) {
-						t.Errorf("page %d read back %d", id, got)
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-}

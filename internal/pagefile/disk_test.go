@@ -1,7 +1,6 @@
 package pagefile
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -99,59 +98,5 @@ func TestDiskFileErrorPaths(t *testing.T) {
 	}
 	if err := f.ReadPage(id, buf); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed read err = %v", err)
-	}
-}
-
-func TestBufferedFlushPropagatesErrors(t *testing.T) {
-	inner := NewMemFile(64)
-	fault := NewFaultFile(inner, 1<<30)
-	b := NewBuffered(fault, 8)
-	id, err := b.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.WritePage(id, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	fault.SetRemaining(0)
-	if err := b.Flush(); !errors.Is(err, ErrInjected) {
-		t.Fatalf("flush err = %v, want ErrInjected", err)
-	}
-}
-
-func TestBufferedSeqReads(t *testing.T) {
-	inner := NewMemFile(64)
-	b := NewBuffered(inner, 2)
-	id, _ := b.Allocate()
-	_ = b.WritePage(id, []byte("hello"))
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// Evict by touching two other pages.
-	id2, _ := b.Allocate()
-	id3, _ := b.Allocate()
-	_ = b.WritePage(id2, []byte("a"))
-	_ = b.WritePage(id3, []byte("b"))
-	buf := make([]byte, 64)
-	inner.Stats().Reset()
-	b.Stats().Reset()
-	if err := b.ReadPageSeq(id, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf[:5], []byte("hello")) {
-		t.Fatal("content mismatch after eviction")
-	}
-	if b.Stats().SeqReads != 1 {
-		t.Fatalf("buffered seq misses = %d, want 1", b.Stats().SeqReads)
-	}
-	if b.NumPages() != 3 || b.PageSize() != 64 {
-		t.Fatal("passthrough accessors wrong")
-	}
-	// Free drops the buffered copy.
-	if err := b.Free(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.ReadPage(id, buf); !errors.Is(err, ErrPageFreed) {
-		t.Fatalf("freed read err = %v", err)
 	}
 }

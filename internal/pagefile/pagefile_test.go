@@ -21,7 +21,6 @@ func fileImpls(t *testing.T) map[string]func() File {
 			}
 			return f
 		},
-		"buffered-mem": func() File { return NewBuffered(NewMemFile(256), 4) },
 	}
 }
 
@@ -156,65 +155,6 @@ func TestNormalizedIO(t *testing.T) {
 	if got := s.NormalizedIO(0); got != 0 {
 		t.Fatalf("empty file normalized = %g, want 0", got)
 	}
-}
-
-func TestBufferedCountsMissesOnly(t *testing.T) {
-	inner := NewMemFile(64)
-	b := NewBuffered(inner, 2)
-	ids := make([]PageID, 3)
-	for i := range ids {
-		id, _ := b.Allocate()
-		ids[i] = id
-		_ = b.WritePage(id, []byte{byte(i)})
-	}
-	if err := b.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64)
-	b.Stats().Reset()
-	inner.Stats().Reset()
-
-	// Two pages fit: repeated reads of the same two are hits after the
-	// first miss each.
-	for i := 0; i < 5; i++ {
-		_ = b.ReadPage(ids[0], buf)
-		_ = b.ReadPage(ids[1], buf)
-	}
-	if got := b.Stats().RandomReads; got > 2 {
-		t.Fatalf("buffered misses = %d, want <= 2", got)
-	}
-	// Touch the third page: evicts one, further alternation thrashes.
-	_ = b.ReadPage(ids[2], buf)
-	if buf[0] != 2 {
-		t.Fatalf("read wrong content: %d", buf[0])
-	}
-}
-
-func TestBufferedWriteBack(t *testing.T) {
-	inner := NewMemFile(64)
-	b := NewBuffered(inner, 1)
-	id1, _ := b.Allocate()
-	id2, _ := b.Allocate()
-	if err := b.WritePage(id1, []byte("aa")); err != nil {
-		t.Fatal(err)
-	}
-	// Writing id2 evicts id1, forcing write-back to inner.
-	if err := b.WritePage(id2, []byte("bb")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64)
-	if err := inner.ReadPage(id1, buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf[:2]) != "aa" {
-		t.Fatalf("write-back content = %q", buf[:2])
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Close flushed id2 too — reopen inner view.
-	inner2 := inner
-	_ = inner2
 }
 
 func TestDiskFilePersistence(t *testing.T) {

@@ -145,9 +145,9 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.Handle("POST /v1/knn", s.endpoint(s.serveKNN))
-	mux.Handle("POST /v1/box", s.endpoint(s.serveBox))
-	mux.Handle("POST /v1/range", s.endpoint(s.serveRange))
+	mux.Handle("POST /v1/knn", s.endpoint(s.serveQuery(core.KNN)))
+	mux.Handle("POST /v1/box", s.endpoint(s.serveQuery(core.Box)))
+	mux.Handle("POST /v1/range", s.endpoint(s.serveQuery(core.Range)))
 	if s.cfg.EnableWrites {
 		mux.Handle("POST /v1/insert", s.endpoint(s.serveInsert))
 		mux.Handle("POST /v1/delete", s.endpoint(s.serveDelete))
@@ -331,9 +331,10 @@ func metric(name string) (dist.Metric, error) {
 // into the response envelope. Degraded answers keep their results and gain
 // the partial marker; abandoned and failed queries report empty.
 func settle(err error, resp queryResponse) result {
-	if errors.Is(err, core.ErrBadVector) {
+	if errors.Is(err, core.ErrBadVector) || errors.Is(err, core.ErrBadQuery) {
 		// The vector cannot be stored in this index (outside its data
-		// space): the client's mistake, reported before any tree work.
+		// space), or the query is malformed (an inverted box): the client's
+		// mistake, reported before any tree work.
 		return badRequest(http.StatusBadRequest, "%v", err)
 	}
 	k := classify(err)
@@ -349,72 +350,55 @@ func settle(err error, resp queryResponse) result {
 	}
 }
 
-func (s *Server) serveKNN(r *http.Request, req queryRequest) result {
-	q, err := s.point("point", req.Point)
-	if err != nil {
-		return badRequest(http.StatusBadRequest, "%v", err)
-	}
-	if req.K <= 0 {
-		return badRequest(http.StatusBadRequest, "k: want a positive integer, got %d", req.K)
-	}
-	m, err := metric(req.Metric)
-	if err != nil {
-		return badRequest(http.StatusBadRequest, "%v", err)
-	}
-	ctx, budget, cancel, err := s.lifecycle(r)
-	if err != nil {
-		return badRequest(http.StatusBadRequest, "%v", err)
-	}
-	defer cancel()
-	ns, err := s.exec.SearchKNN(ctx, q, req.K, m, budget)
-	return settle(err, neighborsResponse(ns))
-}
-
-func (s *Server) serveRange(r *http.Request, req queryRequest) result {
-	q, err := s.point("point", req.Point)
-	if err != nil {
-		return badRequest(http.StatusBadRequest, "%v", err)
-	}
-	if req.Radius <= 0 {
-		return badRequest(http.StatusBadRequest, "radius: want a positive number, got %g", req.Radius)
-	}
-	m, err := metric(req.Metric)
-	if err != nil {
-		return badRequest(http.StatusBadRequest, "%v", err)
-	}
-	ctx, budget, cancel, err := s.lifecycle(r)
-	if err != nil {
-		return badRequest(http.StatusBadRequest, "%v", err)
-	}
-	defer cancel()
-	ns, err := s.exec.SearchRange(ctx, q, req.Radius, m, budget)
-	return settle(err, neighborsResponse(ns))
-}
-
-func (s *Server) serveBox(r *http.Request, req queryRequest) result {
-	lo, err := s.point("lo", req.Lo)
-	if err != nil {
-		return badRequest(http.StatusBadRequest, "%v", err)
-	}
-	hi, err := s.point("hi", req.Hi)
-	if err != nil {
-		return badRequest(http.StatusBadRequest, "%v", err)
-	}
-	ctx, budget, cancel, err := s.lifecycle(r)
-	if err != nil {
-		return badRequest(http.StatusBadRequest, "%v", err)
-	}
-	defer cancel()
-	es, err := s.exec.SearchBox(ctx, geom.NewRect(lo, hi), budget)
-	var resp queryResponse
-	if k := classify(err); k == obs.OutcomeOK || k == obs.OutcomeDegraded {
-		// Only these two outcomes report results (see settle).
-		resp.Count, resp.RIDs = len(es), make([]uint64, len(es))
-		for i, e := range es {
-			resp.RIDs[i] = uint64(e.RID)
+// serveQuery is the handler of the three read endpoints: it builds the
+// core.Query straight from the scanned request — the checks below are the
+// wire's own (field names, positive k and radius); shape is core's to
+// validate — and passes it through the executor unchanged.
+func (s *Server) serveQuery(kind core.Kind) func(r *http.Request, req queryRequest) result {
+	return func(r *http.Request, req queryRequest) result {
+		q := core.Query{Kind: kind, K: req.K, Radius: req.Radius}
+		var err error
+		if kind == core.Box {
+			if q.Rect.Lo, err = s.point("lo", req.Lo); err == nil {
+				q.Rect.Hi, err = s.point("hi", req.Hi)
+			}
+		} else if q.Point, err = s.point("point", req.Point); err == nil {
+			switch {
+			case kind == core.KNN && req.K <= 0:
+				err = fmt.Errorf("k: want a positive integer, got %d", req.K)
+			case kind == core.Range && req.Radius <= 0:
+				err = fmt.Errorf("radius: want a positive number, got %g", req.Radius)
+			default:
+				q.Metric, err = metric(req.Metric)
+			}
 		}
+		if err != nil {
+			return badRequest(http.StatusBadRequest, "%v", err)
+		}
+		ctx, budget, cancel, err := s.lifecycle(r)
+		if err != nil {
+			return badRequest(http.StatusBadRequest, "%v", err)
+		}
+		defer cancel()
+		q.Budget = budget
+		ns, err := s.exec.Search(ctx, q)
+
+		// A box answers with record ids, the distance queries with
+		// (rid, dist) pairs.
+		resp := queryResponse{Count: len(ns)}
+		if kind == core.Box {
+			resp.RIDs = make([]uint64, len(ns))
+			for i, n := range ns {
+				resp.RIDs[i] = uint64(n.RID)
+			}
+		} else {
+			resp.Neighbors = make([]neighborJSON, len(ns))
+			for i, n := range ns {
+				resp.Neighbors[i] = neighborJSON{RID: uint64(n.RID), Dist: n.Dist}
+			}
+		}
+		return settle(err, resp)
 	}
-	return settle(err, resp)
 }
 
 // acquireWriteSlot is write admission: a free slot or an immediate shed.
@@ -452,12 +436,4 @@ func (s *Server) serveDelete(r *http.Request, req queryRequest) result {
 	defer func() { <-s.writeSem }()
 	found, err := s.group.Delete(p, core.RecordID(req.RID))
 	return settle(err, queryResponse{Found: &found})
-}
-
-func neighborsResponse(ns []core.Neighbor) queryResponse {
-	out := make([]neighborJSON, len(ns))
-	for i, n := range ns {
-		out[i] = neighborJSON{RID: uint64(n.RID), Dist: n.Dist}
-	}
-	return queryResponse{Count: len(out), Neighbors: out}
 }

@@ -205,6 +205,9 @@ var rejectionCases = []struct {
 	// The index covers [0,1]^3: a vector outside it is the client's mistake
 	// (it was a 500, and it rolled its whole commit group back).
 	{"insert outside the data space", "/v1/insert", `{"point":[2,2,2],"rid":1}`, nil, http.StatusBadRequest},
+	// core.ErrBadQuery, the read-side sibling (it was a 500 and a counted
+	// panic: the handler built the box with geom.NewRect).
+	{"inverted box", "/v1/box", `{"lo":[0.9,0.9,0.9],"hi":[0.1,0.1,0.1]}`, nil, http.StatusBadRequest},
 }
 
 // TestClientRejections: every malformed request resolves to the documented
@@ -227,6 +230,9 @@ func TestClientRejections(t *testing.T) {
 	errs := s.cfg.Registry.Counter(`server_request_outcomes_total{outcome="error"}`).Value()
 	if reqs != uint64(len(cases)) || errs != uint64(len(cases)) {
 		t.Fatalf("tally: requests=%d error-outcomes=%d, want both %d", reqs, errs, len(cases))
+	}
+	if n := s.cfg.Registry.Counter("server_panics_total").Value(); n != 0 {
+		t.Fatalf("server_panics_total = %d: a client's mistake reached a panic", n)
 	}
 	// Deleting a vector that cannot be in the index is a miss, not a mistake.
 	w := post(t, h, "/v1/delete", `{"point":[2,2,2],"rid":1}`, nil)

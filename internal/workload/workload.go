@@ -20,9 +20,9 @@ const (
 	ColHistSelectivity = 0.002
 )
 
-// RangeQuery is a distance-based query: all points within Radius of Center
+// Ball is a distance-based range query: all points within Radius of Center
 // under the experiment's metric.
-type RangeQuery struct {
+type Ball struct {
 	Center geom.Point
 	Radius float64
 }
@@ -62,7 +62,7 @@ func BoxQueries(data []geom.Point, count int, target float64, seed int64) ([]geo
 
 // RangeQueries returns count distance-range queries under metric m with a
 // globally calibrated radius hitting the target mean selectivity.
-func RangeQueries(data []geom.Point, count int, target float64, m dist.Metric, seed int64) ([]RangeQuery, float64, error) {
+func RangeQueries(data []geom.Point, count int, target float64, m dist.Metric, seed int64) ([]Ball, float64, error) {
 	if err := checkArgs(data, count, target); err != nil {
 		return nil, 0, err
 	}
@@ -86,9 +86,9 @@ func RangeQueries(data []geom.Point, count int, target float64, m dist.Metric, s
 	dim := len(data[0])
 	hi := m.Distance(make(geom.Point, dim), onesPoint(dim))
 	radius := bisect(measure, target, hi)
-	queries := make([]RangeQuery, count)
+	queries := make([]Ball, count)
 	for i, c := range centers {
-		queries[i] = RangeQuery{Center: c.Clone(), Radius: radius}
+		queries[i] = Ball{Center: c.Clone(), Radius: radius}
 	}
 	return queries, radius, nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hybridtree/internal/bench"
+	"hybridtree/internal/core"
 	"hybridtree/internal/dist"
 )
 
@@ -180,9 +181,13 @@ func BenchmarkSimIOColdKNNParallel(b *testing.B) {
 // fans the whole query slice across the bounded worker pool.
 func BenchmarkSearchKNNBatch(b *testing.B) {
 	f := throughputFixture(b)
+	qs := make([]core.Query, len(f.Queries))
+	for i, p := range f.Queries {
+		qs[i] = core.Query{Kind: core.KNN, Point: p, K: 10, Metric: dist.L2()}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Parallel.SearchKNNBatch(f.Queries, 10, dist.L2()); err != nil {
+		if _, err := f.Parallel.SearchBatch(qs); err != nil {
 			b.Fatal(err)
 		}
 	}
