@@ -10,12 +10,14 @@
 //	hybridbench -all -paper           # everything at the paper's full scale
 //	hybridbench -table 1 -colhist 20000
 //
-// It is also the benchmark trajectory pipeline's CLI: feed it `go test
-// -bench` output and it emits a schema-versioned JSON snapshot and compares
-// it against a committed baseline, failing on gated regressions:
+// It is also the CLI of the same-run performance invariants: feed it `go
+// test -bench` output and it emits a schema-versioned JSON snapshot and
+// applies internal/perf's rule table (tracer-overhead ratio, zero-alloc
+// ceilings) to it, exiting 1 on a gate. Anything timed across commits is
+// benchmark/run.sh's job (DESIGN.md §12). README §Measuring performance has
+// the go test lines CI feeds it:
 //
-//	go test -bench . -count 5 ./internal/... | hybridbench -bench-input - \
-//	    -json BENCH.json -baseline results/BENCH_baseline.json
+//	hybridbench -bench-input bench_raw.txt -json BENCH_9.json
 package main
 
 import (
@@ -47,10 +49,8 @@ func main() {
 		quiet    = flag.Bool("quiet", false, "suppress progress lines")
 		version  = flag.Bool("version", false, "print the build version and exit")
 
-		benchIn  = flag.String("bench-input", "", "parse `go test -bench` output from this file (- for stdin), run the perf pipeline, and exit")
-		jsonOut  = flag.String("json", "", "with -bench-input: write the benchmark snapshot to this path")
-		basePath = flag.String("baseline", "", "with -bench-input: compare against this baseline snapshot; exit 1 on gated regressions")
-		minBench = flag.Int("min-bench", 0, "with -bench-input: require at least this many benchmarks in the snapshot")
+		benchIn = flag.String("bench-input", "", "parse `go test -bench` output from this file (- for stdin), check the same-run perf rules (exit 1 on a gate), and exit")
+		jsonOut = flag.String("json", "", "with -bench-input: write the benchmark snapshot to this path")
 
 		obsAddr    = flag.String("obs", "", "serve the introspection endpoint on this address (e.g. localhost:6060) for the duration of the run")
 		obsHold    = flag.Duration("obs-hold", 0, "keep the process (and the -obs endpoint) alive this long after the run finishes; -1s means forever")
@@ -65,7 +65,7 @@ func main() {
 		return
 	}
 	if *benchIn != "" {
-		if err := runPerfPipeline(*benchIn, *jsonOut, *basePath, *minBench); err != nil {
+		if err := runPerfPipeline(*benchIn, *jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "hybridbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -221,11 +221,9 @@ func main() {
 }
 
 // runPerfPipeline turns `go test -bench` output into a snapshot artifact and
-// (optionally) a pass/fail verdict against the committed baseline. With no
-// -baseline the same-run rules (leaf-scan layout ratio, tracer overhead,
-// mixed-workload retention, zero-alloc ceilings) still gate, so a first run
-// on a fresh branch is already meaningful.
-func runPerfPipeline(input, jsonOut, basePath string, minBench int) error {
+// a pass/fail verdict from the same-run rules (tracer overhead, zero-alloc
+// ceilings); a rule whose benchmark is absent from the input gates.
+func runPerfPipeline(input, jsonOut string) error {
 	var r io.Reader = os.Stdin
 	if input != "-" {
 		f, err := os.Open(input)
@@ -240,7 +238,7 @@ func runPerfPipeline(input, jsonOut, basePath string, minBench int) error {
 		return err
 	}
 	snap := perf.NewSnapshot(benches)
-	if err := snap.Validate(minBench); err != nil {
+	if err := snap.Validate(); err != nil {
 		return err
 	}
 	if jsonOut != "" {
@@ -249,13 +247,7 @@ func runPerfPipeline(input, jsonOut, basePath string, minBench int) error {
 		}
 		fmt.Fprintf(os.Stderr, "hybridbench: wrote %d benchmark(s) to %s\n", len(snap.Benchmarks), jsonOut)
 	}
-	var base *perf.Snapshot
-	if basePath != "" {
-		if base, err = perf.ReadFile(basePath); err != nil {
-			return err
-		}
-	}
-	rep := perf.Compare(base, snap, perf.DefaultRules())
+	rep := perf.Compare(snap, perf.DefaultRules())
 	rep.Write(os.Stdout)
 	if rep.Failed() {
 		return fmt.Errorf("performance gate: %d gated finding(s)", len(rep.Gates()))

@@ -21,7 +21,7 @@ func randPoint(rng *rand.Rand, dim int) geom.Point {
 	return p
 }
 
-func buildTree(t *testing.T, dim, n int, pageSize int) (*Tree, []geom.Point) {
+func buildTree(t testing.TB, dim, n int, pageSize int) (*Tree, []geom.Point) {
 	t.Helper()
 	file := pagefile.NewMemFile(pageSize)
 	tree, err := New(file, core.Config{Dim: dim, PageSize: pageSize})
@@ -312,6 +312,20 @@ func TestBatchStatsParity(t *testing.T) {
 	if sequential.RandomReads == 0 {
 		t.Fatal("query batch charged no reads; accounting is broken")
 	}
+}
+
+// BenchmarkSearchKNNBatch measures the batch executor end to end: one call
+// fans the whole query slice across the bounded worker pool.
+func BenchmarkSearchKNNBatch(b *testing.B) {
+	tree, pts := buildTree(b, 16, 10000, 4096)
+	qs := knnQueries(pts[:256], 10, dist.L2())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tree.SearchBatch(qs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N)*float64(len(qs))/b.Elapsed().Seconds(), "queries/sec")
 }
 
 // TestBatchError checks that a failing query aborts the batch and surfaces

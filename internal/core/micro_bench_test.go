@@ -289,9 +289,8 @@ func BenchmarkSearchKNNCtx16d(b *testing.B) {
 
 // Tracer-overhead pair: the same warm-context k-NN workload with no tracer
 // vs with a configured-but-nop tracer. The internal/perf tracer-overhead
-// ratio gate compares exactly these two in the same run (CI's replacement
-// for the bespoke OBS_OVERHEAD_GATE test), and the alloc gate pins both at
-// 0 allocs/op — tracing off must stay free.
+// ratio gate compares exactly these two in the same run, and the alloc gate
+// pins both at 0 allocs/op — tracing off must stay free.
 
 func BenchmarkSearchKNNTracerOff(b *testing.B) {
 	tree, pts := benchTree(b, 20000, 16)

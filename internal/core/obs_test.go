@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"os"
 	"testing"
 
 	"hybridtree/internal/dist"
@@ -224,59 +223,5 @@ func TestMutationTraces(t *testing.T) {
 	}
 	if tree.Size() != 0 {
 		t.Errorf("tree size %d after deleting everything", tree.Size())
-	}
-}
-
-// TestTracerOverheadGate measures the no-op tracer against no tracer at all
-// on the k-NN hot path. Both run the identical code path (StartTrace returns
-// nil either way), so the gate asserts equal allocations and a tight ns/op
-// ratio. Timing comparisons are noisy in shared CI runners, so the gate is
-// opt-in: set OBS_OVERHEAD_GATE=1 (the CI benchmark-smoke step does).
-func TestTracerOverheadGate(t *testing.T) {
-	if os.Getenv("OBS_OVERHEAD_GATE") == "" {
-		t.Skip("set OBS_OVERHEAD_GATE=1 to run the tracer overhead gate")
-	}
-	tree, pts, _ := parityTree(t, 8000, 16, 71)
-	c := NewQueryContext()
-	l2 := dist.L2()
-	var nbrs []Neighbor
-
-	bench := func() testing.BenchmarkResult {
-		// Warm pass so the measured passes never grow buffers.
-		var err error
-		if nbrs, err = tree.SearchKNNContext(nil, c, pts[0], 10, l2, Budget{}, nbrs[:0]); err != nil {
-			t.Fatal(err)
-		}
-		var best testing.BenchmarkResult
-		for trial := 0; trial < 5; trial++ {
-			r := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					var err error
-					nbrs, err = tree.SearchKNNContext(nil, c, pts[i%len(pts)], 10, l2, Budget{}, nbrs[:0])
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			if trial == 0 || r.NsPerOp() < best.NsPerOp() {
-				best = r
-			}
-		}
-		return best
-	}
-
-	tree.SetTracer(nil)
-	base := bench()
-	tree.SetTracer(obs.Nop())
-	defer tree.SetTracer(nil)
-	nop := bench()
-
-	if base.AllocsPerOp() != 0 || nop.AllocsPerOp() != 0 {
-		t.Errorf("allocs/op: baseline %d, nop tracer %d, want 0 and 0", base.AllocsPerOp(), nop.AllocsPerOp())
-	}
-	ratio := float64(nop.NsPerOp()) / float64(base.NsPerOp())
-	t.Logf("baseline %d ns/op, nop tracer %d ns/op, ratio %.4f", base.NsPerOp(), nop.NsPerOp(), ratio)
-	if ratio > 1.02 {
-		t.Errorf("no-op tracer adds %.2f%% ns/op, budget is 2%%", (ratio-1)*100)
 	}
 }

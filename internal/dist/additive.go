@@ -87,7 +87,7 @@ func (k Additive) SumSlab(q geom.Point, slab []float32, dim int, bound float64, 
 		row := slab[i*dim : (i+1)*dim]
 		s := 0.0
 		// One loop per unweighted norm: at 16-d the shared term() costs
-		// the L2 leaf scan half again its time (LeafScanSlab).
+		// the L2 leaf scan half again its time (EXPERIMENTS.md, PR 15).
 		switch {
 		case k.w != nil:
 			for d, v := range q {

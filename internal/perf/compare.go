@@ -5,11 +5,10 @@ import (
 	"io"
 )
 
-// Finding levels, from worst to mildest.
+// Finding levels.
 const (
 	LevelGate = "gate" // fails the build
-	LevelWarn = "warn" // printed, does not fail
-	LevelInfo = "info"
+	LevelInfo = "info" // printed, does not fail
 )
 
 // Finding is one comparator verdict about one benchmark metric.
@@ -51,100 +50,27 @@ func (r *Report) add(level, bench, metric, format string, args ...any) {
 	r.Findings = append(r.Findings, Finding{Level: level, Bench: bench, Metric: metric, Msg: fmt.Sprintf(format, args...)})
 }
 
-// Rule is one comparator check. ctx carries the cross-rule noise model
-// (machine fingerprint match, repeat counts).
+// Rule is one comparator check over the snapshot of a single run.
 type Rule interface {
-	Apply(ctx *ruleCtx, rep *Report)
-}
-
-type ruleCtx struct {
-	baseline, current *Snapshot
-	sameMachine       bool
-}
-
-// DeltaRule compares one metric of one benchmark against the committed
-// baseline by relative delta of medians.
-//
-// The noise model:
-//   - a regression past MaxRegress gates; past WarnRegress it warns;
-//   - with fewer than MinRepeats repeats in either snapshot, a would-be
-//     gate downgrades to a warning (a single noisy run must not fail CI);
-//   - when MachineBound is set and the two snapshots' env fingerprints name
-//     different hardware, a would-be gate also downgrades (wall-clock
-//     readings do not transfer across machines; allocation counts do, so
-//     alloc rules leave MachineBound unset);
-//   - a benchmark present in the baseline but missing from the current run
-//     warns (coverage loss), and the reverse is an info finding (new
-//     benchmark, nothing to compare yet).
-type DeltaRule struct {
-	Bench          string
-	Metric         string
-	MaxRegress     float64 // gate threshold, relative (0.25 = 25% worse)
-	WarnRegress    float64 // warn threshold, relative
-	MinRepeats     int
-	MachineBound   bool
-	HigherIsBetter bool // e.g. read_qps: a regression is a *drop*
-}
-
-func (d DeltaRule) Apply(ctx *ruleCtx, rep *Report) {
-	old, oldOK := ctx.baseline.Metric(d.Bench, d.Metric)
-	cur, curOK := ctx.current.Metric(d.Bench, d.Metric)
-	switch {
-	case !oldOK && !curOK:
-		return
-	case !curOK:
-		rep.add(LevelWarn, d.Bench, d.Metric, "present in baseline but missing from current run")
-		return
-	case !oldOK:
-		rep.add(LevelInfo, d.Bench, d.Metric, "new benchmark, no baseline to compare")
-		return
-	}
-	if old.Median == 0 {
-		rep.add(LevelInfo, d.Bench, d.Metric, "baseline median is 0; delta undefined")
-		return
-	}
-	regress := (cur.Median - old.Median) / old.Median
-	if d.HigherIsBetter {
-		regress = -regress
-	}
-	if regress <= d.WarnRegress {
-		return
-	}
-	level := LevelWarn
-	why := ""
-	if regress > d.MaxRegress {
-		level = LevelGate
-		if ob, cb := ctx.baseline.Lookup(d.Bench), ctx.current.Lookup(d.Bench); ob.Repeats < d.MinRepeats || cb.Repeats < d.MinRepeats {
-			level = LevelWarn
-			why = fmt.Sprintf(" (downgraded: %d/%d repeats < %d wanted)", ob.Repeats, cb.Repeats, d.MinRepeats)
-		} else if d.MachineBound && !ctx.sameMachine {
-			level = LevelWarn
-			why = " (downgraded: different machine fingerprint)"
-		}
-	}
-	rep.add(level, d.Bench, d.Metric, "regressed %.1f%% vs baseline (%.4g -> %.4g, gate at %.0f%%)%s",
-		regress*100, old.Median, cur.Median, d.MaxRegress*100, why)
+	Apply(cur *Snapshot, rep *Report)
 }
 
 // RatioRule compares two metrics measured in the *same* run — immune to
-// machine and baseline drift, so it always gates. It is how the bespoke
-// same-run gates fold in: slab leaf scan vs legacy layout, tracer-installed
-// vs tracer-off query cost, mixed-workload read throughput vs read-only.
-// Either benchmark missing from the current snapshot is itself a gate: the
-// rule exists precisely because the pair must be measured together.
+// machine drift, so it always gates. Either benchmark missing from the
+// snapshot is itself a gate: the rule exists precisely because the pair
+// must be measured together.
 type RatioRule struct {
 	Name      string // label for findings
 	NumBench  string
 	NumMetric string
 	DenBench  string
 	DenMetric string
-	MaxRatio  float64 // gate when num/den > MaxRatio (0 = unused)
-	MinRatio  float64 // gate when num/den < MinRatio (0 = unused)
+	MaxRatio  float64 // gate when num/den > MaxRatio
 }
 
-func (rr RatioRule) Apply(ctx *ruleCtx, rep *Report) {
-	num, numOK := ctx.current.Metric(rr.NumBench, rr.NumMetric)
-	den, denOK := ctx.current.Metric(rr.DenBench, rr.DenMetric)
+func (rr RatioRule) Apply(cur *Snapshot, rep *Report) {
+	num, numOK := cur.Metric(rr.NumBench, rr.NumMetric)
+	den, denOK := cur.Metric(rr.DenBench, rr.DenMetric)
 	if !numOK || !denOK {
 		rep.add(LevelGate, rr.Name, rr.NumMetric, "required benchmark pair incomplete (num %q: %v, den %q: %v)",
 			rr.NumBench, numOK, rr.DenBench, denOK)
@@ -155,64 +81,40 @@ func (rr RatioRule) Apply(ctx *ruleCtx, rep *Report) {
 		return
 	}
 	ratio := num.Median / den.Median
-	if rr.MaxRatio > 0 && ratio > rr.MaxRatio {
+	if ratio > rr.MaxRatio {
 		rep.add(LevelGate, rr.Name, rr.NumMetric, "ratio %.3f exceeds max %.3f (%s=%.4g / %s=%.4g)",
 			ratio, rr.MaxRatio, rr.NumBench, num.Median, rr.DenBench, den.Median)
 		return
 	}
-	if rr.MinRatio > 0 && ratio < rr.MinRatio {
-		rep.add(LevelGate, rr.Name, rr.NumMetric, "ratio %.3f below min %.3f (%s=%.4g / %s=%.4g)",
-			ratio, rr.MinRatio, rr.NumBench, num.Median, rr.DenBench, den.Median)
-		return
-	}
-	rep.add(LevelInfo, rr.Name, rr.NumMetric, "ratio %.3f within [%.3f, %.3f]", ratio, rr.MinRatio, rr.MaxRatio)
+	rep.add(LevelInfo, rr.Name, rr.NumMetric, "ratio %.3f within max %.3f", ratio, rr.MaxRatio)
 }
 
 // AllocRule gates on allocation count, which is deterministic and
-// machine-independent: any increase over the baseline gates regardless of
-// fingerprint or repeats, and an absolute ceiling (MaxAllocs, -1 to disable)
-// holds even with no baseline entry — the zero-alloc query-path contract.
+// machine-independent: allocs/op above the absolute ceiling MaxAllocs
+// gates, and so does the benchmark being absent from the run.
 type AllocRule struct {
 	Bench     string
-	MaxAllocs float64 // absolute ceiling; -1 disables
+	MaxAllocs float64
 }
 
-func (a AllocRule) Apply(ctx *ruleCtx, rep *Report) {
-	cur, curOK := ctx.current.Metric(a.Bench, "allocs/op")
-	if !curOK {
+func (a AllocRule) Apply(cur *Snapshot, rep *Report) {
+	got, ok := cur.Metric(a.Bench, "allocs/op")
+	if !ok {
 		rep.add(LevelGate, a.Bench, "allocs/op", "benchmark missing or not reporting allocations")
 		return
 	}
-	if a.MaxAllocs >= 0 && cur.Median > a.MaxAllocs {
-		rep.add(LevelGate, a.Bench, "allocs/op", "%.0f allocs/op exceeds ceiling %.0f", cur.Median, a.MaxAllocs)
+	if got.Median > a.MaxAllocs {
+		rep.add(LevelGate, a.Bench, "allocs/op", "%.0f allocs/op exceeds ceiling %.0f", got.Median, a.MaxAllocs)
 		return
 	}
-	if old, ok := ctx.baseline.Metric(a.Bench, "allocs/op"); ok && cur.Median > old.Median {
-		rep.add(LevelGate, a.Bench, "allocs/op", "allocations grew %.0f -> %.0f vs baseline", old.Median, cur.Median)
-		return
-	}
-	rep.add(LevelInfo, a.Bench, "allocs/op", "%.0f allocs/op", cur.Median)
+	rep.add(LevelInfo, a.Bench, "allocs/op", "%.0f allocs/op", got.Median)
 }
 
-// Compare runs every rule over the (baseline, current) snapshot pair. A nil
-// baseline compares against an empty snapshot: delta rules become info
-// findings, ratio and absolute alloc rules still gate — so the same call
-// works for both "first run ever" and "regression check".
-func Compare(baseline, current *Snapshot, rules []Rule) *Report {
-	if baseline == nil {
-		baseline = &Snapshot{SchemaVersion: SchemaVersion}
-	}
-	ctx := &ruleCtx{
-		baseline:    baseline,
-		current:     current,
-		sameMachine: baseline.Env.SameMachine(current.Env),
-	}
+// Compare runs every rule over the snapshot of one run.
+func Compare(current *Snapshot, rules []Rule) *Report {
 	rep := &Report{}
-	if !ctx.sameMachine && len(baseline.Benchmarks) > 0 {
-		rep.add(LevelInfo, "env", "", "machine fingerprint differs from baseline; wall-clock gates downgraded to warnings")
-	}
 	for _, r := range rules {
-		r.Apply(ctx, rep)
+		r.Apply(current, rep)
 	}
 	return rep
 }

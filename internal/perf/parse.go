@@ -13,12 +13,12 @@ import (
 // -count repeats welcome) into aggregated Benchmarks. Result lines look
 // like:
 //
-//	pkg: hybridtree/internal/bench
-//	BenchmarkMixed90R10W/mvcc-8  	 1  84521633 ns/op  118319 read_qps  0 B/op  0 allocs/op
+//	pkg: hybridtree/internal/core
+//	BenchmarkSearchKNNTracerOff-8  	 30000  41024 ns/op  0 B/op  0 allocs/op
 //
 // Names are canonicalized to "<pkg>.<name>" with the module prefix, the
 // "Benchmark" prefix and the "-GOMAXPROCS" suffix stripped:
-// "internal/bench.Mixed90R10W/mvcc". Repeated lines for the same benchmark
+// "internal/core.SearchKNNTracerOff". Repeated lines for the same benchmark
 // (from -count=N) fold into one Benchmark with median/p10/p90 per metric.
 func ParseGoBench(r io.Reader) ([]Benchmark, error) {
 	type samples map[string][]float64 // metric unit -> one value per repeat
@@ -84,7 +84,7 @@ func ParseGoBench(r io.Reader) ([]Benchmark, error) {
 }
 
 // shortPkg strips the module path prefix so names survive a module rename:
-// "hybridtree/internal/bench" -> "internal/bench".
+// "hybridtree/internal/core" -> "internal/core".
 func shortPkg(p string) string {
 	if i := strings.Index(p, "/internal/"); i >= 0 {
 		return p[i+1:]

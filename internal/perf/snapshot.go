@@ -1,11 +1,8 @@
-// Package perf is the benchmark trajectory pipeline: a versioned,
-// machine-readable snapshot of benchmark results with an environment
-// fingerprint, plus a noise-aware comparator that turns a (baseline,
-// current) snapshot pair into gate/warn findings. CI emits one snapshot per
-// run as an artifact and fails the build when a gated regression shows up
-// against the committed baseline — the same mechanism, with the same rule
-// table, replaces the bespoke mixed-workload, leaf-scan and tracer-overhead
-// gate tests that previously each hand-rolled their own thresholds.
+// Package perf pins what one `go test -bench` run can decide by itself: a
+// versioned, machine-readable snapshot of the run with an environment
+// fingerprint, plus same-run rules (a ratio between two benchmarks, an
+// allocation ceiling) that turn it into gate/info findings. Wall-clock
+// numbers are compared across commits only by benchmark/ (DESIGN.md §12).
 package perf
 
 import (
@@ -20,14 +17,10 @@ import (
 	"hybridtree/internal/obs"
 )
 
-// SchemaVersion is the current snapshot schema. Readers reject snapshots
-// from a different major schema rather than mis-interpreting fields.
+// SchemaVersion is the current snapshot schema.
 const SchemaVersion = 1
 
 // Env fingerprints the machine and build a snapshot was measured on.
-// Comparisons between snapshots from different machines downgrade
-// wall-clock gates to warnings (see Compare); allocation counts compare
-// across machines unconditionally.
 type Env struct {
 	Commit     string `json:"commit"`
 	GoVersion  string `json:"go_version"`
@@ -39,7 +32,8 @@ type Env struct {
 }
 
 // SameMachine reports whether two fingerprints plausibly describe the same
-// hardware class, i.e. whether nanosecond readings are comparable.
+// hardware class, i.e. whether nanosecond readings are comparable. Nothing
+// in this package asks; benchmark/'s -compare does.
 func (e Env) SameMachine(o Env) bool {
 	return e.GOOS == o.GOOS && e.GOARCH == o.GOARCH && e.CPUModel == o.CPUModel && e.NumCPU == o.NumCPU
 }
@@ -55,9 +49,9 @@ type Stat struct {
 
 // Benchmark is one benchmark's aggregated results: its canonical name
 // (package-qualified, Benchmark prefix and GOMAXPROCS suffix stripped, e.g.
-// "internal/bench.Mixed90R10W/mvcc"), how many repeats contributed, and a
+// "internal/core.SearchKNNTracerOff"), how many repeats contributed, and a
 // Stat per reported metric ("ns/op", "allocs/op", "B/op", plus any custom
-// b.ReportMetric units such as "read_qps").
+// b.ReportMetric units).
 type Benchmark struct {
 	Name    string          `json:"name"`
 	Repeats int             `json:"repeats"`
@@ -116,17 +110,14 @@ func NewSnapshot(benchmarks []Benchmark) *Snapshot {
 }
 
 // Validate checks structural invariants: current schema, a non-empty
-// fingerprint, at least minBench distinct benchmarks, and every benchmark
-// carrying at least one metric with at least one repeat.
-func (s *Snapshot) Validate(minBench int) error {
+// fingerprint, distinct benchmark names, and every benchmark carrying at
+// least one metric with at least one repeat.
+func (s *Snapshot) Validate() error {
 	if s.SchemaVersion != SchemaVersion {
 		return fmt.Errorf("perf: snapshot schema %d, want %d", s.SchemaVersion, SchemaVersion)
 	}
 	if s.Env.GOOS == "" || s.Env.GOARCH == "" || s.Env.GoVersion == "" {
 		return fmt.Errorf("perf: snapshot env fingerprint incomplete: %+v", s.Env)
-	}
-	if len(s.Benchmarks) < minBench {
-		return fmt.Errorf("perf: snapshot has %d benchmarks, want >= %d", len(s.Benchmarks), minBench)
 	}
 	seen := make(map[string]bool, len(s.Benchmarks))
 	for _, b := range s.Benchmarks {
@@ -147,24 +138,15 @@ func (s *Snapshot) Validate(minBench int) error {
 	return nil
 }
 
-// Lookup returns the named benchmark, or nil.
-func (s *Snapshot) Lookup(name string) *Benchmark {
-	for i := range s.Benchmarks {
-		if s.Benchmarks[i].Name == name {
-			return &s.Benchmarks[i]
-		}
-	}
-	return nil
-}
-
 // Metric returns the named benchmark's stat for metric, if both exist.
 func (s *Snapshot) Metric(bench, metric string) (Stat, bool) {
-	b := s.Lookup(bench)
-	if b == nil {
-		return Stat{}, false
+	for _, b := range s.Benchmarks {
+		if b.Name == bench {
+			st, ok := b.Metrics[metric]
+			return st, ok
+		}
 	}
-	st, ok := b.Metrics[metric]
-	return st, ok
+	return Stat{}, false
 }
 
 // WriteFile renders the snapshot as indented JSON at path.
@@ -174,21 +156,4 @@ func (s *Snapshot) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadFile loads and structurally checks (schema version only — callers pick
-// their own minBench) a snapshot from path.
-func ReadFile(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var s Snapshot
-	if err := json.Unmarshal(data, &s); err != nil {
-		return nil, fmt.Errorf("perf: %s: %w", path, err)
-	}
-	if s.SchemaVersion != SchemaVersion {
-		return nil, fmt.Errorf("perf: %s: schema %d, want %d", path, s.SchemaVersion, SchemaVersion)
-	}
-	return &s, nil
 }

@@ -296,8 +296,9 @@ type readCloser struct{ *bytes.Reader }
 func (readCloser) Close() error { return nil }
 
 // BenchmarkScanRequestPoint64 is the wire decode of one point64-serve
-// request: a 1.7 KB body, 128 floats. It must not allocate (internal/perf
-// holds it to 0 allocs/op).
+// request: a 1.7 KB body, 128 floats. It must not allocate: internal/perf's
+// AllocRule holds it to 0 allocs/op in CI, TestHandlerAllocCeiling under
+// plain `go test`.
 func BenchmarkScanRequestPoint64(b *testing.B) {
 	body := benchBody("box")
 	st := new(reqState)
