@@ -1,8 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -36,10 +36,10 @@ func BulkLoad(file pagefile.File, cfg Config, pts []geom.Point, rids []RecordID)
 	}
 	for i, p := range pts {
 		if len(p) != cfg.Dim {
-			return nil, fmt.Errorf("core: point %d has dim %d, want %d", i, len(p), cfg.Dim)
+			return nil, fmt.Errorf("%w: point %d has dim %d, want %d", ErrBadVector, i, len(p), cfg.Dim)
 		}
 		if !cfg.Space.Contains(p) {
-			return nil, fmt.Errorf("core: point %d outside the data space", i)
+			return nil, fmt.Errorf("%w: point %d %v outside the data space %v", ErrBadVector, i, p, cfg.Space)
 		}
 	}
 
@@ -70,12 +70,7 @@ func BulkLoad(file pagefile.File, cfg Config, pts []geom.Point, rids []RecordID)
 		return t, t.writeMeta()
 	}
 
-	// Work on index slices so the caller's data is not reordered.
-	order := make([]int, len(pts))
-	for i := range order {
-		order[i] = i
-	}
-	split, err := t.bulkSplit(pts, rids, order)
+	split, err := t.bulkSplit(pts, rids)
 	if err != nil {
 		return nil, err
 	}
@@ -109,21 +104,124 @@ type bulkNode struct {
 	leaves      int
 }
 
-// bulkSplit recursively partitions the points (by index) into data pages.
-func (t *Tree) bulkSplit(pts []geom.Point, rids []RecordID, order []int) (*bulkNode, error) {
+// bulkSplit partitions the points into data pages and returns the split
+// tree over them. The caller's slices are not reordered.
+func (t *Tree) bulkSplit(pts []geom.Point, rids []RecordID) (*bulkNode, error) {
 	target := int(bulkFill * float64(t.cfg.dataCapacity()))
 	if target < 1 {
 		target = 1
 	}
-	if len(order) <= target {
-		n, err := t.store.alloc(true)
+	n := len(pts)
+	b := &bulkSplitter{
+		t:       t,
+		target:  target,
+		pts:     slices.Clone(pts),
+		rids:    slices.Clone(rids),
+		keys:    make([]splitKey, n),
+		tmpKeys: make([]splitKey, n),
+		tmpPts:  make([]geom.Point, n),
+		tmpRids: make([]RecordID, n),
+	}
+	return b.split(0, n)
+}
+
+// bulkSplitter carries one bulk load's partition state. pts and rids are
+// private copies of the input that every split level permutes in place, so
+// a subtree always owns one contiguous range [lo, hi) of them; the other
+// slices are scratch of the same length, of which a range uses the same
+// positions.
+type bulkSplitter struct {
+	t       *Tree
+	target  int
+	pts     []geom.Point
+	rids    []RecordID
+	keys    []splitKey
+	tmpKeys []splitKey
+	tmpPts  []geom.Point
+	tmpRids []RecordID
+}
+
+// splitKey is one entry's split coordinate, as orderedBits, and its
+// position in its range before the sort.
+type splitKey struct {
+	k uint32
+	p int32
+}
+
+// orderedBits maps a float32 to a uint32 of the same order: negatives have
+// every bit flipped, non-negatives only the sign bit. -0 is folded into +0
+// first, so the two compare equal as they do as floats. NaN has no place in
+// the order.
+func orderedBits(v float32) uint32 {
+	u := math.Float32bits(v)
+	if u == 1<<31 {
+		u = 0
+	}
+	if u&(1<<31) != 0 {
+		return ^u
+	}
+	return u | 1<<31
+}
+
+// radixSort sorts keys by k, stably, using tmp (of the same length) as
+// scratch: an LSD radix sort over the four bytes of k, skipping any byte in
+// which every key agrees.
+func radixSort(keys, tmp []splitKey) {
+	if len(keys) < 2 {
+		return
+	}
+	var counts [4][256]int
+	for _, e := range keys {
+		counts[0][e.k&0xff]++
+		counts[1][e.k>>8&0xff]++
+		counts[2][e.k>>16&0xff]++
+		counts[3][e.k>>24]++
+	}
+	src, dst := keys, tmp
+	for pass := range counts {
+		shift := 8 * pass
+		c := &counts[pass]
+		if c[src[0].k>>shift&0xff] == len(src) {
+			continue
+		}
+		sum := 0
+		for i, n := range c {
+			c[i], sum = sum, sum+n
+		}
+		for _, e := range src {
+			d := e.k >> shift & 0xff
+			dst[c[d]] = e
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
+}
+
+// split turns the range [lo, hi) into a data page, or partitions it and
+// recurses into both halves.
+//
+// A partitioned range is left in the order of a stable sort by the split
+// coordinate: ties keep the order the parent level left them in. That order
+// decides which entries share a page near a cut, the order of entries
+// within each data page, and what the next level's policy sees, so it is
+// part of the file format of a bulk load. A stable radix sort of contiguous
+// (key, position) pairs yields exactly that permutation without touching a
+// row; it needs totally ordered keys, which is why BulkLoad refuses NaN and
+// orderedBits folds -0 into +0.
+func (b *bulkSplitter) split(lo, hi int) (*bulkNode, error) {
+	pts, rids := b.pts[lo:hi], b.rids[lo:hi]
+	if len(pts) <= b.target {
+		n, err := b.t.store.alloc(true)
 		if err != nil {
 			return nil, err
 		}
-		for _, i := range order {
-			n.appendPoint(pts[i], rids[i])
+		for i, p := range pts {
+			n.appendPoint(p, rids[i])
 		}
-		if err := t.store.writeThrough(n); err != nil {
+		if err := b.t.store.writeThrough(n); err != nil {
 			return nil, err
 		}
 		return &bulkNode{page: n.id, leaves: 1}, nil
@@ -131,31 +229,39 @@ func (t *Tree) bulkSplit(pts []geom.Point, rids []RecordID, order []int) (*bulkN
 
 	// Policy-chosen split over this subset; clamp the cut so both sides
 	// can still fill pages reasonably.
-	sub := make([]geom.Point, len(order))
-	for i, j := range order {
-		sub[i] = pts[j]
+	dim, pos := b.t.cfg.Policy.ChooseDataSplit(pts, geom.BoundingRect(pts))
+	keys := b.keys[lo:hi]
+	for i, p := range pts {
+		keys[i] = splitKey{orderedBits(p[dim]), int32(i)}
 	}
-	dim, pos := t.cfg.Policy.ChooseDataSplit(sub, geom.BoundingRect(sub))
-	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(pts[a][dim], pts[b][dim]) })
-	cut := sort.Search(len(order), func(i int) bool { return pts[order[i]][dim] > pos })
+	radixSort(keys, b.tmpKeys[lo:hi])
+	tmpPts, tmpRids := b.tmpPts[lo:hi], b.tmpRids[lo:hi]
+	for i, k := range keys {
+		tmpPts[i], tmpRids[i] = pts[k.p], rids[k.p]
+	}
+	copy(pts, tmpPts)
+	copy(rids, tmpRids)
+
+	cut := sort.Search(len(pts), func(i int) bool { return pts[i][dim] > pos })
 	// Round the cut to a multiple of the page target (the VAMSplit trick):
 	// the left recursion then tiles into full pages and only the rightmost
 	// page of the whole build carries the remainder.
-	cut = (cut + target/2) / target * target
-	maxCut := (len(order) - 1) / target * target
+	cut = (cut + b.target/2) / b.target * b.target
+	maxCut := (len(pts) - 1) / b.target * b.target
 	if cut > maxCut {
 		cut = maxCut
 	}
-	if cut < target {
-		cut = target
+	if cut < b.target {
+		cut = b.target
 	}
-	split := (pts[order[cut-1]][dim] + pts[order[cut]][dim]) / 2
 
-	left, err := t.bulkSplit(pts, rids, order[:cut])
+	split := (pts[cut-1][dim] + pts[cut][dim]) / 2
+
+	left, err := b.split(lo, lo+cut)
 	if err != nil {
 		return nil, err
 	}
-	right, err := t.bulkSplit(pts, rids, order[cut:])
+	right, err := b.split(lo+cut, hi)
 	if err != nil {
 		return nil, err
 	}

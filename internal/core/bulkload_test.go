@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hybridtree/internal/dataset"
 	"hybridtree/internal/dist"
 	"hybridtree/internal/geom"
 	"hybridtree/internal/pagefile"
@@ -253,36 +254,56 @@ func TestApproxKNNValidation(t *testing.T) {
 	}
 }
 
-// TestBulkLoadPinnedFile pins a bulk-loaded file byte for byte. bulkSplit
-// orders every subset with a stable sort, and a stable sort has one answer,
-// so swapping the sort's implementation may not move a single page. The
-// coordinates are quantized to sixteen values so that every split sorts
-// through long runs of ties — the case stability decides.
+// TestBulkLoadPinnedFile pins bulk-loaded files byte for byte. bulkSplit
+// orders every subset by the split coordinate, ties broken by the order the
+// parent level left them in; that order has one answer, so changing how it
+// is computed may not move a single page. The uniform case quantizes its
+// coordinates to sixteen values so that every split sorts through long runs
+// of ties — the case the tie-break decides. The COLHIST case is the
+// benchmark's shape (64-d, 4 KB pages), whose skew makes most splits peel
+// one page off the end of a range, so the split tree is deep.
 func TestBulkLoadPinnedFile(t *testing.T) {
-	const want = "580 pages 315a434829369b26"
-	rng := rand.New(rand.NewSource(77))
-	pts := make([]geom.Point, 6000)
-	rids := make([]RecordID, len(pts))
-	for i := range pts {
-		p := make(geom.Point, 16)
-		for d := range p {
-			p[d] = float32(rng.Intn(16)) / 16
+	quantized := func(n, dim int) []geom.Point {
+		rng := rand.New(rand.NewSource(77))
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			p := make(geom.Point, dim)
+			for d := range p {
+				p[d] = float32(rng.Intn(16)) / 16
+			}
+			pts[i] = p
 		}
-		pts[i], rids[i] = p, RecordID(i)
+		return pts
 	}
-	file := pagefile.NewMemFile(1024)
-	if _, err := BulkLoad(file, Config{Dim: 16, PageSize: 1024}, pts, rids); err != nil {
-		t.Fatal(err)
-	}
-	h := sha256.New()
-	buf := make([]byte, 1024)
-	for id := 0; id < file.NumPages(); id++ {
-		if err := file.ReadPage(pagefile.PageID(id), buf); err != nil {
-			t.Fatal(err)
-		}
-		h.Write(buf)
-	}
-	if got := fmt.Sprintf("%d pages %x", file.NumPages(), h.Sum(nil)[:8]); got != want {
-		t.Fatalf("bulk-loaded file is %s, pinned %s", got, want)
+	for _, tc := range []struct {
+		name          string
+		pts           []geom.Point
+		dim, pageSize int
+		want          string
+	}{
+		{"quantized16d", quantized(6000, 16), 16, 1024, "580 pages 315a434829369b26"},
+		{"colhist64d", dataset.ColHist(10000, 64, 1999), 64, 4096, "906 pages 204564d9a2af032b"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rids := make([]RecordID, len(tc.pts))
+			for i := range rids {
+				rids[i] = RecordID(i)
+			}
+			file := pagefile.NewMemFile(tc.pageSize)
+			if _, err := BulkLoad(file, Config{Dim: tc.dim, PageSize: tc.pageSize}, tc.pts, rids); err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			buf := make([]byte, tc.pageSize)
+			for id := 0; id < file.NumPages(); id++ {
+				if err := file.ReadPage(pagefile.PageID(id), buf); err != nil {
+					t.Fatal(err)
+				}
+				h.Write(buf)
+			}
+			if got := fmt.Sprintf("%d pages %x", file.NumPages(), h.Sum(nil)[:8]); got != tc.want {
+				t.Fatalf("bulk-loaded file is %s, pinned %s", got, tc.want)
+			}
+		})
 	}
 }

@@ -422,3 +422,116 @@ func TestRunTxWritesEachPageOnce(t *testing.T) {
 		t.Fatalf("transaction wrote %d pages, want 2 (the leaf once, the metadata page)", got)
 	}
 }
+
+// TestCrashReusesELSChain: a kill between two Closes must not orphan the
+// ELS snapshot chain the first one saved. Each cycle opens the closed file
+// under a WAL, commits a few inserts, kills everything volatile, recovers,
+// flushes and closes; the recovered tree rebuilds its ELS table rather than
+// load the stale snapshot, and Close frees that snapshot and saves the new
+// one into the same pages, so the file keeps its size.
+func TestCrashReusesELSChain(t *testing.T) {
+	const dim, n, perCycle = 8, 3000, 5
+	inner := pagefile.NewCrashFile(1024)
+	cfg := Config{Dim: dim, PageSize: pagefile.NewChecksumFile(inner).PageSize()}
+	pts, rids := seededPoints(51, n, dim)
+	tree, err := BulkLoad(pagefile.NewChecksumFile(inner), cfg, pts, rids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := inner.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	pages := inner.NumPages()
+	extra, _ := seededPoints(52, 3*perCycle, dim)
+	for cycle := 0; cycle < 3; cycle++ {
+		log := wal.NewMemLog()
+		wf, _, err := wal.Open(pagefile.NewChecksumFile(inner), log, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := Open(wf, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := cycle * perCycle; i < (cycle+1)*perCycle; i++ {
+			if err := tree.Insert(extra[i], RecordID(n+1+i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		inner.Crash(int64(60 + cycle))
+		log.Crash(int64(70 + cycle))
+
+		wf, _, err = wal.Open(pagefile.NewChecksumFile(inner), log, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree, err = Open(wf, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if want := n + (cycle+1)*perCycle; tree.Size() != want {
+			t.Fatalf("cycle %d: recovered %d records, want %d", cycle, tree.Size(), want)
+		}
+		for i := 0; i < (cycle+1)*perCycle; i++ {
+			if got, err := tree.SearchPoint(extra[i]); err != nil || len(got) != 1 {
+				t.Fatalf("cycle %d: acknowledged insert %d found %v, err %v", cycle, i, got, err)
+			}
+		}
+		if err := tree.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := wf.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := inner.NumPages(); got != pages {
+			t.Fatalf("cycle %d: file has %d pages, %d before the crash", cycle, got, pages)
+		}
+	}
+}
+
+// TestFlushKeepsELSSnapshotStale: Flush after mutations on a tree that
+// loaded its ELS table from a snapshot must not write metadata that vouches
+// for that snapshot. A process that flushes and then dies without Close
+// would otherwise reopen with live spaces that miss the new records, and
+// searches would prune them.
+func TestFlushKeepsELSSnapshotStale(t *testing.T) {
+	const dim, n = 4, 2000
+	cfg := Config{Dim: dim, PageSize: 512}
+	file := pagefile.NewMemFile(512)
+	pts, rids := seededPoints(53, n+200, dim)
+	tree, err := BulkLoad(file, cfg, pts[:n], rids[:n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if tree, err = Open(file, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for i := n; i < len(pts); i++ {
+		if err := tree.Insert(pts[i], rids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(file, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reopened.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for i := n; i < len(pts); i++ {
+		if got, err := reopened.SearchPoint(pts[i]); err != nil || len(got) != 1 {
+			t.Fatalf("flushed insert %d found %v, err %v", i, got, err)
+		}
+	}
+}

@@ -14,6 +14,11 @@ import (
 // Open restores from the snapshot when present and only falls back to a
 // full rebuild when it is missing or stale.
 //
+// Any committed mutation marks the snapshot stale in the metadata (see
+// sealMutation) without dropping its head, so the next Close frees the old
+// chain and reuses its pages — also after a crash, when only the metadata
+// knows the chain.
+//
 // Snapshot page layout (little endian): magic 'E', bits uint8, count
 // uint16, next uint32, then count records of (page id uint32, encoding of
 // 2*dim*bits bits rounded to bytes).
@@ -132,22 +137,31 @@ func (t *Tree) loadELS(head pagefile.PageID) (bool, error) {
 	return true, nil
 }
 
-// freeELSChain releases a snapshot chain.
+// freeELSChain releases a snapshot chain. A stale chain is freed as far as
+// it is intact: a crash inside Close, after it began rewriting the chain's
+// pages but before the new metadata was durable, can leave the chain ending
+// in a page that was never written or looping into its successor's pages.
+// The walk then stops at the first page that is not a snapshot page or was
+// already freed, and the rest is only lost space.
 func (t *Tree) freeELSChain(head pagefile.PageID) error {
 	buf := make([]byte, t.cfg.PageSize)
-	page := head
-	for page != pagefile.InvalidPage {
-		if err := t.file.ReadPage(page, buf); err != nil {
+	freed := make(map[pagefile.PageID]bool)
+	for page := head; page != pagefile.InvalidPage && !freed[page]; {
+		err := t.file.ReadPage(page, buf)
+		if err == nil && buf[0] != 'E' {
+			err = fmt.Errorf("core: page %d is not an ELS snapshot", page)
+		}
+		if err != nil {
+			if t.elsStale {
+				return nil
+			}
 			return err
 		}
-		if buf[0] != 'E' {
-			return fmt.Errorf("core: page %d is not an ELS snapshot", page)
-		}
-		next := pagefile.PageID(binary.LittleEndian.Uint32(buf[4:]))
 		if err := t.file.Free(page); err != nil {
 			return err
 		}
-		page = next
+		freed[page] = true
+		page = pagefile.PageID(binary.LittleEndian.Uint32(buf[4:]))
 	}
 	return nil
 }

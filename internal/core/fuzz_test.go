@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"hybridtree/internal/geom"
@@ -266,6 +268,47 @@ func FuzzTreeOps(f *testing.F) {
 		}
 		if err := tree.CheckInvariants(); err != nil {
 			t.Fatalf("after %d ops: %v", ops, err)
+		}
+	})
+}
+
+// FuzzBulkSplitOrder checks the order bulk loading partitions a range in:
+// the radix sort of (orderedBits, position) pairs must produce the very
+// permutation a stable comparison sort of the coordinates does, which is
+// what keeps bulk-loaded files byte-identical whichever sort computes it.
+// Each fuzz byte decodes to one coordinate drawn from a few dozen values —
+// so ties are the rule — spanning both signs of zero, subnormals and
+// ±MaxFloat32.
+func FuzzBulkSplitOrder(f *testing.F) {
+	f.Add([]byte{0, 8, 1, 9, 0, 8})
+	f.Add([]byte("a longer seed, so that the byte histogram passes see runs of every length"))
+	f.Add(bytes.Repeat([]byte{3, 11, 0, 8, 0x42, 0x4a, 0x35, 0x2d, 6, 14}, 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		mags := [8]float32{0, 0.25, 0.5, 1, 7, math.SmallestNonzeroFloat32, 1e-38, math.MaxFloat32}
+		vals := make([]float32, len(data))
+		for i, b := range data {
+			v := mags[b&7] * float32(int(1)<<(b>>4&3))
+			if b&8 != 0 {
+				v = -v
+			}
+			vals[i] = v
+		}
+		want := make([]int32, len(vals))
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(vals[a], vals[b]) })
+
+		keys := make([]splitKey, len(vals))
+		for i, v := range vals {
+			keys[i] = splitKey{orderedBits(v), int32(i)}
+		}
+		radixSort(keys, make([]splitKey, len(keys)))
+		for i, k := range keys {
+			if k.p != want[i] {
+				t.Fatalf("position %d holds entry %d (%g), stable sort puts %d (%g) there",
+					i, k.p, vals[k.p], want[i], vals[want[i]])
+			}
 		}
 	})
 }

@@ -53,8 +53,9 @@ type Query struct {
 
 // ErrBadQuery is wrapped by the error of every search that refuses its
 // Query before reading a page: wrong dimensionality, an inverted box, k < 1,
-// a negative radius or epsilon, a missing metric, an unknown kind. It is the
-// caller's mistake, the read-side sibling of ErrBadVector.
+// a negative radius or epsilon, a NaN coordinate or parameter, a missing
+// metric, an unknown kind. It is the caller's mistake, the read-side
+// sibling of ErrBadVector.
 var ErrBadQuery = errors.New("core: malformed query")
 
 // validate is the one place a query's shape is checked.
@@ -66,20 +67,20 @@ func (t *Tree) validate(q *Query) error {
 			return fmt.Errorf("%w: box corners have dim %d and %d, tree expects %d", ErrBadQuery, len(q.Rect.Lo), len(q.Rect.Hi), dim)
 		}
 		for d, lo := range q.Rect.Lo {
-			if lo > q.Rect.Hi[d] {
+			if !(lo <= q.Rect.Hi[d]) { // NaN corners included
 				return fmt.Errorf("%w: inverted box on dim %d: lo=%g hi=%g", ErrBadQuery, d, lo, q.Rect.Hi[d])
 			}
 		}
 		return nil
 	case Range:
-		if q.Radius < 0 {
-			return fmt.Errorf("%w: negative radius %g", ErrBadQuery, q.Radius)
+		if !(q.Radius >= 0) {
+			return fmt.Errorf("%w: radius %g must be >= 0", ErrBadQuery, q.Radius)
 		}
 	case KNN:
 		if q.K < 1 {
 			return fmt.Errorf("%w: k must be >= 1, got %d", ErrBadQuery, q.K)
 		}
-		if q.Epsilon < 0 {
+		if !(q.Epsilon >= 0) {
 			return fmt.Errorf("%w: epsilon %g must be >= 0", ErrBadQuery, q.Epsilon)
 		}
 	default:
@@ -87,6 +88,11 @@ func (t *Tree) validate(q *Query) error {
 	}
 	if len(q.Point) != dim {
 		return fmt.Errorf("%w: point has dim %d, tree expects %d", ErrBadQuery, len(q.Point), dim)
+	}
+	for d, v := range q.Point {
+		if v != v {
+			return fmt.Errorf("%w: point is NaN on dim %d", ErrBadQuery, d)
+		}
 	}
 	if q.Metric == nil {
 		return fmt.Errorf("%w: %v query needs a metric", ErrBadQuery, q.Kind)

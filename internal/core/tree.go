@@ -38,8 +38,12 @@ type Tree struct {
 	// replace it with a single atomic store at commit.
 	current atomic.Pointer[treeVersion]
 	// elsHead is the page chain holding the persisted ELS snapshot
-	// (InvalidPage when none has been written).
-	elsHead pagefile.PageID
+	// (InvalidPage when none has been written). elsStale records that a
+	// mutation has committed since the chain was saved: the metadata then
+	// says so, Open rebuilds the table instead of loading it, and the chain
+	// is kept only so that Close can free it and reuse its pages.
+	elsHead  pagefile.PageID
+	elsStale bool
 	// qcPool recycles QueryContexts for the plain (context-less) search
 	// methods; see queryctx.go. Safe for the concurrent read path: pooled
 	// contexts are exclusive to one search at a time by construction.
@@ -119,15 +123,17 @@ func (t *Tree) beginMutation() mutationScope {
 // sealMutation is the only place an outermost mutation reaches storage: the
 // nodes it changed are written, once each, and under a write-ahead log the
 // metadata page follows (so a recovered file opens with the post-mutation
-// root/size) and the transaction is sealed — the log's commit point. The
-// metadata is logged with the ELS snapshot head cleared, because any
-// mutation makes a previously saved snapshot stale; recovery rebuilds the
-// ELS table from the data instead. A non-nil error means durability was NOT
-// reached and the caller must roll back: acknowledged always implies durable.
+// root/size) and the transaction is sealed — the log's commit point. Any
+// mutation makes a previously saved ELS snapshot stale, so the metadata
+// marks it stale: recovery rebuilds the ELS table from the data instead,
+// while the chain stays referenced for Close to free. A non-nil error means
+// durability was NOT reached and the caller must roll back: acknowledged
+// always implies durable.
 func (t *Tree) sealMutation(m mutationScope) error {
 	if m.nested {
 		return nil
 	}
+	t.elsStale = true
 	err := t.store.writeMut()
 	if t.tx == nil {
 		// No log underneath: the writes before a failed one are in the file.
@@ -135,7 +141,7 @@ func (t *Tree) sealMutation(m mutationScope) error {
 		return err
 	}
 	if err == nil {
-		err = t.writeMetaAs(pagefile.InvalidPage)
+		err = t.writeMeta()
 	}
 	if err != nil {
 		return err
@@ -373,9 +379,11 @@ func Open(file pagefile.File, cfg Config) (*Tree, error) {
 		return nil, err
 	}
 	if t.els.Enabled() {
-		restored, err := t.loadELS(t.elsHead)
-		if err != nil {
-			return nil, err
+		restored := false
+		if !t.elsStale {
+			if restored, err = t.loadELS(t.elsHead); err != nil {
+				return nil, err
+			}
 		}
 		if !restored {
 			if err := t.RebuildELS(); err != nil {
@@ -389,21 +397,20 @@ func Open(file pagefile.File, cfg Config) (*Tree, error) {
 
 const metaMagic = "HTREEv1\x00"
 
-func (t *Tree) writeMeta() error { return t.writeMetaAs(t.elsHead) }
-
-// writeMetaAs writes the metadata page with an explicit ELS snapshot head.
-// Transactionally logged metadata always clears it (a mutation makes any
-// saved snapshot stale; recovery rebuilds from the data) without touching
-// t.elsHead, so the normal Close path can still free the superseded chain.
-func (t *Tree) writeMetaAs(elsHead pagefile.PageID) error {
-	buf := make([]byte, 8+4+4+4+8+4+4)
+// writeMeta writes the metadata page: magic, dim, root, height, size, page
+// size, the ELS snapshot head and whether that snapshot is stale.
+func (t *Tree) writeMeta() error {
+	buf := make([]byte, 8+4+4+4+8+4+4+1)
 	copy(buf, metaMagic)
 	binary.LittleEndian.PutUint32(buf[8:], uint32(t.cfg.Dim))
 	binary.LittleEndian.PutUint32(buf[12:], uint32(t.root))
 	binary.LittleEndian.PutUint32(buf[16:], uint32(t.height))
 	binary.LittleEndian.PutUint64(buf[20:], uint64(t.size))
 	binary.LittleEndian.PutUint32(buf[28:], uint32(t.cfg.PageSize))
-	binary.LittleEndian.PutUint32(buf[32:], uint32(elsHead))
+	binary.LittleEndian.PutUint32(buf[32:], uint32(t.elsHead))
+	if t.elsStale {
+		buf[36] = 1
+	}
 	return t.file.WritePage(t.meta, buf)
 }
 
@@ -430,6 +437,7 @@ func (t *Tree) readMeta() error {
 		// chain; files written before snapshots existed read as 0 here.
 		t.elsHead = pagefile.InvalidPage
 	}
+	t.elsStale = buf[36] != 0
 	return nil
 }
 
@@ -448,7 +456,7 @@ func (t *Tree) Close() error {
 	if err != nil {
 		return err
 	}
-	t.elsHead = head
+	t.elsHead, t.elsStale = head, false
 	return t.writeMeta()
 }
 
@@ -481,8 +489,9 @@ func (t *Tree) SetELSPrecision(bits int) error {
 
 // ErrBadVector is wrapped by the error of every mutation that refuses its
 // vector before touching the tree: wrong dimensionality, or a position
-// outside the configured data space. It is the caller's mistake, not the
-// index's — layers above report it as a rejection (HTTP 400), not a failure.
+// outside the configured data space (a NaN coordinate is outside every
+// space). It is the caller's mistake, not the index's — layers above report
+// it as a rejection (HTTP 400), not a failure.
 var ErrBadVector = errors.New("core: vector does not fit the index")
 
 // CheckVector reports whether Insert would refuse p: nil, or an error

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -602,5 +603,59 @@ func TestRootELSStaysFreshAfterRebuild(t *testing.T) {
 	}
 	if len(got) != 100 {
 		t.Fatalf("found %d of 100 points inserted after the rebuild", len(got))
+	}
+}
+
+// TestNaNRejected: a NaN compares false against every bound, so each gate
+// must be phrased to fail on it — the data-space check of Insert, CheckVector
+// and BulkLoad, and every shape check of a Query. Bulk loading depends on it
+// besides: its split order is only defined for totally ordered keys.
+func TestNaNRejected(t *testing.T) {
+	const dim = 4
+	tree, _ := buildRandom(t, 200, dim, 512, Config{}, 83)
+	nan := float32(math.NaN())
+	bad := geom.Point{0.5, nan, 0.5, 0.5}
+	good := geom.Point{0.5, 0.5, 0.5, 0.5}
+	search := func(q Query) error {
+		_, err := tree.Search(nil, nil, q, nil)
+		return err
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		want error
+	}{
+		{"Insert", func() error { return tree.Insert(bad, 1) }, ErrBadVector},
+		{"CheckVector", func() error { return tree.CheckVector(bad) }, ErrBadVector},
+		{"BulkLoad", func() error {
+			_, err := BulkLoad(pagefile.NewMemFile(512), Config{Dim: dim, PageSize: 512},
+				[]geom.Point{good, bad}, []RecordID{1, 2})
+			return err
+		}, ErrBadVector},
+		{"box with a NaN low corner", func() error {
+			return search(Query{Kind: Box, Rect: geom.Rect{Lo: bad, Hi: geom.Point{1, 1, 1, 1}}})
+		}, ErrBadQuery},
+		{"box with a NaN high corner", func() error {
+			return search(Query{Kind: Box, Rect: geom.Rect{Lo: geom.Point{0, 0, 0, 0}, Hi: bad}})
+		}, ErrBadQuery},
+		{"range at a NaN point", func() error {
+			return search(Query{Kind: Range, Point: bad, Radius: 0.1, Metric: dist.L2()})
+		}, ErrBadQuery},
+		{"range of NaN radius", func() error {
+			return search(Query{Kind: Range, Point: good, Radius: math.NaN(), Metric: dist.L2()})
+		}, ErrBadQuery},
+		{"k-NN at a NaN point", func() error {
+			return search(Query{Kind: KNN, Point: bad, K: 3, Metric: dist.L1()})
+		}, ErrBadQuery},
+		{"k-NN of NaN epsilon", func() error {
+			return search(Query{Kind: KNN, Point: good, K: 3, Epsilon: math.NaN(), Metric: dist.L1()})
+		}, ErrBadQuery},
+	} {
+		if err := tc.run(); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	if tree.Size() != 200 {
+		t.Errorf("size %d after refused inserts, want 200", tree.Size())
 	}
 }

@@ -133,10 +133,11 @@ func (r Rect) MaxExtentDim() int {
 	return best
 }
 
-// Contains reports whether p lies inside r (boundaries inclusive).
+// Contains reports whether p lies inside r (boundaries inclusive). A NaN
+// coordinate lies in no rectangle.
 func (r Rect) Contains(p Point) bool {
 	for d := range p {
-		if p[d] < r.Lo[d] || p[d] > r.Hi[d] {
+		if !(p[d] >= r.Lo[d] && p[d] <= r.Hi[d]) {
 			return false
 		}
 	}

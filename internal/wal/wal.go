@@ -229,18 +229,31 @@ func (f *File) applyReplay(id pagefile.PageID, data []byte) error {
 	return nil
 }
 
+// setOverlay stores a copy of a committed image at the size it was written
+// — core writes a node's encoded bytes, not a padded page. Reads zero-fill
+// the rest of the page and the checkpoint pads it, so the short copy reads
+// and flushes exactly as the full page would.
 func (f *File) setOverlay(id pagefile.PageID, data []byte) {
 	f.ovMu.Lock()
 	defer f.ovMu.Unlock()
+	p := f.overlay[id]
+	if cap(p) < len(data) {
+		p = make([]byte, len(data))
+	}
+	f.overlay[id] = append(p[:0], data...)
+}
+
+// readOverlay copies id's committed image into buf, zero-filling the tail,
+// and reports whether the overlay holds one. The copy-out happens under the
+// read lock: setOverlay rewrites page slices in place.
+func (f *File) readOverlay(id pagefile.PageID, buf []byte) bool {
+	f.ovMu.RLock()
+	defer f.ovMu.RUnlock()
 	p, ok := f.overlay[id]
-	if !ok {
-		p = make([]byte, f.inner.PageSize())
-		f.overlay[id] = p
+	if ok {
+		clear(buf[copy(buf, p):])
 	}
-	n := copy(p, data)
-	for i := n; i < len(p); i++ {
-		p[i] = 0
-	}
+	return ok
 }
 
 // PageSize implements pagefile.File.
@@ -254,16 +267,9 @@ func (f *File) Stats() *pagefile.Stats { return f.inner.Stats() }
 // NumPages implements pagefile.File.
 func (f *File) NumPages() int { return f.inner.NumPages() }
 
-// ReadPage implements pagefile.File, preferring the overlay. The copy-out
-// happens under the read lock: setOverlay rewrites page slices in place.
+// ReadPage implements pagefile.File, preferring the overlay.
 func (f *File) ReadPage(id pagefile.PageID, buf []byte) error {
-	f.ovMu.RLock()
-	p, ok := f.overlay[id]
-	if ok {
-		copy(buf, p)
-	}
-	f.ovMu.RUnlock()
-	if ok {
+	if f.readOverlay(id, buf) {
 		f.inner.Stats().AddRandomReads(1)
 		return nil
 	}
@@ -272,13 +278,7 @@ func (f *File) ReadPage(id pagefile.PageID, buf []byte) error {
 
 // ReadPageSeq implements pagefile.File, preferring the overlay.
 func (f *File) ReadPageSeq(id pagefile.PageID, buf []byte) error {
-	f.ovMu.RLock()
-	p, ok := f.overlay[id]
-	if ok {
-		copy(buf, p)
-	}
-	f.ovMu.RUnlock()
-	if ok {
+	if f.readOverlay(id, buf) {
 		f.inner.Stats().AddSeqReads(1)
 		return nil
 	}
@@ -465,12 +465,15 @@ func (f *File) Sync() error {
 	f.ovMu.RUnlock()
 	sort.Slice(pages, func(i, j int) bool { return pages[i].id < pages[j].id })
 	scratch := make([]byte, f.inner.PageSize())
+	cur := make([]byte, f.inner.PageSize())
 	for _, pg := range pages {
 		// Compare-and-skip keeps the invariant cheaply: a page is written
 		// back only when it differs, and any read failure (torn page from
 		// an earlier aborted checkpoint, checksum damage) counts as
-		// different and gets repaired.
-		id, cur := pg.id, pg.data
+		// different and gets repaired. The image is padded to the full
+		// page it stands for.
+		id := pg.id
+		clear(cur[copy(cur, pg.data):])
 		if err := f.inner.ReadPage(id, scratch); err == nil && bytes.Equal(scratch, cur) {
 			f.m.ckptSkipped.Inc()
 			continue
