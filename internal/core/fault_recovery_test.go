@@ -120,7 +120,7 @@ func TestInsertFaultAtomicity(t *testing.T) {
 	for k := 0; k < 40; k++ {
 		k := k
 		t.Run(fmt.Sprint(k), func(t *testing.T) {
-			fault := pagefile.NewFaultFile(pagefile.NewMemFile(256), 1<<30)
+			fault := pagefile.NewChaosFile(pagefile.NewMemFile(256), pagefile.ChaosProfile{}, 1)
 			trace := &opTrace{File: fault}
 			tree, err := New(trace, Config{Dim: dim, PageSize: 256})
 			if err != nil {
@@ -187,7 +187,7 @@ func TestDeleteFaultAtomicity(t *testing.T) {
 	for k := 0; k < 60; k++ {
 		k := k
 		t.Run(fmt.Sprint(k), func(t *testing.T) {
-			fault := pagefile.NewFaultFile(pagefile.NewMemFile(256), 1<<30)
+			fault := pagefile.NewChaosFile(pagefile.NewMemFile(256), pagefile.ChaosProfile{}, 1)
 			trace := &opTrace{File: fault}
 			tree, err := New(trace, Config{Dim: dim, PageSize: 256})
 			if err != nil {
@@ -274,7 +274,7 @@ func TestDeleteFaultAtomicity(t *testing.T) {
 // the burnt fuse also failed are all accounted for as leaked.
 func TestBatchFaultBeforeSealWritesNothing(t *testing.T) {
 	const dim = 4
-	fault := pagefile.NewFaultFile(pagefile.NewMemFile(256), 1<<30)
+	fault := pagefile.NewChaosFile(pagefile.NewMemFile(256), pagefile.ChaosProfile{}, 1)
 	trace := &opTrace{File: fault}
 	tree, err := New(trace, Config{Dim: dim, PageSize: 256})
 	if err != nil {
@@ -338,7 +338,7 @@ func TestBatchFaultBeforeSealWritesNothing(t *testing.T) {
 func TestCloseRepairsAfterFailedSeal(t *testing.T) {
 	const dim = 4
 	mem := pagefile.NewMemFile(256)
-	fault := pagefile.NewFaultFile(mem, 1<<30)
+	fault := pagefile.NewChaosFile(mem, pagefile.ChaosProfile{}, 1)
 	trace := &opTrace{File: fault}
 	cfg := Config{Dim: dim, PageSize: 256}
 	tree, err := New(trace, cfg)

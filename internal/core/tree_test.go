@@ -525,7 +525,7 @@ func TestFaultInjection(t *testing.T) {
 	// Storage failures must surface as errors, not panics or silent
 	// corruption.
 	inner := pagefile.NewMemFile(512)
-	file := pagefile.NewFaultFile(inner, 1<<30)
+	file := pagefile.NewChaosFile(inner, pagefile.ChaosProfile{}, 1)
 	tree, err := New(file, Config{Dim: 4, PageSize: 512})
 	if err != nil {
 		t.Fatal(err)

@@ -133,7 +133,7 @@ func TestCountRange(t *testing.T) {
 
 func TestVisitSurfacesErrors(t *testing.T) {
 	inner := pagefile.NewMemFile(512)
-	fault := pagefile.NewFaultFile(inner, 1<<30)
+	fault := pagefile.NewChaosFile(inner, pagefile.ChaosProfile{}, 1)
 	tree, err := New(fault, Config{Dim: 4, PageSize: 512})
 	if err != nil {
 		t.Fatal(err)

@@ -256,7 +256,7 @@ func TestAllMethodsSurfaceErrors(t *testing.T) {
 	}
 	for i, make := range mk {
 		t.Run(fmt.Sprint(i), func(t *testing.T) {
-			fault := pagefile.NewFaultFile(pagefile.NewMemFile(512), 1<<30)
+			fault := pagefile.NewChaosFile(pagefile.NewMemFile(512), pagefile.ChaosProfile{}, 1)
 			idx, err := make(fault)
 			if err != nil {
 				t.Fatal(err)

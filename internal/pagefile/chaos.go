@@ -65,15 +65,21 @@ func (c ChaosCounts) Total() uint64 {
 
 // ChaosFile wraps a File and injects faults probabilistically from a seeded
 // random source, so a whole workload's fault schedule is reproducible from
-// (seed, operation sequence) alone. Unlike FaultFile's one-shot fuse, a
-// ChaosFile also models the failure modes that don't announce themselves:
-// torn writes, short writes reported as successes, and bit corruption on
-// read. Layer a ChecksumFile above it to turn the silent modes into
-// detected errors.
+// (seed, operation sequence) alone. Besides outright errors it models the
+// failure modes that don't announce themselves: torn writes, short writes
+// reported as successes, and bit corruption on read. Layer a ChecksumFile
+// above it to turn the silent modes into detected errors.
 //
-// The file is safe for concurrent use; the rng is mutex-guarded, so fault
-// decisions are serialized in call order (deterministic for single-threaded
-// drivers such as the workload simulator).
+// A ChaosFile also carries a deterministic countdown fuse (SetRemaining,
+// SetHealAfter) for failure-injection tests that need the N-th operation
+// to fail exactly: a zero profile with an armed fuse is a pure fuse. The
+// fuse is checked before the profile's draw and, while disarmed (the
+// default), draws nothing, so seeded fault schedules do not depend on it.
+//
+// The file is safe for concurrent use; the rng and the fuse are
+// mutex-guarded, so fault decisions are serialized in call order
+// (deterministic for single-threaded drivers such as the workload
+// simulator) and a fuse's budget holds exactly under concurrent callers.
 type ChaosFile struct {
 	File
 	mu      sync.Mutex
@@ -81,27 +87,69 @@ type ChaosFile struct {
 	profile ChaosProfile
 	enabled bool
 	counts  ChaosCounts
+
+	// armed, remaining and healAfter are the fuse: while armed, remaining
+	// operations succeed, then each fails; healAfter > 0 disarms the fuse
+	// after that many failures, 0 fails forever.
+	armed     bool
+	remaining int
+	healAfter int
 }
 
 // NewChaosFile wraps inner with the given fault profile and seed. The file
-// starts enabled.
+// starts enabled, with the fuse disarmed.
 func NewChaosFile(inner File, profile ChaosProfile, seed int64) *ChaosFile {
 	return &ChaosFile{File: inner, rng: rand.New(rand.NewSource(seed)), profile: profile, enabled: true}
 }
 
-// SetEnabled toggles fault injection without disturbing the rng stream's
-// determinism for operations issued while enabled.
+// SetEnabled toggles fault injection, the fuse included, without disturbing
+// the rng stream's determinism for operations issued while enabled.
 func (f *ChaosFile) SetEnabled(on bool) {
 	f.mu.Lock()
 	f.enabled = on
 	f.mu.Unlock()
 }
 
-// Counts returns the faults injected so far.
+// SetRemaining arms the fuse: the next n operations of any kind succeed
+// (as far as the fuse is concerned) and every one after them fails with
+// ErrInjected. n == 0 burns the fuse at once; rearming resets the budget.
+func (f *ChaosFile) SetRemaining(n int) {
+	f.mu.Lock()
+	f.armed, f.remaining = true, n
+	f.mu.Unlock()
+}
+
+// SetHealAfter sets heal-after-N mode: once the fuse's budget is spent, the
+// next n operations fail and the fuse then disarms for good. n == 0
+// restores the default fail-forever behavior.
+func (f *ChaosFile) SetHealAfter(n int) {
+	f.mu.Lock()
+	f.healAfter = n
+	f.mu.Unlock()
+}
+
+// Counts returns the faults injected so far, the fuse's included.
 func (f *ChaosFile) Counts() ChaosCounts {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.counts
+}
+
+// blown spends one operation from an armed fuse and reports whether it
+// fails. The caller holds mu and has checked enabled.
+func (f *ChaosFile) blown() bool {
+	if !f.armed {
+		return false
+	}
+	if f.remaining > 0 {
+		f.remaining--
+		return false
+	}
+	if f.healAfter > 0 {
+		f.healAfter--
+		f.armed = f.healAfter > 0
+	}
+	return true
 }
 
 type chaosAction int
@@ -121,6 +169,10 @@ func (f *ChaosFile) decideRead(bufLen int) (chaosAction, int) {
 	defer f.mu.Unlock()
 	if !f.enabled {
 		return actNone, 0
+	}
+	if f.blown() {
+		f.counts.ReadErrs++
+		return actErr, 0
 	}
 	r := f.rng.Float64()
 	switch {
@@ -142,6 +194,10 @@ func (f *ChaosFile) decideWrite(dataLen int) (chaosAction, int) {
 	if !f.enabled {
 		return actNone, 0
 	}
+	if f.blown() {
+		f.counts.WriteErrs++
+		return actErr, 0
+	}
 	r := f.rng.Float64()
 	p := f.profile
 	switch {
@@ -161,35 +217,25 @@ func (f *ChaosFile) decideWrite(dataLen int) (chaosAction, int) {
 func (f *ChaosFile) decideSimple(rate float64, count *uint64) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if !f.enabled || f.rng.Float64() >= rate {
+	if !f.enabled || (!f.blown() && f.rng.Float64() >= rate) {
 		return false
 	}
 	*count++
 	return true
 }
 
-// ReadPage implements File with probabilistic fault injection.
-func (f *ChaosFile) ReadPage(id PageID, buf []byte) error {
-	act, pos := f.decideRead(len(buf))
-	if act == actErr {
-		return ErrInjected
-	}
-	if err := f.File.ReadPage(id, buf); err != nil {
-		return err
-	}
-	if act == actCorrupt {
-		buf[pos] ^= 0xA5
-	}
-	return nil
-}
+// ReadPage implements File with fault injection.
+func (f *ChaosFile) ReadPage(id PageID, buf []byte) error { return f.read(id, buf, false) }
 
-// ReadPageSeq implements File with probabilistic fault injection.
-func (f *ChaosFile) ReadPageSeq(id PageID, buf []byte) error {
+// ReadPageSeq implements File with fault injection.
+func (f *ChaosFile) ReadPageSeq(id PageID, buf []byte) error { return f.read(id, buf, true) }
+
+func (f *ChaosFile) read(id PageID, buf []byte, seq bool) error {
 	act, pos := f.decideRead(len(buf))
 	if act == actErr {
 		return ErrInjected
 	}
-	if err := f.File.ReadPageSeq(id, buf); err != nil {
+	if err := readVia(f.File, id, buf, seq); err != nil {
 		return err
 	}
 	if act == actCorrupt {
@@ -239,8 +285,15 @@ func (f *ChaosFile) Free(id PageID) error {
 func (f *ChaosFile) decideSync() chaosAction {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if !f.enabled {
+		return actNone
+	}
+	if f.blown() {
+		f.counts.SyncErrs++
+		return actErr
+	}
 	p := f.profile
-	if !f.enabled || (p.SyncErr == 0 && p.SyncLost == 0) {
+	if p.SyncErr == 0 && p.SyncLost == 0 {
 		return actNone
 	}
 	r := f.rng.Float64()

@@ -1,6 +1,7 @@
 package pagefile
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -30,18 +31,18 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // ChaosFile injects into detected read errors, which is the contract the
 // recovery paths above this layer are written against.
 type ChecksumFile struct {
-	inner File
-	bufs  sync.Pool // *[]byte raw pages, inner.PageSize() bytes each
+	File
+	bufs sync.Pool // *[]byte raw pages, inner PageSize bytes each
 }
 
 // NewChecksumFile wraps inner. The inner page size must exceed
 // ChecksumOverhead.
 func NewChecksumFile(inner File) *ChecksumFile {
-	if inner.PageSize() <= ChecksumOverhead {
-		panic(fmt.Sprintf("pagefile: inner page size %d too small for checksums", inner.PageSize()))
-	}
-	f := &ChecksumFile{inner: inner}
 	raw := inner.PageSize()
+	if raw <= ChecksumOverhead {
+		panic(fmt.Sprintf("pagefile: inner page size %d too small for checksums", raw))
+	}
+	f := &ChecksumFile{File: inner}
 	f.bufs.New = func() any {
 		b := make([]byte, raw)
 		return &b
@@ -50,63 +51,29 @@ func NewChecksumFile(inner File) *ChecksumFile {
 }
 
 // PageSize implements File: the payload size available to callers.
-func (f *ChecksumFile) PageSize() int { return f.inner.PageSize() - ChecksumOverhead }
+func (f *ChecksumFile) PageSize() int { return f.File.PageSize() - ChecksumOverhead }
 
-// Stats implements File.
-func (f *ChecksumFile) Stats() *Stats { return f.inner.Stats() }
+// ReadPage implements File, verifying the page checksum.
+func (f *ChecksumFile) ReadPage(id PageID, buf []byte) error { return f.read(id, buf, false) }
 
-// NumPages implements File.
-func (f *ChecksumFile) NumPages() int { return f.inner.NumPages() }
-
-// Allocate implements File.
-func (f *ChecksumFile) Allocate() (PageID, error) { return f.inner.Allocate() }
-
-// Free implements File.
-func (f *ChecksumFile) Free(id PageID) error { return f.inner.Free(id) }
-
-// Sync implements File.
-func (f *ChecksumFile) Sync() error { return f.inner.Sync() }
-
-// Close implements File.
-func (f *ChecksumFile) Close() error { return f.inner.Close() }
+// ReadPageSeq implements File, verifying the page checksum.
+func (f *ChecksumFile) ReadPageSeq(id PageID, buf []byte) error { return f.read(id, buf, true) }
 
 func (f *ChecksumFile) read(id PageID, buf []byte, seq bool) error {
 	rawp := f.bufs.Get().(*[]byte)
 	defer f.bufs.Put(rawp)
 	raw := *rawp
-	var err error
-	if seq {
-		err = f.inner.ReadPageSeq(id, raw)
-	} else {
-		err = f.inner.ReadPage(id, raw)
-	}
-	if err != nil {
+	if err := readVia(f.File, id, raw, seq); err != nil {
 		return err
 	}
-	payload := raw[:len(raw)-ChecksumOverhead]
-	stored := uint32(raw[len(raw)-4]) | uint32(raw[len(raw)-3])<<8 |
-		uint32(raw[len(raw)-2])<<16 | uint32(raw[len(raw)-1])<<24
-	if stored != crc32.Checksum(payload, castagnoli) {
-		if allZero(raw) {
-			// Freshly allocated, never written: zeros are the legitimate
-			// initial state and carry no checksum.
-			copy(buf, payload)
-			return nil
-		}
+	payload, sum := raw[:len(raw)-ChecksumOverhead], raw[len(raw)-ChecksumOverhead:]
+	// An all-zero page is freshly allocated and never written: zeros are
+	// the legitimate initial state and carry no checksum.
+	if binary.LittleEndian.Uint32(sum) != crc32.Checksum(payload, castagnoli) && !allZero(raw) {
 		return fmt.Errorf("%w: page %d", ErrChecksum, id)
 	}
 	copy(buf, payload)
 	return nil
-}
-
-// ReadPage implements File, verifying the page checksum.
-func (f *ChecksumFile) ReadPage(id PageID, buf []byte) error {
-	return f.read(id, buf, false)
-}
-
-// ReadPageSeq implements File, verifying the page checksum.
-func (f *ChecksumFile) ReadPageSeq(id PageID, buf []byte) error {
-	return f.read(id, buf, true)
 }
 
 // WritePage implements File, appending the payload checksum.
@@ -117,16 +84,10 @@ func (f *ChecksumFile) WritePage(id PageID, data []byte) error {
 	rawp := f.bufs.Get().(*[]byte)
 	defer f.bufs.Put(rawp)
 	raw := *rawp
-	n := copy(raw, data)
-	for i := n; i < len(raw); i++ {
-		raw[i] = 0
-	}
-	crc := crc32.Checksum(raw[:len(raw)-ChecksumOverhead], castagnoli)
-	raw[len(raw)-4] = byte(crc)
-	raw[len(raw)-3] = byte(crc >> 8)
-	raw[len(raw)-2] = byte(crc >> 16)
-	raw[len(raw)-1] = byte(crc >> 24)
-	return f.inner.WritePage(id, raw)
+	payload := raw[:len(raw)-ChecksumOverhead]
+	clear(payload[copy(payload, data):])
+	binary.LittleEndian.PutUint32(raw[len(payload):], crc32.Checksum(payload, castagnoli))
+	return f.File.WritePage(id, raw)
 }
 
 func allZero(b []byte) bool {

@@ -1,7 +1,6 @@
 package pagefile
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -25,14 +24,10 @@ import (
 // stack lets lock-free MVCC searches read through the file while a writer
 // checkpoints), so all state is guarded by an RWMutex.
 type CrashFile struct {
+	pageSpace
 	mu       sync.RWMutex
-	pageSize int
 	durable  [][]byte
 	volatile map[PageID][]byte
-	freed    []PageID
-	isFree   map[PageID]bool
-	stats    Stats
-	closed   bool
 
 	// LoseProb and TearProb shape Crash damage per unsynced page: with
 	// probability LoseProb the page's volatile contents vanish, with
@@ -43,72 +38,18 @@ type CrashFile struct {
 
 // NewCrashFile creates a crash-simulating in-memory page file.
 func NewCrashFile(pageSize int) *CrashFile {
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
-	}
-	return &CrashFile{
-		pageSize: pageSize,
-		volatile: make(map[PageID][]byte),
-		isFree:   make(map[PageID]bool),
-		LoseProb: 0.4,
-		TearProb: 0.3,
-	}
+	f := &CrashFile{volatile: make(map[PageID][]byte), LoseProb: 0.4, TearProb: 0.3}
+	f.init(pageSize, f.loadPage, f.mu.RLocker())
+	return f
 }
 
-// PageSize implements File.
-func (f *CrashFile) PageSize() int { return f.pageSize }
-
-// Stats implements File.
-func (f *CrashFile) Stats() *Stats { return &f.stats }
-
-// NumPages implements File.
-func (f *CrashFile) NumPages() int {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return len(f.durable) - len(f.freed)
-}
-
-func (f *CrashFile) check(id PageID) error {
-	if f.closed {
-		return ErrClosed
+// loadPage serves reads: they observe acknowledged (volatile) contents.
+func (f *CrashFile) loadPage(id PageID, buf []byte) error {
+	p, ok := f.volatile[id]
+	if !ok {
+		p = f.durable[id]
 	}
-	if int(id) >= len(f.durable) {
-		return fmt.Errorf("%w: %d >= %d", ErrPageBounds, id, len(f.durable))
-	}
-	if f.isFree[id] {
-		return fmt.Errorf("%w: %d", ErrPageFreed, id)
-	}
-	return nil
-}
-
-func (f *CrashFile) page(id PageID) []byte {
-	if p, ok := f.volatile[id]; ok {
-		return p
-	}
-	return f.durable[id]
-}
-
-// ReadPage implements File: reads observe acknowledged (volatile) contents.
-func (f *CrashFile) ReadPage(id PageID, buf []byte) error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if err := f.check(id); err != nil {
-		return err
-	}
-	f.stats.AddRandomReads(1)
-	copy(buf, f.page(id))
-	return nil
-}
-
-// ReadPageSeq implements File.
-func (f *CrashFile) ReadPageSeq(id PageID, buf []byte) error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if err := f.check(id); err != nil {
-		return err
-	}
-	f.stats.AddSeqReads(1)
-	copy(buf, f.page(id))
+	copy(buf, p)
 	return nil
 }
 
@@ -117,22 +58,15 @@ func (f *CrashFile) ReadPageSeq(id PageID, buf []byte) error {
 func (f *CrashFile) WritePage(id PageID, data []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.check(id); err != nil {
+	if err := f.checkWrite(id, data); err != nil {
 		return err
 	}
-	if len(data) > f.pageSize {
-		return fmt.Errorf("%w: %d > %d", ErrTooLarge, len(data), f.pageSize)
-	}
-	f.stats.AddWrites(1)
 	p, ok := f.volatile[id]
 	if !ok {
 		p = make([]byte, f.pageSize)
 		f.volatile[id] = p
 	}
-	n := copy(p, data)
-	for i := n; i < len(p); i++ {
-		p[i] = 0
-	}
+	clear(p[copy(p, data):])
 	return nil
 }
 
@@ -141,19 +75,11 @@ func (f *CrashFile) WritePage(id PageID, data []byte) error {
 func (f *CrashFile) Allocate() (PageID, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return InvalidPage, ErrClosed
+	id, fresh, err := f.alloc()
+	if fresh {
+		f.durable = append(f.durable, make([]byte, f.pageSize))
 	}
-	f.stats.AddAllocs(1)
-	if n := len(f.freed); n > 0 {
-		id := f.freed[n-1]
-		f.freed = f.freed[:n-1]
-		delete(f.isFree, id)
-		return id, nil
-	}
-	id := PageID(len(f.durable))
-	f.durable = append(f.durable, make([]byte, f.pageSize))
-	return id, nil
+	return id, err
 }
 
 // Free implements File. Frees are volatile: a crash forgets them, exactly
@@ -161,12 +87,9 @@ func (f *CrashFile) Allocate() (PageID, error) {
 func (f *CrashFile) Free(id PageID) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.check(id); err != nil {
+	if err := f.free(id); err != nil {
 		return err
 	}
-	f.stats.AddFrees(1)
-	f.freed = append(f.freed, id)
-	f.isFree[id] = true
 	delete(f.volatile, id)
 	return nil
 }
@@ -175,10 +98,9 @@ func (f *CrashFile) Free(id PageID) error {
 func (f *CrashFile) Sync() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return ErrClosed
+	if err := f.countSync(); err != nil {
+		return err
 	}
-	f.stats.AddSyncs(1)
 	for id, p := range f.volatile {
 		copy(f.durable[id], p)
 	}

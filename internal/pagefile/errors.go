@@ -13,9 +13,9 @@ import (
 // corruption gets its own sentinel and RetryPolicy.RetryCorrupt decides
 // whether to spend attempts on it.
 var (
-	// ErrTransient marks errors a retry may clear. Fault-injecting wrappers
-	// (FaultFile, ChaosFile) wrap their injected errors with it, so callers
-	// classify with errors.Is instead of comparing error strings.
+	// ErrTransient marks errors a retry may clear. ChaosFile wraps its
+	// injected errors with it, so callers classify with errors.Is instead
+	// of comparing error strings.
 	ErrTransient = errors.New("pagefile: transient storage fault")
 
 	// ErrCorrupt marks errors caused by damaged page bytes. ErrChecksum
@@ -23,9 +23,9 @@ var (
 	ErrCorrupt = errors.New("pagefile: corrupt page data")
 )
 
-// ErrInjected is the error produced by fault-injecting wrappers (FaultFile,
-// ChaosFile) when they decide an operation fails. It wraps ErrTransient:
-// injected faults model momentary device failures, the retryable kind.
+// ErrInjected is the error ChaosFile produces when its profile or its fuse
+// decides an operation fails. It wraps ErrTransient: injected faults model
+// momentary device failures, the retryable kind.
 var ErrInjected = fmt.Errorf("pagefile: injected fault (%w)", ErrTransient)
 
 // IsTransient reports whether err may clear if the operation is retried.

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// The fuse budget must hold exactly under concurrent spending: with N
-// goroutines hammering reads, precisely Remaining operations succeed.
+// The ChaosFile fuse's budget must hold exactly under concurrent spending:
+// with N goroutines hammering reads, precisely the armed number succeed.
 func TestFaultFileConcurrentBudget(t *testing.T) {
 	inner := NewMemFile(64)
 	id, err := inner.Allocate()
@@ -16,7 +16,8 @@ func TestFaultFileConcurrentBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 1000
-	f := NewFaultFile(inner, budget)
+	f := NewChaosFile(inner, ChaosProfile{}, 1)
+	f.SetRemaining(budget)
 	var ok, failed atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -44,9 +45,6 @@ func TestFaultFileConcurrentBudget(t *testing.T) {
 	if failed.Load() != 8*300-budget {
 		t.Fatalf("failures = %d, want %d", failed.Load(), 8*300-budget)
 	}
-	if f.Remaining() != 0 {
-		t.Fatalf("Remaining() = %d, want 0", f.Remaining())
-	}
 }
 
 // Heal-after-N: the budget is spent, the next N operations fail, and then
@@ -58,7 +56,8 @@ func TestFaultFileHealAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 64)
-	f := NewFaultFile(inner, 2)
+	f := NewChaosFile(inner, ChaosProfile{}, 1)
+	f.SetRemaining(2)
 	f.SetHealAfter(3)
 	for i := 0; i < 2; i++ {
 		if err := f.ReadPage(id, buf); err != nil {
@@ -85,7 +84,7 @@ func TestFaultFileRearm(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 64)
-	f := NewFaultFile(inner, 1<<30)
+	f := NewChaosFile(inner, ChaosProfile{}, 1)
 	f.SetRemaining(0)
 	if err := f.WritePage(id, buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)

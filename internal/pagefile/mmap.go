@@ -23,43 +23,28 @@ import (
 // does not touch the shared file offset). Close requires external exclusion
 // against in-flight reads, same as every other File implementation.
 type MmapFile struct {
-	pageSize int
-	f        *os.File
-	data     []byte // nil when the mapping failed ⇒ ReadAt fallback
-	nPages   int
-	stats    Stats
-	closed   bool
+	pageSpace
+	f    *os.File
+	data []byte // nil when the mapping failed ⇒ ReadAt fallback
 }
 
 // OpenMmapFile attaches read-only to an existing page file at path and maps
 // it into memory. The file must be a whole number of pages. If the platform
 // cannot map it, the file is still usable through the ReadAt fallback.
 func OpenMmapFile(path string, pageSize int) (*MmapFile, error) {
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("pagefile: open %s: %w", path, err)
 	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("pagefile: stat %s: %w", path, err)
+	m := &MmapFile{f: f}
+	m.init(pageSize, m.loadPage, nil)
+	if m.nPages, err = wholePages(f, path, m.pageSize); err != nil {
+		return nil, err
 	}
-	if info.Size()%int64(pageSize) != 0 {
-		f.Close()
-		return nil, fmt.Errorf("pagefile: %s size %d is not a multiple of page size %d", path, info.Size(), pageSize)
-	}
-	m := &MmapFile{
-		pageSize: pageSize,
-		f:        f,
-		nPages:   int(info.Size() / int64(pageSize)),
-	}
-	if info.Size() > 0 {
+	if m.nPages > 0 {
 		// A failed mapping is not fatal: leave data nil and serve reads
 		// through ReadAt. Callers that care can check Mapped().
-		if data, err := mmapReadOnly(f, int(info.Size())); err == nil {
+		if data, err := mmapReadOnly(f, m.nPages*m.pageSize); err == nil {
 			m.data = data
 		}
 	}
@@ -70,44 +55,13 @@ func OpenMmapFile(path string, pageSize int) (*MmapFile, error) {
 // or the ReadAt fallback (false).
 func (f *MmapFile) Mapped() bool { return f.data != nil }
 
-// PageSize implements File.
-func (f *MmapFile) PageSize() int { return f.pageSize }
-
-// Stats implements File.
-func (f *MmapFile) Stats() *Stats { return &f.stats }
-
-// NumPages implements File. A read-only file never frees pages, so every
-// page in the underlying file is live.
-func (f *MmapFile) NumPages() int { return f.nPages }
-
-func (f *MmapFile) read(id PageID, buf []byte) error {
-	if f.closed {
-		return ErrClosed
-	}
-	if int(id) >= f.nPages {
-		return fmt.Errorf("%w: %d >= %d", ErrPageBounds, id, f.nPages)
+func (f *MmapFile) loadPage(id PageID, buf []byte) error {
+	if f.data == nil {
+		return preadPage(f.f, f.pageSize, id, buf)
 	}
 	off := int(id) * f.pageSize
-	if f.data != nil {
-		copy(buf[:f.pageSize], f.data[off:off+f.pageSize])
-		return nil
-	}
-	if _, err := f.f.ReadAt(buf[:f.pageSize], int64(off)); err != nil {
-		return fmt.Errorf("pagefile: read page %d: %w", id, err)
-	}
+	copy(buf[:f.pageSize], f.data[off:off+f.pageSize])
 	return nil
-}
-
-// ReadPage implements File.
-func (f *MmapFile) ReadPage(id PageID, buf []byte) error {
-	f.stats.AddRandomReads(1)
-	return f.read(id, buf)
-}
-
-// ReadPageSeq implements File.
-func (f *MmapFile) ReadPageSeq(id PageID, buf []byte) error {
-	f.stats.AddSeqReads(1)
-	return f.read(id, buf)
 }
 
 // WritePage implements File; MmapFile is read-only.
@@ -122,13 +76,7 @@ func (f *MmapFile) Free(id PageID) error { return ErrReadOnly }
 // Sync implements File. A read-only file has nothing to make durable, so
 // Sync succeeds trivially; write-shaped layers (the WAL) must reject a
 // read-only base up front via the ReadOnly marker instead.
-func (f *MmapFile) Sync() error {
-	if f.closed {
-		return ErrClosed
-	}
-	f.stats.AddSyncs(1)
-	return nil
-}
+func (f *MmapFile) Sync() error { return f.countSync() }
 
 // ReadOnly implements ReadOnlyFile.
 func (f *MmapFile) ReadOnly() bool { return true }

@@ -83,7 +83,8 @@ func TestMmapRoundTrip(t *testing.T) {
 
 // TestMmapMatchesDiskFile reads the same file through DiskFile and MmapFile
 // and demands identical bytes page for page — the property the read-only
-// serving path relies on.
+// serving path relies on — then holds both to the conformance suite's
+// read-side rules over that image.
 func TestMmapMatchesDiskFile(t *testing.T) {
 	const pageSize, n = 256, 17
 	path := writeTestFile(t, pageSize, n)
@@ -112,6 +113,8 @@ func TestMmapMatchesDiskFile(t *testing.T) {
 			t.Fatalf("page %d: DiskFile and MmapFile disagree", i)
 		}
 	}
+	checkReads(t, df, n)
+	checkReads(t, mf, n)
 }
 
 // TestMmapReadOnly verifies every mutating call fails with ErrReadOnly and

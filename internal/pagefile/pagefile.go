@@ -194,6 +194,15 @@ func IsReadOnly(f File) bool {
 	return ok && ro.ReadOnly()
 }
 
+// readVia is the wrappers' one read path into the file below: a sequential
+// read when seq is set, a random one otherwise.
+func readVia(f File, id PageID, buf []byte, seq bool) error {
+	if seq {
+		return f.ReadPageSeq(id, buf)
+	}
+	return f.ReadPage(id, buf)
+}
+
 // Errors returned by File implementations.
 var (
 	ErrPageBounds = errors.New("pagefile: page id out of bounds")
@@ -203,125 +212,188 @@ var (
 	ErrReadOnly   = errors.New("pagefile: file is read-only")
 )
 
-// MemFile is an in-memory File. It is what the benchmark harness uses: the
-// paper's I/O metric is a *count* of page accesses, so the measurements do
-// not require physically spinning a disk. Reads are safe to run
-// concurrently (page contents are only read and counters are atomic);
-// writes need external exclusion per the File contract.
-type MemFile struct {
+// pageSpace is the File contract's bookkeeping, written once for every
+// backend: page size and count, the LIFO free list, the closed / bounds /
+// freed check, Stats counting and the read path. A backend embeds it and
+// adds only its medium — where page bytes live — and its lock; PageSize,
+// Stats, NumPages, ReadPage and ReadPageSeq are promoted from here.
+type pageSpace struct {
 	pageSize int
-	pages    [][]byte
+	nPages   int // pages ever allocated, freed ones included
 	freed    []PageID
 	isFree   map[PageID]bool
 	stats    Stats
 	closed   bool
+
+	// load copies page id out of the medium into buf, after check passed.
+	// readMu, when set, is the backend's lock as a reader takes it, held
+	// around the check, the count and the load.
+	load   func(id PageID, buf []byte) error
+	readMu sync.Locker
 }
 
-// NewMemFile creates an in-memory page file with the given page size.
-func NewMemFile(pageSize int) *MemFile {
+// init readies s for a backend; a non-positive pageSize means
+// DefaultPageSize.
+func (s *pageSpace) init(pageSize int, load func(PageID, []byte) error, readMu sync.Locker) {
 	if pageSize <= 0 {
 		pageSize = DefaultPageSize
 	}
-	return &MemFile{pageSize: pageSize, isFree: make(map[PageID]bool)}
+	s.pageSize, s.load, s.readMu = pageSize, load, readMu
+	s.isFree = make(map[PageID]bool)
 }
 
 // PageSize implements File.
-func (f *MemFile) PageSize() int { return f.pageSize }
+func (s *pageSpace) PageSize() int { return s.pageSize }
 
 // Stats implements File.
-func (f *MemFile) Stats() *Stats { return &f.stats }
+func (s *pageSpace) Stats() *Stats { return &s.stats }
 
-// NumPages implements File.
-func (f *MemFile) NumPages() int { return len(f.pages) - len(f.freed) }
+// NumPages implements File. A closed file has no live pages.
+func (s *pageSpace) NumPages() int {
+	if s.readMu != nil {
+		s.readMu.Lock()
+		defer s.readMu.Unlock()
+	}
+	if s.closed {
+		return 0
+	}
+	return s.nPages - len(s.freed)
+}
 
-func (f *MemFile) check(id PageID) error {
-	if f.closed {
+// check is the one rule for whether id names a live page of an open file.
+func (s *pageSpace) check(id PageID) error {
+	if s.closed {
 		return ErrClosed
 	}
-	if int(id) >= len(f.pages) {
-		return fmt.Errorf("%w: %d >= %d", ErrPageBounds, id, len(f.pages))
+	if int(id) >= s.nPages {
+		return fmt.Errorf("%w: %d >= %d", ErrPageBounds, id, s.nPages)
 	}
-	if f.isFree[id] {
+	if s.isFree[id] {
 		return fmt.Errorf("%w: %d", ErrPageFreed, id)
 	}
 	return nil
 }
 
 // ReadPage implements File.
-func (f *MemFile) ReadPage(id PageID, buf []byte) error {
-	if err := f.check(id); err != nil {
+func (s *pageSpace) ReadPage(id PageID, buf []byte) error { return s.read(id, buf, false) }
+
+// ReadPageSeq implements File.
+func (s *pageSpace) ReadPageSeq(id PageID, buf []byte) error { return s.read(id, buf, true) }
+
+// read is the one read path: only a read that passes check is charged.
+func (s *pageSpace) read(id PageID, buf []byte, seq bool) error {
+	if s.readMu != nil {
+		s.readMu.Lock()
+		defer s.readMu.Unlock()
+	}
+	if err := s.check(id); err != nil {
 		return err
 	}
-	f.stats.AddRandomReads(1)
-	copy(buf, f.pages[id])
+	if seq {
+		s.stats.AddSeqReads(1)
+	} else {
+		s.stats.AddRandomReads(1)
+	}
+	return s.load(id, buf)
+}
+
+// checkWrite admits a WritePage of data to id and charges it.
+func (s *pageSpace) checkWrite(id PageID, data []byte) error {
+	if err := s.check(id); err != nil {
+		return err
+	}
+	if len(data) > s.pageSize {
+		return fmt.Errorf("%w: %d > %d", ErrTooLarge, len(data), s.pageSize)
+	}
+	s.stats.AddWrites(1)
 	return nil
 }
 
-// ReadPageSeq implements File.
-func (f *MemFile) ReadPageSeq(id PageID, buf []byte) error {
-	if err := f.check(id); err != nil {
+// alloc hands out a page id, reusing the most recently freed page first.
+// fresh reports an id past the old end, which the medium must grow to hold.
+func (s *pageSpace) alloc() (id PageID, fresh bool, err error) {
+	if s.closed {
+		return InvalidPage, false, ErrClosed
+	}
+	s.stats.AddAllocs(1)
+	if n := len(s.freed); n > 0 {
+		id = s.freed[n-1]
+		s.freed = s.freed[:n-1]
+		delete(s.isFree, id)
+		return id, false, nil
+	}
+	s.nPages++
+	return PageID(s.nPages - 1), true, nil
+}
+
+// free returns id to the free list.
+func (s *pageSpace) free(id PageID) error {
+	if err := s.check(id); err != nil {
 		return err
 	}
-	f.stats.AddSeqReads(1)
+	s.stats.AddFrees(1)
+	s.freed = append(s.freed, id)
+	s.isFree[id] = true
+	return nil
+}
+
+// countSync admits a Sync and charges it.
+func (s *pageSpace) countSync() error {
+	if s.closed {
+		return ErrClosed
+	}
+	s.stats.AddSyncs(1)
+	return nil
+}
+
+// MemFile is an in-memory File. It is what the benchmark harness uses: the
+// paper's I/O metric is a *count* of page accesses, so the measurements do
+// not require physically spinning a disk. Reads are safe to run
+// concurrently (page contents are only read and counters are atomic);
+// writes need external exclusion per the File contract.
+type MemFile struct {
+	pageSpace
+	pages [][]byte
+}
+
+// NewMemFile creates an in-memory page file with the given page size.
+func NewMemFile(pageSize int) *MemFile {
+	f := &MemFile{}
+	f.init(pageSize, f.loadPage, nil)
+	return f
+}
+
+func (f *MemFile) loadPage(id PageID, buf []byte) error {
 	copy(buf, f.pages[id])
 	return nil
 }
 
 // WritePage implements File.
 func (f *MemFile) WritePage(id PageID, data []byte) error {
-	if err := f.check(id); err != nil {
+	if err := f.checkWrite(id, data); err != nil {
 		return err
 	}
-	if len(data) > f.pageSize {
-		return fmt.Errorf("%w: %d > %d", ErrTooLarge, len(data), f.pageSize)
-	}
-	f.stats.AddWrites(1)
 	page := f.pages[id]
-	n := copy(page, data)
-	for i := n; i < len(page); i++ {
-		page[i] = 0
-	}
+	clear(page[copy(page, data):])
 	return nil
 }
 
 // Allocate implements File.
 func (f *MemFile) Allocate() (PageID, error) {
-	if f.closed {
-		return InvalidPage, ErrClosed
+	id, fresh, err := f.alloc()
+	if fresh {
+		f.pages = append(f.pages, make([]byte, f.pageSize))
 	}
-	f.stats.AddAllocs(1)
-	if n := len(f.freed); n > 0 {
-		id := f.freed[n-1]
-		f.freed = f.freed[:n-1]
-		delete(f.isFree, id)
-		return id, nil
-	}
-	id := PageID(len(f.pages))
-	f.pages = append(f.pages, make([]byte, f.pageSize))
-	return id, nil
+	return id, err
 }
 
 // Free implements File.
-func (f *MemFile) Free(id PageID) error {
-	if err := f.check(id); err != nil {
-		return err
-	}
-	f.stats.AddFrees(1)
-	f.freed = append(f.freed, id)
-	f.isFree[id] = true
-	return nil
-}
+func (f *MemFile) Free(id PageID) error { return f.free(id) }
 
 // Sync implements File. Memory is as durable as a MemFile gets, so this
 // only counts the call; CrashFile is the in-memory backend that actually
 // distinguishes acknowledged from durable state.
-func (f *MemFile) Sync() error {
-	if f.closed {
-		return ErrClosed
-	}
-	f.stats.AddSyncs(1)
-	return nil
-}
+func (f *MemFile) Sync() error { return f.countSync() }
 
 // Close implements File.
 func (f *MemFile) Close() error {
@@ -332,27 +404,27 @@ func (f *MemFile) Close() error {
 
 // DiskFile is a File backed by an operating-system file. Pages live at
 // offset id*PageSize. The free list is kept in memory; a production system
-// would persist it, but index lifetime here is process lifetime.
+// would persist it, but index lifetime here is process lifetime. One mutex
+// serialises every call, reads included: it spans the pread.
 type DiskFile struct {
-	mu       sync.Mutex
-	pageSize int
-	f        *os.File
-	nPages   int
-	freed    []PageID
-	isFree   map[PageID]bool
-	stats    Stats
+	pageSpace
+	mu sync.Mutex
+	f  *os.File
+}
+
+func newDiskFile(f *os.File, pageSize int) *DiskFile {
+	d := &DiskFile{f: f}
+	d.init(pageSize, d.loadPage, &d.mu)
+	return d
 }
 
 // CreateDiskFile creates (truncating) an on-disk page file at path.
 func CreateDiskFile(path string, pageSize int) (*DiskFile, error) {
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
-	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("pagefile: create %s: %w", path, err)
 	}
-	return &DiskFile{pageSize: pageSize, f: f, isFree: make(map[PageID]bool)}, nil
+	return newDiskFile(f, pageSize), nil
 }
 
 // OpenDiskFile attaches to an existing on-disk page file, deriving the page
@@ -360,94 +432,51 @@ func CreateDiskFile(path string, pageSize int) (*DiskFile, error) {
 // live (the free list is not persisted); allocation simply resumes at the
 // end of the file.
 func OpenDiskFile(path string, pageSize int) (*DiskFile, error) {
-	if pageSize <= 0 {
-		pageSize = DefaultPageSize
-	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("pagefile: open %s: %w", path, err)
 	}
+	d := newDiskFile(f, pageSize)
+	if d.nPages, err = wholePages(f, path, d.pageSize); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// wholePages returns how many pages the open file f holds, closing f if
+// its size is not a whole number of pages.
+func wholePages(f *os.File, path string, pageSize int) (int, error) {
 	info, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("pagefile: stat %s: %w", path, err)
+		return 0, fmt.Errorf("pagefile: stat %s: %w", path, err)
 	}
 	if info.Size()%int64(pageSize) != 0 {
 		f.Close()
-		return nil, fmt.Errorf("pagefile: %s size %d is not a multiple of page size %d", path, info.Size(), pageSize)
+		return 0, fmt.Errorf("pagefile: %s size %d is not a multiple of page size %d", path, info.Size(), pageSize)
 	}
-	return &DiskFile{
-		pageSize: pageSize,
-		f:        f,
-		nPages:   int(info.Size() / int64(pageSize)),
-		isFree:   make(map[PageID]bool),
-	}, nil
+	return int(info.Size() / int64(pageSize)), nil
 }
 
-// PageSize implements File.
-func (f *DiskFile) PageSize() int { return f.pageSize }
-
-// Stats implements File.
-func (f *DiskFile) Stats() *Stats { return &f.stats }
-
-// NumPages implements File.
-func (f *DiskFile) NumPages() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.nPages - len(f.freed)
-}
-
-func (f *DiskFile) check(id PageID) error {
-	if f.f == nil {
-		return ErrClosed
-	}
-	if int(id) >= f.nPages {
-		return fmt.Errorf("%w: %d >= %d", ErrPageBounds, id, f.nPages)
-	}
-	if f.isFree[id] {
-		return fmt.Errorf("%w: %d", ErrPageFreed, id)
-	}
-	return nil
-}
-
-func (f *DiskFile) read(id PageID, buf []byte) error {
-	if err := f.check(id); err != nil {
-		return err
-	}
-	_, err := f.f.ReadAt(buf[:f.pageSize], int64(id)*int64(f.pageSize))
-	if err != nil {
+// preadPage reads page id of an OS page file into buf.
+func preadPage(f *os.File, pageSize int, id PageID, buf []byte) error {
+	if _, err := f.ReadAt(buf[:pageSize], int64(id)*int64(pageSize)); err != nil {
 		return fmt.Errorf("pagefile: read page %d: %w", id, err)
 	}
 	return nil
 }
 
-// ReadPage implements File.
-func (f *DiskFile) ReadPage(id PageID, buf []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.stats.AddRandomReads(1)
-	return f.read(id, buf)
-}
-
-// ReadPageSeq implements File.
-func (f *DiskFile) ReadPageSeq(id PageID, buf []byte) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.stats.AddSeqReads(1)
-	return f.read(id, buf)
+func (f *DiskFile) loadPage(id PageID, buf []byte) error {
+	return preadPage(f.f, f.pageSize, id, buf)
 }
 
 // WritePage implements File.
 func (f *DiskFile) WritePage(id PageID, data []byte) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.check(id); err != nil {
+	if err := f.checkWrite(id, data); err != nil {
 		return err
 	}
-	if len(data) > f.pageSize {
-		return fmt.Errorf("%w: %d > %d", ErrTooLarge, len(data), f.pageSize)
-	}
-	f.stats.AddWrites(1)
 	page := make([]byte, f.pageSize)
 	copy(page, data)
 	if _, err := f.f.WriteAt(page, int64(id)*int64(f.pageSize)); err != nil {
@@ -460,45 +489,29 @@ func (f *DiskFile) WritePage(id PageID, data []byte) error {
 func (f *DiskFile) Allocate() (PageID, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.f == nil {
-		return InvalidPage, ErrClosed
+	id, fresh, err := f.alloc()
+	if fresh {
+		if err := f.f.Truncate(int64(f.nPages) * int64(f.pageSize)); err != nil {
+			return InvalidPage, fmt.Errorf("pagefile: grow: %w", err)
+		}
 	}
-	f.stats.AddAllocs(1)
-	if n := len(f.freed); n > 0 {
-		id := f.freed[n-1]
-		f.freed = f.freed[:n-1]
-		delete(f.isFree, id)
-		return id, nil
-	}
-	id := PageID(f.nPages)
-	f.nPages++
-	if err := f.f.Truncate(int64(f.nPages) * int64(f.pageSize)); err != nil {
-		return InvalidPage, fmt.Errorf("pagefile: grow: %w", err)
-	}
-	return id, nil
+	return id, err
 }
 
 // Free implements File.
 func (f *DiskFile) Free(id PageID) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.check(id); err != nil {
-		return err
-	}
-	f.stats.AddFrees(1)
-	f.freed = append(f.freed, id)
-	f.isFree[id] = true
-	return nil
+	return f.free(id)
 }
 
 // Sync implements File by fsyncing the underlying OS file.
 func (f *DiskFile) Sync() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.f == nil {
-		return ErrClosed
+	if err := f.countSync(); err != nil {
+		return err
 	}
-	f.stats.AddSyncs(1)
 	if err := f.f.Sync(); err != nil {
 		return fmt.Errorf("pagefile: sync: %w", err)
 	}
@@ -509,10 +522,9 @@ func (f *DiskFile) Sync() error {
 func (f *DiskFile) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.f == nil {
+	if f.closed {
 		return nil
 	}
-	err := f.f.Close()
-	f.f = nil
-	return err
+	f.closed = true
+	return f.f.Close()
 }

@@ -164,16 +164,12 @@ func (f *RetryFile) jitterFrac() float64 {
 func (f *RetryFile) BreakerState() string { return f.br.stateName() }
 
 // ReadPage implements File with retry, backoff and circuit breaking.
-func (f *RetryFile) ReadPage(id PageID, buf []byte) error {
-	return f.read(func() error { return f.File.ReadPage(id, buf) })
-}
+func (f *RetryFile) ReadPage(id PageID, buf []byte) error { return f.read(id, buf, false) }
 
 // ReadPageSeq implements File with retry, backoff and circuit breaking.
-func (f *RetryFile) ReadPageSeq(id PageID, buf []byte) error {
-	return f.read(func() error { return f.File.ReadPageSeq(id, buf) })
-}
+func (f *RetryFile) ReadPageSeq(id PageID, buf []byte) error { return f.read(id, buf, true) }
 
-func (f *RetryFile) read(op func() error) error {
+func (f *RetryFile) read(id PageID, buf []byte, seq bool) error {
 	if !f.br.allow(f.now()) {
 		f.m.fastFails.Inc()
 		return ErrCircuitOpen
@@ -181,7 +177,7 @@ func (f *RetryFile) read(op func() error) error {
 	backoff := f.policy.Backoff
 	var err error
 	for attempt := 1; ; attempt++ {
-		err = op()
+		err = readVia(f.File, id, buf, seq)
 		if err == nil {
 			if attempt > 1 {
 				f.m.recovered.Inc()

@@ -7,10 +7,11 @@ import (
 )
 
 // retryFixture builds mem <- fault <- retry with a fake clock: now is a
-// settable instant and backoff sleeps advance it instead of waiting.
+// settable instant and backoff sleeps advance it instead of waiting. fault
+// is a zero-profile ChaosFile, so only the fuse the tests arm injects.
 type retryFixture struct {
 	mem   *MemFile
-	fault *FaultFile
+	fault *ChaosFile
 	rf    *RetryFile
 	now   time.Time
 	slept time.Duration
@@ -30,7 +31,7 @@ func newRetryFixture(t *testing.T, p RetryPolicy) *retryFixture {
 	if err := fx.mem.WritePage(id, []byte("hello")); err != nil {
 		t.Fatalf("WritePage: %v", err)
 	}
-	fx.fault = NewFaultFile(fx.mem, 1<<30)
+	fx.fault = NewChaosFile(fx.mem, ChaosProfile{}, 1)
 	fx.rf = NewRetryFile(fx.fault, p)
 	fx.rf.SetClock(func() time.Time { return fx.now },
 		func(d time.Duration) { fx.slept += d; fx.now = fx.now.Add(d) })
@@ -130,8 +131,7 @@ func TestBreakerTripShedRecover(t *testing.T) {
 	id, _ := mem.Allocate()
 	_ = mem.WritePage(id, []byte("hello"))
 	chaos := NewChaosFile(mem, ChaosProfile{ReadErr: 1}, 42) // every read fails
-	fault := NewFaultFile(chaos, 1<<30)                      // heal lever for later
-	rf := NewRetryFile(fault, RetryPolicy{
+	rf := NewRetryFile(chaos, RetryPolicy{
 		MaxAttempts: 2,
 		TripAfter:   trip,
 		ProbeAfter:  time.Minute,
@@ -193,14 +193,15 @@ func TestBreakerTripShedRecover(t *testing.T) {
 	}
 }
 
-// TestBreakerRecoversAfterFaultFileHeal exercises the FaultFile heal-after-N
-// path named in the issue: burn the fuse, let the breaker trip, arm healing,
+// TestBreakerRecoversAfterFaultFileHeal exercises the ChaosFile fuse's
+// heal-after-N path: burn the fuse, let the breaker trip, arm healing,
 // and verify reads flow again.
 func TestBreakerRecoversAfterFaultFileHeal(t *testing.T) {
 	mem := NewMemFile(64)
 	id, _ := mem.Allocate()
 	_ = mem.WritePage(id, []byte("hello"))
-	fault := NewFaultFile(mem, 0) // burnt from the start
+	fault := NewChaosFile(mem, ChaosProfile{}, 1)
+	fault.SetRemaining(0) // burnt from the start
 	rf := NewRetryFile(fault, RetryPolicy{MaxAttempts: 1, TripAfter: 2, ProbeAfter: time.Minute})
 	now := time.Unix(0, 0)
 	rf.SetClock(func() time.Time { return now }, func(time.Duration) {})
@@ -235,7 +236,8 @@ func TestBreakerZeroProbeNeverSheds(t *testing.T) {
 	mem := NewMemFile(64)
 	id, _ := mem.Allocate()
 	_ = mem.WritePage(id, []byte("hello"))
-	fault := NewFaultFile(mem, 0)
+	fault := NewChaosFile(mem, ChaosProfile{}, 1)
+	fault.SetRemaining(0)
 	rf := NewRetryFile(fault, RetryPolicy{MaxAttempts: 1, TripAfter: 1, ProbeAfter: 0})
 
 	buf := make([]byte, 64)

@@ -268,21 +268,26 @@ func (f *File) Stats() *pagefile.Stats { return f.inner.Stats() }
 func (f *File) NumPages() int { return f.inner.NumPages() }
 
 // ReadPage implements pagefile.File, preferring the overlay.
-func (f *File) ReadPage(id pagefile.PageID, buf []byte) error {
-	if f.readOverlay(id, buf) {
-		f.inner.Stats().AddRandomReads(1)
-		return nil
-	}
-	return f.inner.ReadPage(id, buf)
-}
+func (f *File) ReadPage(id pagefile.PageID, buf []byte) error { return f.read(id, buf, false) }
 
 // ReadPageSeq implements pagefile.File, preferring the overlay.
-func (f *File) ReadPageSeq(id pagefile.PageID, buf []byte) error {
-	if f.readOverlay(id, buf) {
+func (f *File) ReadPageSeq(id pagefile.PageID, buf []byte) error { return f.read(id, buf, true) }
+
+// read serves id from the overlay, charged like the inner read it saves,
+// or else from the inner file.
+func (f *File) read(id pagefile.PageID, buf []byte, seq bool) error {
+	hit := f.readOverlay(id, buf)
+	switch {
+	case hit && seq:
 		f.inner.Stats().AddSeqReads(1)
-		return nil
+	case hit:
+		f.inner.Stats().AddRandomReads(1)
+	case seq:
+		return f.inner.ReadPageSeq(id, buf)
+	default:
+		return f.inner.ReadPage(id, buf)
 	}
-	return f.inner.ReadPageSeq(id, buf)
+	return nil
 }
 
 // WritePage implements pagefile.File: inside a transaction the write is
