@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -263,25 +264,13 @@ func TestApproxKNNValidation(t *testing.T) {
 // benchmark's shape (64-d, 4 KB pages), whose skew makes most splits peel
 // one page off the end of a range, so the split tree is deep.
 func TestBulkLoadPinnedFile(t *testing.T) {
-	quantized := func(n, dim int) []geom.Point {
-		rng := rand.New(rand.NewSource(77))
-		pts := make([]geom.Point, n)
-		for i := range pts {
-			p := make(geom.Point, dim)
-			for d := range p {
-				p[d] = float32(rng.Intn(16)) / 16
-			}
-			pts[i] = p
-		}
-		return pts
-	}
 	for _, tc := range []struct {
 		name          string
 		pts           []geom.Point
 		dim, pageSize int
 		want          string
 	}{
-		{"quantized16d", quantized(6000, 16), 16, 1024, "580 pages 315a434829369b26"},
+		{"quantized16d", quantizedPoints(6000, 16), 16, 1024, "580 pages 315a434829369b26"},
 		{"colhist64d", dataset.ColHist(10000, 64, 1999), 64, 4096, "906 pages 204564d9a2af032b"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -294,16 +283,95 @@ func TestBulkLoadPinnedFile(t *testing.T) {
 				t.Fatal(err)
 			}
 			h := sha256.New()
-			buf := make([]byte, tc.pageSize)
-			for id := 0; id < file.NumPages(); id++ {
-				if err := file.ReadPage(pagefile.PageID(id), buf); err != nil {
-					t.Fatal(err)
-				}
-				h.Write(buf)
-			}
+			hashPages(t, h, file)
 			if got := fmt.Sprintf("%d pages %x", file.NumPages(), h.Sum(nil)[:8]); got != tc.want {
 				t.Fatalf("bulk-loaded file is %s, pinned %s", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestInsertPinnedFile pins insert-built files byte for byte, together with
+// the ELS side table: ChooseSubtree decides every page an insert touches
+// and the ELS upkeep every encoding, and neither may move a byte however
+// it is computed. The uniform case is insert-only over coordinates
+// quantized to k/16, which land on ELS cell boundaries — where a union of
+// stored codes differs from the code of the union, so an incremental
+// encoding shortcut shows. The COLHIST case is the benchmark's shape:
+// 64-d, 4 KB pages, bulk-loaded and then inserted into.
+func TestInsertPinnedFile(t *testing.T) {
+	colhist := dataset.ColHist(13000, 64, 1999)
+	for _, tc := range []struct {
+		name          string
+		bulk, insert  []geom.Point
+		dim, pageSize int
+		want          string
+	}{
+		{"quantized16d", nil, quantizedPoints(6000, 16), 16, 1024, "628 pages 626 els 6f8a7165e394e8ed"},
+		{"colhist64d", colhist[:10000], colhist[10000:], 64, 4096, "1297 pages 1296 els f7b5aa84a3b88ee5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Dim: tc.dim, PageSize: tc.pageSize}
+			file := pagefile.NewMemFile(tc.pageSize)
+			var tree *Tree
+			var err error
+			if len(tc.bulk) == 0 {
+				tree, err = New(file, cfg)
+			} else {
+				rids := make([]RecordID, len(tc.bulk))
+				for i := range rids {
+					rids[i] = RecordID(i)
+				}
+				tree, err = BulkLoad(file, cfg, tc.bulk, rids)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range tc.insert {
+				if err := tree.Insert(p, RecordID(len(tc.bulk)+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tree.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			hashPages(t, h, file)
+			ids, encs := tree.els.Snapshot()
+			for i, id := range ids {
+				fmt.Fprintf(h, "%d:%x;", id, encs[i])
+			}
+			got := fmt.Sprintf("%d pages %d els %x", file.NumPages(), len(ids), h.Sum(nil)[:8])
+			if got != tc.want {
+				t.Fatalf("insert-built file is %s, pinned %s", got, tc.want)
+			}
+		})
+	}
+}
+
+// quantizedPoints returns n seeded points whose coordinates are multiples
+// of 1/16, so splits sort through long runs of ties.
+func quantizedPoints(n, dim int) []geom.Point {
+	rng := rand.New(rand.NewSource(77))
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		p := make(geom.Point, dim)
+		for d := range p {
+			p[d] = float32(rng.Intn(16)) / 16
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
+// hashPages writes every page of file, in id order, into h.
+func hashPages(t *testing.T, h io.Writer, file pagefile.File) {
+	t.Helper()
+	buf := make([]byte, file.PageSize())
+	for id := 0; id < file.NumPages(); id++ {
+		if err := file.ReadPage(pagefile.PageID(id), buf); err != nil {
+			t.Fatal(err)
+		}
+		h.Write(buf)
 	}
 }
