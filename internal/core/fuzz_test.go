@@ -312,3 +312,128 @@ func FuzzBulkSplitOrder(f *testing.F) {
 		}
 	})
 }
+
+// chooseChildBrute is ChooseSubtree without the certificate: every
+// reachable kd leaf pays enlargementAndArea and the first least
+// (enlargement, area) wins. It is FuzzChooseChild's oracle: chooseChild,
+// which skips certified leaves, must choose exactly what this walk does.
+func chooseChildBrute(n *node, nodeBR geom.Rect, p geom.Point) (int32, []int32) {
+	br := nodeBR.Clone()
+	var (
+		bestIdx  int32 = kdNone
+		bestEnl        = 0.0
+		bestArea       = 0.0
+		first          = true
+		stack          = make([]int32, 0, 16)
+		bestPath       = make([]int32, 0, 16)
+	)
+	var walk func(idx int32)
+	walk = func(idx int32) {
+		stack = append(stack, idx)
+		defer func() { stack = stack[:len(stack)-1] }()
+		k := &n.kd[idx]
+		if k.isLeaf() {
+			enl, area := enlargementAndArea(br, p)
+			if first || enl < bestEnl || (enl == bestEnl && area < bestArea) {
+				first = false
+				bestIdx, bestEnl, bestArea = idx, enl, area
+				bestPath = append(bestPath[:0], stack...)
+			}
+			return
+		}
+		d := int(k.Dim)
+		oldHi := br.Hi[d]
+		if k.Lsp < oldHi {
+			br.Hi[d] = k.Lsp
+		}
+		if br.Hi[d] >= br.Lo[d] {
+			walk(k.Left)
+		}
+		br.Hi[d] = oldHi
+		oldLo := br.Lo[d]
+		if k.Rsp > oldLo {
+			br.Lo[d] = k.Rsp
+		}
+		if br.Hi[d] >= br.Lo[d] {
+			walk(k.Right)
+		}
+		br.Lo[d] = oldLo
+	}
+	walk(n.kdRoot)
+	return bestIdx, bestPath
+}
+
+// FuzzChooseChild checks ChooseSubtree against chooseChildBrute: the same
+// kd leaf and the same kd path, on any index node. The fuzz bytes are a
+// script: a dimensionality, the node's BR, the point, then a kd-tree built
+// depth first. Every coordinate comes from a palette spanning zero, the
+// unit interval, subnormals, the float32 normal boundary and ±MaxFloat32,
+// each optionally nudged one ulp either way (so ±Inf too); split positions
+// from it make overlapping, gapped and zero-extent children, and points
+// from it land inside, on the edge of and outside every leaf.
+func FuzzChooseChild(f *testing.F) {
+	f.Add([]byte{1, 0x10, 0x13, 0x02, 0x12, 0, 0x02, 0x02, 1, 1})
+	f.Add([]byte("a kd-tree of a few levels over three dimensions, some leaves gapped"))
+	f.Add(bytes.Repeat([]byte{7, 0x13, 0x0b, 0x03, 0x4c, 0x05, 0x86, 1, 2, 0x0a, 0x21}, 12))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		mags := [8]float32{0, 0.25, 0.5, 1, 0.75, math.SmallestNonzeroFloat32, 0x1p-126, math.MaxFloat32}
+		coord := func() float32 {
+			b := next()
+			v := mags[b&7] * float32(int(1)<<(b>>3&3))
+			if b&0x20 != 0 {
+				v = -v
+			}
+			switch b >> 6 {
+			case 1:
+				v = math.Nextafter32(v, float32(math.Inf(1)))
+			case 2:
+				v = math.Nextafter32(v, float32(math.Inf(-1)))
+			}
+			return v
+		}
+		dim := 1 + int(next())%10
+		br := geom.Rect{Lo: make(geom.Point, dim), Hi: make(geom.Point, dim)}
+		for d := 0; d < dim; d++ {
+			lo, hi := coord(), coord()
+			if hi < lo {
+				lo, hi = hi, lo
+			}
+			br.Lo[d], br.Hi[d] = lo, hi
+		}
+		p := make(geom.Point, dim)
+		for d := range p {
+			p[d] = coord()
+		}
+		n := &node{}
+		var build func(depth int) int32
+		build = func(depth int) int32 {
+			idx := int32(len(n.kd))
+			b := next()
+			if depth >= 6 || b&3 == 0 || len(data) == 0 {
+				n.kd = append(n.kd, kdNode{Left: kdNone, Right: kdNone, Child: pagefile.PageID(idx)})
+				return idx
+			}
+			n.kd = append(n.kd, kdNode{Dim: uint16(int(b>>2) % dim), Lsp: coord(), Rsp: coord()})
+			left := build(depth + 1)
+			right := build(depth + 1)
+			n.kd[idx].Left, n.kd[idx].Right = left, right
+			return idx
+		}
+		n.kdRoot = build(0)
+
+		wantIdx, wantPath := chooseChildBrute(n, br, p)
+		var tree Tree
+		gotIdx, gotPath := tree.chooseChild(n, br, p)
+		if gotIdx != wantIdx || !slices.Equal(gotPath, wantPath) {
+			t.Fatalf("br %v, p %v: chose leaf %d by %v, brute force %d by %v", br, p, gotIdx, gotPath, wantIdx, wantPath)
+		}
+	})
+}

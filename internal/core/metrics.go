@@ -225,46 +225,46 @@ const (
 	mutDelete
 )
 
-// beginTreeMutation starts instrumentation for a top-level mutation.
-// Nested mutations (Delete's orphan reinsertions calling Insert) pass a
-// nested scope and get no separate trace or latency sample; their node
-// effects still land in the outer mutation's counters.
+// beginTreeMutation starts instrumentation for one Insert or Delete call.
+// Every call is counted and timed, also inside RunTx, where the scope is
+// nested; only a top-level mutation gets a trace of its own (a nested
+// call's node effects land in the enclosing trace, if any). Delete's orphan
+// reinsertions are not Insert calls and are counted as reinserts instead.
 func (t *Tree) beginTreeMutation(m mutationScope, op int) (tr *obs.Trace, start time.Time) {
-	if m.nested {
-		return nil, time.Time{}
-	}
-	if t.tracer != nil {
-		if op == mutInsert {
-			tr = t.tracer.StartTrace("insert")
-		} else {
-			tr = t.tracer.StartTrace("delete")
+	if !m.nested {
+		if t.tracer != nil {
+			if op == mutInsert {
+				tr = t.tracer.StartTrace("insert")
+			} else {
+				tr = t.tracer.StartTrace("delete")
+			}
 		}
+		t.mutTrace = tr
 	}
-	t.mutTrace = tr
 	if t.metrics != nil || tr != nil {
 		start = time.Now()
 	}
 	return tr, start
 }
 
-// finishTreeMutation records a top-level mutation's outcome. A zero start
-// means the call closes a nested (or uninstrumented) scope: return without
-// touching t.mutTrace, which still belongs to the outer mutation.
-func (t *Tree) finishTreeMutation(op int, tr *obs.Trace, start time.Time, err error) {
+// finishTreeMutation records an Insert or Delete call's outcome. A zero
+// start means neither metrics nor a trace are on. A nested call leaves
+// t.mutTrace alone: it belongs to the enclosing mutation. Rollbacks are
+// counted where they happen, in rollbackMutation.
+func (t *Tree) finishTreeMutation(m mutationScope, op int, tr *obs.Trace, start time.Time, err error) {
 	if start.IsZero() {
 		return
 	}
-	t.mutTrace = nil
-	if m := t.metrics; m != nil {
+	if !m.nested {
+		t.mutTrace = nil
+	}
+	if mt := t.metrics; mt != nil {
 		if op == mutInsert {
-			m.inserts.Inc()
-			m.insertNs.Observe(int64(time.Since(start)))
+			mt.inserts.Inc()
+			mt.insertNs.Observe(int64(time.Since(start)))
 		} else {
-			m.deletes.Inc()
-			m.deleteNs.Observe(int64(time.Since(start)))
-		}
-		if err != nil {
-			m.rollbacks.Inc()
+			mt.deletes.Inc()
+			mt.deleteNs.Observe(int64(time.Since(start)))
 		}
 	}
 	if tr != nil {

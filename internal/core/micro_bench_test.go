@@ -93,6 +93,22 @@ func BenchmarkInsert64d(b *testing.B) {
 	}
 }
 
+// BenchmarkInsertColHist64d inserts held-out COLHIST vectors into a tree
+// bulk-loaded from 40k of them — the shape of the benchmark's durable
+// insert workload, without its log. BenchmarkInsert64d instead grows a tree
+// from uniform data by insertion alone.
+func BenchmarkInsertColHist64d(b *testing.B) {
+	const n = 40000
+	tree, held := colHistTree(b, n, b.N, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i, p := range held {
+		if err := tree.Insert(p, RecordID(n+i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkBulkLoad16d(b *testing.B) {
 	pts := benchPoints(20000, 16, 4)
 	rids := make([]RecordID, len(pts))

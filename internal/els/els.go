@@ -11,8 +11,10 @@
 package els
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 
 	"hybridtree/internal/geom"
 )
@@ -22,22 +24,25 @@ import (
 // the table's configured number of bits.
 type Encoded []byte
 
-// chunkBits sets the chunk granularity of the persistent table: 64 entries
-// per chunk keeps the copy-on-write unit small (a mutation clones at most a
-// few hundred bytes plus the decoded-rectangle block) while a snapshot is
-// just a shared slice of chunk pointers.
+// chunkBits sets the chunk granularity of the persistent table, its
+// copy-on-write unit. A mutation after a Publish clones one chunk and the
+// chunk directory, so smaller chunks trade a cheaper chunk clone for a
+// longer directory: at 8 entries a 64-d chunk is 4 KB of decoded
+// rectangles, and a directory over a few thousand pages is a few KB of
+// pointers. A snapshot is just a shared directory.
 const (
-	chunkBits = 6
+	chunkBits = 3
 	chunkSize = 1 << chunkBits
 	chunkMask = chunkSize - 1
 )
 
-// chunk holds 64 consecutive node ids' encodings plus their eagerly decoded
-// rectangles in one flat float32 block (entry i's rectangle occupies
-// dec[i·2·dim : (i+1)·2·dim], lo then hi). Once sealed by Publish a chunk is
-// immutable; mutations replace it wholesale via copy-on-write.
+// chunk holds chunkSize consecutive node ids' encodings plus their eagerly
+// decoded rectangles in one flat float32 block (entry i's rectangle
+// occupies dec[i·2·dim : (i+1)·2·dim], lo then hi). A chunk is mutable only
+// in the generation that made it: the next Publish seals it, and later
+// mutations replace it wholesale via copy-on-write.
 type chunk struct {
-	sealed  bool
+	gen     uint64
 	present [chunkSize]bool
 	enc     [chunkSize]Encoded
 	dec     []float32
@@ -63,6 +68,11 @@ type Table struct {
 	// element is replaced.
 	chunks      []*chunk
 	sealedSlice bool
+	// gen is the generation being written; Publish advances it, sealing
+	// every chunk made before.
+	gen uint64
+	// scratch holds Set's candidate encoding until it is known to differ.
+	scratch []byte
 }
 
 // NewTable creates an ELS table with the given precision in bits per
@@ -116,10 +126,10 @@ func (t *Table) mutable(ci int) *chunk {
 	}
 	c := t.chunks[ci]
 	if c == nil {
-		c = &chunk{dec: make([]float32, chunkSize*2*t.dim)}
+		c = &chunk{gen: t.gen, dec: make([]float32, chunkSize*2*t.dim)}
 		t.chunks[ci] = c
-	} else if c.sealed {
-		nc := &chunk{present: c.present, enc: c.enc}
+	} else if c.gen != t.gen {
+		nc := &chunk{gen: t.gen, present: c.present, enc: c.enc}
 		nc.dec = append([]float32(nil), c.dec...)
 		t.chunks[ci] = nc
 		c = nc
@@ -137,19 +147,26 @@ func (t *Table) install(id uint32, outer geom.Rect, e Encoded) {
 		t.n++
 	}
 	c.enc[idx] = e
-	d := Decode(outer, e, t.bits)
 	off := idx * 2 * t.dim
-	copy(c.dec[off:off+t.dim], d.Lo)
-	copy(c.dec[off+t.dim:off+2*t.dim], d.Hi)
+	decodeTo(c.dec[off:off+t.dim], c.dec[off+t.dim:off+2*t.dim], outer, e, t.bits)
 }
 
 // Set encodes live relative to outer and stores it for id. live must be
-// contained in outer (up to float rounding; coordinates are clamped).
+// contained in outer (up to float rounding; coordinates are clamped). An
+// encoding equal to the stored one installs nothing: the tree encodes every
+// entry relative to the same outer rectangle, so the decoded block would
+// not change either.
 func (t *Table) Set(id uint32, outer, live geom.Rect) {
 	if !t.Enabled() {
 		return
 	}
-	t.install(id, outer, Encode(outer, live, t.bits))
+	n := encodedLen(outer.Dim(), t.bits)
+	t.scratch = slices.Grow(t.scratch[:0], n)[:n]
+	encodeTo(t.scratch, outer, live, t.bits)
+	if old, ok := t.Encoded(id); ok && bytes.Equal(old, t.scratch) {
+		return
+	}
+	t.install(id, outer, bytes.Clone(t.scratch))
 }
 
 // decAt returns the stored decoded rectangle for id, aliasing the chunk's
@@ -308,11 +325,7 @@ type Snap struct {
 // table mutations copy-on-write any chunk (and the chunk slice) the
 // snapshot references.
 func (t *Table) Publish() *Snap {
-	for _, c := range t.chunks {
-		if c != nil {
-			c.sealed = true
-		}
-	}
+	t.gen++
 	t.sealedSlice = true
 	return &Snap{bits: t.bits, dim: t.dim, n: t.n, chunks: t.chunks}
 }
@@ -368,9 +381,21 @@ func (s *Snap) Get(id uint32, outer geom.Rect) (geom.Rect, bool) {
 // Lo boundaries round down and hi boundaries round up, so the decoded
 // rectangle always contains live.
 func Encode(outer, live geom.Rect, bits int) Encoded {
+	e := make(Encoded, encodedLen(outer.Dim(), bits))
+	encodeTo(e, outer, live, bits)
+	return e
+}
+
+// encodedLen is the size of an encoding: 2·dim·bits bits, rounded up to
+// bytes.
+func encodedLen(dim, bits int) int { return (2*dim*bits + 7) / 8 }
+
+// encodeTo writes Encode's result into buf, which must be encodedLen long.
+func encodeTo(buf []byte, outer, live geom.Rect, bits int) {
 	dim := outer.Dim()
 	cells := float64(int(1) << bits)
-	w := newBitWriter(2 * dim * bits)
+	clear(buf)
+	w := bitWriter{buf: buf}
 	for d := 0; d < dim; d++ {
 		ext := outer.Extent(d)
 		var loCell, hiCell uint32
@@ -389,29 +414,33 @@ func Encode(outer, live geom.Rect, bits int) Encoded {
 		w.write(loCell, bits)
 		w.write(hiCell, bits)
 	}
-	return w.bytes()
 }
 
 // Decode expands an encoding back to a rectangle in outer's coordinates.
 func Decode(outer geom.Rect, e Encoded, bits int) geom.Rect {
 	dim := outer.Dim()
-	cells := float64(int(1) << bits)
-	r := newBitReader(e)
 	out := geom.Rect{Lo: make(geom.Point, dim), Hi: make(geom.Point, dim)}
-	for d := 0; d < dim; d++ {
+	decodeTo(out.Lo, out.Hi, outer, e, bits)
+	return out
+}
+
+// decodeTo writes Decode's corners into lo and hi.
+func decodeTo(lo, hi []float32, outer geom.Rect, e Encoded, bits int) {
+	cells := float64(int(1) << bits)
+	r := bitReader{buf: e}
+	for d := range lo {
 		loCell := r.read(bits)
 		hiCell := r.read(bits)
 		ext := outer.Extent(d)
-		out.Lo[d] = outer.Lo[d] + float32(float64(loCell)/cells*ext)
-		out.Hi[d] = outer.Lo[d] + float32(float64(hiCell+1)/cells*ext)
-		if out.Hi[d] > outer.Hi[d] {
-			out.Hi[d] = outer.Hi[d]
+		lo[d] = outer.Lo[d] + float32(float64(loCell)/cells*ext)
+		hi[d] = outer.Lo[d] + float32(float64(hiCell+1)/cells*ext)
+		if hi[d] > outer.Hi[d] {
+			hi[d] = outer.Hi[d]
 		}
-		if out.Lo[d] < outer.Lo[d] {
-			out.Lo[d] = outer.Lo[d]
+		if lo[d] < outer.Lo[d] {
+			lo[d] = outer.Lo[d]
 		}
 	}
-	return out
 }
 
 func clampCell(v, cells float64) uint32 {
@@ -430,10 +459,6 @@ type bitWriter struct {
 	n   int // bits written
 }
 
-func newBitWriter(totalBits int) *bitWriter {
-	return &bitWriter{buf: make([]byte, (totalBits+7)/8)}
-}
-
 func (w *bitWriter) write(v uint32, bits int) {
 	for i := bits - 1; i >= 0; i-- {
 		if v&(1<<uint(i)) != 0 {
@@ -443,14 +468,10 @@ func (w *bitWriter) write(v uint32, bits int) {
 	}
 }
 
-func (w *bitWriter) bytes() []byte { return w.buf }
-
 type bitReader struct {
 	buf []byte
 	n   int
 }
-
-func newBitReader(buf []byte) *bitReader { return &bitReader{buf: buf} }
 
 func (r *bitReader) read(bits int) uint32 {
 	var v uint32

@@ -169,3 +169,51 @@ func TestConservativeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSetCopiesOnWriteOnlyOnChange: a Set whose encoding equals the stored
+// one leaves the published chunk shared; one that changes it clones the
+// chunk once per generation, leaves the snapshot and any captured
+// encoding as they were, and the clone takes later changes in place until
+// the next Publish.
+func TestSetCopiesOnWriteOnlyOnChange(t *testing.T) {
+	outer := geom.UnitCube(4)
+	live := geom.NewRect(geom.Point{0.2, 0.2, 0.2, 0.2}, geom.Point{0.3, 0.3, 0.3, 0.3})
+	tab := NewTable(4)
+	tab.Set(3, outer, live)
+	snap := tab.Publish()
+	before, _ := snap.Get(3, outer)
+	before = before.Clone()
+	captured, _ := tab.Encoded(3)
+	capturedCopy := append(Encoded(nil), captured...)
+
+	// 0.21 and 0.29 fall in the same 1/16 cells as 0.2 and 0.3.
+	tab.Set(3, outer, geom.NewRect(geom.Point{0.21, 0.2, 0.2, 0.2}, geom.Point{0.29, 0.3, 0.3, 0.3}))
+	if tab.chunks[0] != snap.chunks[0] {
+		t.Fatal("an unchanged encoding cloned the published chunk")
+	}
+
+	tab.Set(3, outer, geom.NewRect(geom.Point{0.2, 0.2, 0.2, 0.2}, geom.Point{0.6, 0.3, 0.3, 0.3}))
+	clone := tab.chunks[0]
+	if clone == snap.chunks[0] {
+		t.Fatal("a changed encoding was written into the published chunk")
+	}
+	if got, _ := snap.Get(3, outer); !got.Equal(before) {
+		t.Fatalf("snapshot entry moved: %v, want %v", got, before)
+	}
+	if string(captured) != string(capturedCopy) {
+		t.Fatal("a captured encoding was overwritten")
+	}
+	if got, _ := tab.Get(3, outer); !got.Contains(geom.Point{0.55, 0.25, 0.25, 0.25}) {
+		t.Fatalf("table entry %v misses the grown rectangle", got)
+	}
+
+	tab.Set(4, outer, live)
+	if tab.chunks[0] != clone {
+		t.Fatal("a second change in one generation cloned the chunk again")
+	}
+	tab.Publish()
+	tab.Set(4, outer, geom.NewRect(geom.Point{0.5, 0.5, 0.5, 0.5}, geom.Point{0.6, 0.6, 0.6, 0.6}))
+	if tab.chunks[0] == clone {
+		t.Fatal("Publish did not seal the chunk")
+	}
+}
