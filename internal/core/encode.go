@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"hybridtree/internal/pagefile"
 )
@@ -142,6 +143,29 @@ func (n *node) encode(buf []byte, dim int) (int, error) {
 	return off, nil
 }
 
+// hostLittle reports whether this host keeps a float32 in memory in the
+// page's byte order, which makes a stored row its own in-memory image.
+var hostLittle = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// decodeRow fills row from b, its 4*len(row)-byte little-endian image. On a
+// little-endian host that is one copy into a byte view of the row (a
+// []float32 is 4-byte aligned, so the view is too); other hosts take the
+// portable loop. This is the decoder's only host-order fork.
+func decodeRow(row []float32, b []byte) {
+	if hostLittle && len(row) > 0 {
+		copy(unsafe.Slice((*byte)(unsafe.Pointer(&row[0])), 4*len(row)), b)
+		return
+	}
+	decodeRowPortable(row, b)
+}
+
+// decodeRowPortable is decodeRow one float at a time, on any host.
+func decodeRowPortable(row []float32, b []byte) {
+	for d := range row {
+		row[d] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*d:]))
+	}
+}
+
 // decodeNode reconstructs a node from page bytes, validating structure as
 // it goes.
 func decodeNode(id pagefile.PageID, buf []byte, dim int) (*node, error) {
@@ -170,11 +194,8 @@ func decodeNode(id pagefile.PageID, buf []byte, dim int) (*node, error) {
 		for i := 0; i < count; i++ {
 			n.rids[i] = RecordID(binary.LittleEndian.Uint64(buf[off:]))
 			off += 8
-			row := n.vals[i*dim : (i+1)*dim]
-			for d := 0; d < dim; d++ {
-				row[d] = math.Float32frombits(binary.LittleEndian.Uint32(buf[off:]))
-				off += 4
-			}
+			decodeRow(n.vals[i*dim:(i+1)*dim], buf[off:off+4*dim])
+			off += 4 * dim
 		}
 		return n, nil
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"hybridtree/internal/dataset"
@@ -214,6 +215,56 @@ func BenchmarkSearchKNNCtxL1_64d(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		dst, err = tree.Search(nil, c, Query{Kind: KNN, Point: anchors[i%len(anchors)], K: 10, Metric: l1}, dst[:0])
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSearchKNNColdL1_64d is the in-process twin of the benchmark's
+// cold64-knn workload: the same tree and queries as
+// BenchmarkSearchKNNCtxL1_64d, but on a DiskFile, reopened after the bulk
+// load, with the decoded-node caches dropped (untimed) before every query —
+// so each node access is a page read plus decode.
+func BenchmarkSearchKNNColdL1_64d(b *testing.B) {
+	const n = 40000
+	pts := dataset.ColHist(n+1000, 64, 1999)
+	rids := make([]RecordID, n)
+	for i := range rids {
+		rids[i] = RecordID(i)
+	}
+	path := filepath.Join(b.TempDir(), "index.ht")
+	disk, err := pagefile.CreateDiskFile(path, pagefile.DefaultPageSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	built, err := BulkLoad(disk, Config{Dim: 64}, pts[:n], rids)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if err := disk.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if disk, err = pagefile.OpenDiskFile(path, pagefile.DefaultPageSize); err != nil {
+		b.Fatal(err)
+	}
+	defer disk.Close()
+	tree, err := Open(disk, Config{Dim: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	anchors, c, l1 := pts[n:], NewQueryContext(), dist.L1()
+	var dst []Neighbor
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tree.DropCaches()
+		b.StartTimer()
 		dst, err = tree.Search(nil, c, Query{Kind: KNN, Point: anchors[i%len(anchors)], K: 10, Metric: l1}, dst[:0])
 		if err != nil {
 			b.Fatal(err)

@@ -76,9 +76,12 @@ type queryCtx struct {
 	best    *pqueue.KBest[Neighbor]
 
 	// walk is the current node's mutable bounding region (narrowed and
-	// restored one boundary at a time during the kd walk); scratch holds
-	// walk ∩ live-space intersections. Both view the coords backing array.
+	// restored one boundary at a time during the kd walk); near is the
+	// query point clamped into it (kept by distance walks with an additive
+	// kernel); scratch holds walk ∩ live-space intersections. All three view
+	// the coords backing array.
 	walk    geom.Rect
+	near    geom.Point
 	scratch geom.Rect
 	coords  []float32
 
@@ -128,9 +131,10 @@ func (qc *queryCtx) acquire(dim int) {
 	qc.busy = true
 	if qc.dim != dim {
 		qc.dim = dim
-		qc.coords = make([]float32, 4*dim)
+		qc.coords = make([]float32, 5*dim)
 		qc.walk = geom.Rect{Lo: qc.coords[0:dim], Hi: qc.coords[dim : 2*dim]}
 		qc.scratch = geom.Rect{Lo: qc.coords[2*dim : 3*dim], Hi: qc.coords[3*dim : 4*dim]}
+		qc.near = qc.coords[4*dim : 5*dim]
 	}
 	qc.arena.reset(dim)
 	qc.frames = qc.frames[:0]

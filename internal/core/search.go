@@ -164,17 +164,13 @@ func (mp *metricPath) space(b float64) float64 {
 	return b
 }
 
-// regionDist is the path-space MINDIST from q to br ∩ live — a strictly
-// tighter bound than the max of the two separate MINDISTs — or to br alone
-// for a child with no encoded live space, and whether the intersection is
-// empty. The additive kernel reads both rectangles once, writes nothing and
-// stops at a partial sum once that exceeds bound.
-func (mp *metricPath) regionDist(q geom.Point, br, live geom.Rect, hasLive bool, bound float64, scratch *geom.Rect) (float64, bool) {
+// regionDist is the generic-metric MINDIST from q to br ∩ live — a
+// strictly tighter bound than the max of the two separate MINDISTs — or to
+// br alone for a child with no encoded live space, and whether the
+// intersection is empty. Additive metrics take the fused kernel instead
+// (see kdWalk).
+func (mp *metricPath) regionDist(q geom.Point, br, live geom.Rect, hasLive bool, scratch *geom.Rect) (float64, bool) {
 	switch {
-	case mp.fast && hasLive:
-		return mp.add.SumRectCap(q, br, live, bound)
-	case mp.fast:
-		return mp.add.SumRectCap(q, br, br, bound)
 	case !hasLive:
 		return mp.m.MinDistRect(q, br), false
 	case !intersectInto(scratch, br, live):
@@ -192,11 +188,22 @@ func (mp *metricPath) regionDist(q geom.Point, br, live geom.Rect, hasLive bool,
 // region lies within bound (in mp's space) of the point. Box and range
 // append survivors to qc.pending in kd order; k-NN pushes them onto the
 // best-first frontier with the region's MINDIST as priority.
+//
+// With an additive kernel the walk also keeps near, the query point
+// clamped into br: computed once on entry, then re-clamped in the one
+// dimension a kd step narrows or restores, so at every kd leaf near is
+// exactly q clamped into br and the fused kernel clamps it into the live
+// space alone. Box walks (mp.fast is false for them) skip the bookkeeping.
 func (t *Tree) kdWalk(qc *queryCtx, n *node, q *Query, mp *metricPath, bound float64, span int32) {
-	br := qc.walk
+	br, near, qp := qc.walk, qc.near, q.Point
 	tr := qc.tr
-	box := q.Kind == Box
+	box, fast := q.Kind == Box, mp.fast
 	rect := q.Rect
+	if fast {
+		for d := range near {
+			near[d] = clampTo(qp[d], br.Lo[d], br.Hi[d])
+		}
+	}
 	kd, els, space := n.kd, qc.ver.els, t.cfg.Space
 	st := append(qc.frames, kdFrame{idx: n.kdRoot})
 	for len(st) > 0 {
@@ -213,10 +220,16 @@ func (t *Tree) kdWalk(qc *queryCtx, n *node, q *Query, mp *metricPath, bound flo
 				}
 				var lb float64
 				var empty bool
-				if box {
+				switch {
+				case box:
 					empty = ok && !live.Intersects(rect)
-				} else {
-					lb, empty = mp.regionDist(q.Point, br, live, ok, bound, &qc.scratch)
+				case fast:
+					if !ok {
+						live = br
+					}
+					lb, empty = mp.add.SumRectCap(qp, near, br, live, bound)
+				default:
+					lb, empty = mp.regionDist(qp, br, live, ok, &qc.scratch)
 				}
 				switch {
 				case empty:
@@ -243,6 +256,9 @@ func (t *Tree) kdWalk(qc *queryCtx, n *node, q *Query, mp *metricPath, bound flo
 				br.Hi[d] = k.Lsp
 			}
 			if br.Hi[d] >= br.Lo[d] && (!box || rect.Lo[d] <= br.Hi[d]) {
+				if fast {
+					near[d] = clampTo(qp[d], br.Lo[d], br.Hi[d])
+				}
 				tr.KDLeft(span)
 				st = append(st, kdFrame{idx: k.Left})
 			} else {
@@ -258,6 +274,9 @@ func (t *Tree) kdWalk(qc *queryCtx, n *node, q *Query, mp *metricPath, bound flo
 				br.Lo[d] = k.Rsp
 			}
 			if br.Hi[d] >= br.Lo[d] && (!box || rect.Hi[d] >= br.Lo[d]) {
+				if fast {
+					near[d] = clampTo(qp[d], br.Lo[d], br.Hi[d])
+				}
 				tr.KDRight(span)
 				st = append(st, kdFrame{idx: k.Right})
 			} else {
@@ -265,12 +284,19 @@ func (t *Tree) kdWalk(qc *queryCtx, n *node, q *Query, mp *metricPath, bound flo
 				tr.KDPrune(span)
 			}
 		default:
-			br.Lo[int(k.Dim)] = f.saved
+			d := int(k.Dim)
+			br.Lo[d] = f.saved
+			if fast {
+				near[d] = clampTo(qp[d], br.Lo[d], br.Hi[d])
+			}
 			st = st[:len(st)-1]
 		}
 	}
 	qc.frames = st[:0]
 }
+
+// clampTo is v clamped into [lo, hi].
+func clampTo(v, lo, hi float32) float32 { return min(max(v, lo), hi) }
 
 // bestFirst is the k-NN traversal (Hjaltason–Samet): nodes are expanded in
 // order of the MINDIST between the query point and their

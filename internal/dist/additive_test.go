@@ -83,9 +83,74 @@ func bounded(t *testing.T, what string, got, full, bound float64) {
 	}
 }
 
+// sumSlabRef is SumSlab as it was before rows were summed four at a time:
+// one row after another, each abandoned once its running sum exceeds
+// bound. It is the oracle the batched kernel must match.
+func sumSlabRef(k Additive, q geom.Point, slab []float32, dim int, bound float64, out []float64) {
+	q = q[:dim]
+	for i := range out[:len(slab)/dim] {
+		row := slab[i*dim : (i+1)*dim]
+		s := 0.0
+		switch {
+		case k.w != nil:
+			for d, v := range q {
+				if s += k.term(d, math.Abs(float64(v)-float64(row[d]))); s > bound {
+					break
+				}
+			}
+		case k.sq:
+			for d, v := range q {
+				dv := float64(v) - float64(row[d])
+				if s += dv * dv; s > bound {
+					break
+				}
+			}
+		default:
+			for d, v := range q {
+				if s += math.Abs(float64(v) - float64(row[d])); s > bound {
+					break
+				}
+			}
+		}
+		out[i] = s
+	}
+}
+
+// sumRectCapRef is SumRectCap as it was before the kd walk supplied the
+// clamped query: it intersects a and b and clamps q into the result, four
+// IEEE min/max per dimension. It is the oracle the clamped kernel must
+// match bit for bit, partial sums included.
+func sumRectCapRef(k Additive, q geom.Point, a, b geom.Rect, bound float64) (sum float64, empty bool) {
+	alo, ahi, blo, bhi := a.Lo[:len(q)], a.Hi[:len(q)], b.Lo[:len(q)], b.Hi[:len(q)]
+	for d, v := range q {
+		lo, hi := max(alo[d], blo[d]), min(ahi[d], bhi[d])
+		if lo > hi {
+			return sum, true
+		}
+		g := math.Abs(float64(v) - float64(min(max(v, lo), hi)))
+		if sum += k.term(d, g); sum > bound {
+			return sum, false
+		}
+	}
+	return sum, false
+}
+
+// clampInto is q clamped into r: the near point the kd walk hands the
+// fused kernel.
+func clampInto(q geom.Point, r geom.Rect) geom.Point {
+	near := make(geom.Point, len(q))
+	for d, v := range q {
+		near[d] = min(max(v, r.Lo[d]), r.Hi[d])
+	}
+	return near
+}
+
 // checkKernel holds m's kernel to the Additive contract on one input: the
 // points of slab (and p, its first) against q, the rectangle a, and a ∩ b,
-// each unbounded and at bound, leaving every input as it found it.
+// each unbounded and at bound, leaving every input as it found it. It also
+// holds the kernel to its oracles: SumSlab to sumSlabRef (the same sum, bit
+// for bit, where the oracle's is <= bound, and both > bound otherwise) and
+// SumRectCap to sumRectCapRef (the same sum and empty verdict, bit for bit).
 func checkKernel(t *testing.T, m Metric, q geom.Point, slab []float32, a, b geom.Rect, bound float64) {
 	t.Helper()
 	k, ok := AsAdditive(m)
@@ -96,9 +161,10 @@ func checkKernel(t *testing.T, m Metric, q geom.Point, slab []float32, a, b geom
 	q0, slab0, a0, b0 := q.Clone(), append([]float32(nil), slab...), a.Clone(), b.Clone()
 
 	n := len(slab) / dim
-	full, got := make([]float64, n), make([]float64, n)
+	full, got, ref := make([]float64, n), make([]float64, n), make([]float64, n)
 	k.SumSlab(q, slab, dim, inf, full)
 	k.SumSlab(q, slab, dim, bound, got)
+	sumSlabRef(k, q, slab, dim, bound, ref)
 	for i := range full {
 		p := geom.Point(slab[i*dim : (i+1)*dim])
 		if d := m.Distance(q, p); k.Root(full[i]) != d {
@@ -106,18 +172,30 @@ func checkKernel(t *testing.T, m Metric, q geom.Point, slab []float32, a, b geom
 		}
 		bounded(t, m.Name()+" SumSlab", got[i], full[i], bound)
 		bounded(t, m.Name()+" SumBounded", k.SumBounded(q, p, bound), full[i], bound)
+		if ref[i] <= bound && math.Float64bits(got[i]) != math.Float64bits(ref[i]) ||
+			!(ref[i] <= bound) && !(got[i] > bound && ref[i] > bound) {
+			t.Fatalf("%s: SumSlab[%d] of %d rows = %v, one-row oracle %v (bound %v)", m.Name(), i, n, got[i], ref[i], bound)
+		}
 	}
 
 	if md := m.MinDistRect(q, a); k.Root(k.SumRect(q, a)) != md {
 		t.Fatalf("%s: Root(SumRect) = %v, MinDistRect = %v", m.Name(), k.Root(k.SumRect(q, a)), md)
 	}
 
+	near := clampInto(q, a)
+	for _, bd := range []float64{inf, bound} {
+		s, e := k.SumRectCap(q, near, a, b, bd)
+		rs, re := sumRectCapRef(k, q, a, b, bd)
+		if math.Float64bits(s) != math.Float64bits(rs) || e != re {
+			t.Fatalf("%s: SumRectCap = (%v, %v), oracle (%v, %v) at bound %v", m.Name(), s, e, rs, re, bd)
+		}
+	}
 	inter, nonEmpty := intersect(a, b)
-	sum, empty := k.SumRectCap(q, a, b, inf)
+	sum, empty := k.SumRectCap(q, near, a, b, inf)
 	if empty == nonEmpty {
 		t.Fatalf("%s: SumRectCap empty = %v, intersection non-empty = %v", m.Name(), empty, nonEmpty)
 	}
-	capped, cappedEmpty := k.SumRectCap(q, a, b, bound)
+	capped, cappedEmpty := k.SumRectCap(q, near, a, b, bound)
 	if nonEmpty {
 		if md := m.MinDistRect(q, inter); k.Root(sum) != md {
 			t.Fatalf("%s: Root(SumRectCap) = %v, MinDistRect(a∩b) = %v", m.Name(), k.Root(sum), md)
@@ -212,9 +290,66 @@ func TestAsAdditiveRejects(t *testing.T) {
 	}
 }
 
+// TestKernelOracleEdges drives checkKernel over the inputs where a clamp or
+// a four-row pass could differ from its oracle: coordinates from a palette
+// of ±0, subnormals and a few normals, so degenerate intervals (lo == hi),
+// queries exactly on a boundary and ties between rows are common; slabs of
+// 0 to 9 rows, so every four-row tail length occurs; and bounds equal to a
+// row's exact sum as well as between sums.
+func TestKernelOracleEdges(t *testing.T) {
+	palette := []float32{0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		0x1p-130, 0x1p-126, 0.25, 0.5, 1, -1, 3}
+	rng := rand.New(rand.NewSource(14))
+	pick := func() float32 { return palette[rng.Intn(len(palette))] }
+	interval := func() (float32, float32) {
+		lo, hi := pick(), pick()
+		if hi < lo {
+			lo, hi = hi, lo
+		}
+		return lo, hi
+	}
+	for _, dim := range []int{1, 3, 8, 17} {
+		for _, m := range additiveMetrics(rng, dim) {
+			k, _ := AsAdditive(m)
+			for trial := 0; trial < 300; trial++ {
+				a := geom.Rect{Lo: make(geom.Point, dim), Hi: make(geom.Point, dim)}
+				b := geom.Rect{Lo: make(geom.Point, dim), Hi: make(geom.Point, dim)}
+				q := make(geom.Point, dim)
+				for d := 0; d < dim; d++ {
+					a.Lo[d], a.Hi[d] = interval()
+					b.Lo[d], b.Hi[d] = interval()
+					switch rng.Intn(4) {
+					case 0:
+						q[d] = a.Lo[d]
+					case 1:
+						q[d] = b.Hi[d]
+					default:
+						q[d] = pick()
+					}
+				}
+				slab := make([]float32, rng.Intn(10)*dim)
+				for i := range slab {
+					slab[i] = pick()
+				}
+				bound := math.Inf(1)
+				if n := len(slab) / dim; n > 0 && trial%4 != 0 {
+					row := geom.Point(slab[rng.Intn(n)*dim:][:dim])
+					bound = k.SumBounded(q, row, math.Inf(1))
+					if trial%4 == 1 {
+						bound /= 2
+					}
+				} else if trial%4 != 0 {
+					bound = rng.Float64()
+				}
+				checkKernel(t, m, q, slab, a, b, bound)
+			}
+		}
+	}
+}
+
 // FuzzAdditiveKernel drives checkKernel with raw coordinates: data is read
 // as float32s, five per dimension (q, a's interval, b's interval); the
-// intervals double as the stored points.
+// intervals double as the stored points, repeated to a slab of 0 to 9 rows.
 func FuzzAdditiveKernel(f *testing.F) {
 	seed := make([]byte, 0, 40)
 	for _, v := range []float32{0.5, 0, 1, 0.25, 2, -3, -1, 4, 5, 6} {
@@ -222,6 +357,7 @@ func FuzzAdditiveKernel(f *testing.F) {
 	}
 	f.Add(seed, 1.0, uint8(0))
 	f.Add(seed, 0.0, uint8(5))
+	f.Add(seed, 2.5, uint8(47))
 	f.Fuzz(func(t *testing.T, data []byte, bound float64, pick uint8) {
 		dim := min(len(data)/20, 64)
 		if dim == 0 || math.IsNaN(bound) {
@@ -248,6 +384,10 @@ func FuzzAdditiveKernel(f *testing.F) {
 			}
 		}
 		ms := additiveMetrics(rand.New(rand.NewSource(int64(pick))), dim)
-		checkKernel(t, ms[int(pick)%len(ms)], q, v[dim:], a, b, bound)
+		var slab []float32
+		for i := 0; i < int(pick)/len(ms)%10; i++ {
+			slab = append(slab, v[dim+i%4*dim:][:dim]...)
+		}
+		checkKernel(t, ms[int(pick)%len(ms)], q, slab, a, b, bound)
 	})
 }
