@@ -212,13 +212,3 @@ func BenchmarkAblationBulkLoad(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkAblationDPFamily compares the SR-tree and X-tree against the
-// hybrid tree.
-func BenchmarkAblationDPFamily(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.AblationDPFamily(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

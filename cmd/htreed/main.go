@@ -35,7 +35,6 @@ import (
 	"hybridtree/internal/obs"
 	"hybridtree/internal/pagefile"
 	"hybridtree/internal/server"
-	"hybridtree/internal/sim"
 	"hybridtree/internal/wal"
 )
 
@@ -78,7 +77,7 @@ func main() {
 	if *db == "" || *dim <= 0 {
 		fatal("-db and -dim are required")
 	}
-	profile, ok := sim.Profiles[*chaos]
+	profile, ok := pagefile.ChaosProfiles[*chaos]
 	if !ok {
 		fatal(fmt.Sprintf("unknown -chaos profile %q (want off, light, heavy)", *chaos))
 	}

@@ -38,7 +38,7 @@ func main() {
 	var (
 		fig      = flag.String("fig", "", "figure to reproduce: 5ab, 5c, 6ab, 6cd, 7ab, 7cd")
 		table    = flag.Int("table", 0, "table to reproduce: 1 or 2 (3: per-method obs counters, not from the paper)")
-		ablation = flag.String("ablation", "", "ablation to run: pos, queryside, bulk, dp, elsmem, mmap")
+		ablation = flag.String("ablation", "", "ablation to run: pos, queryside, bulk, elsmem, mmap")
 		all      = flag.Bool("all", false, "run every figure, table and ablation")
 		paper    = flag.Bool("paper", false, "use the paper's full scale (FOURIER 400K, COLHIST 70K, 100 queries)")
 		fourierN = flag.Int("fourier", 0, "FOURIER dataset size (overrides scale preset)")
@@ -201,11 +201,6 @@ func main() {
 	if *all || *ablation == "bulk" {
 		t, err := bench.AblationBulkLoad(opts)
 		run("ablation bulk", err)
-		t.Print(os.Stdout)
-	}
-	if *all || *ablation == "dp" {
-		t, err := bench.AblationDPFamily(opts)
-		run("ablation dp", err)
 		t.Print(os.Stdout)
 	}
 	if *all || *ablation == "elsmem" {

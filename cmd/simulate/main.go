@@ -87,7 +87,7 @@ func main() {
 		}()
 	}
 
-	profile, ok := sim.Profiles[*faults]
+	profile, ok := pagefile.ChaosProfiles[*faults]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown fault profile %q (want off, light, heavy)\n", *faults)
 		os.Exit(2)

@@ -303,62 +303,3 @@ func AblationBulkLoad(o Options) (*Table, error) {
 	}
 	return t, nil
 }
-
-// AblationDPFamily compares the two data-partitioning structures the paper
-// names — the SR-tree it benchmarks and the X-tree its classification cites
-// — against the hybrid tree on COLHIST box queries. The X-tree's supernodes
-// avoid overlapping directory splits at the price of multi-page directory
-// reads; the audit reports both.
-func AblationDPFamily(o Options) (*Table, error) {
-	o = o.withDefaults()
-	if o.ColHistN > 20000 {
-		// X-tree supernodes make inserts O(chain) page rewrites; the
-		// comparison needs structure, not scale.
-		o.ColHistN = 20000
-	}
-	t := &Table{
-		Title:   "Ablation: DP family (SR-tree, X-tree) vs hybrid tree (COLHIST)",
-		Columns: []string{"dims", "method", "norm IO", "avg IO/query", "notes"},
-	}
-	for _, dim := range ColHistDims {
-		data, queries, side, err := colhistWorkload(o, o.ColHistN, dim)
-		if err != nil {
-			return nil, err
-		}
-		scan, err := BuildScan(data, o.PageSize)
-		if err != nil {
-			return nil, err
-		}
-		hybrid, err := BuildHybrid(data, o.PageSize, core.Config{QuerySide: side})
-		if err != nil {
-			return nil, err
-		}
-		sr, err := BuildSR(data, o.PageSize)
-		if err != nil {
-			return nil, err
-		}
-		xt, err := BuildX(data, o.PageSize)
-		if err != nil {
-			return nil, err
-		}
-		xst, err := xt.Stats()
-		if err != nil {
-			return nil, err
-		}
-		for _, idx := range []index.Index{hybrid, sr, xt} {
-			m, err := RunBox(idx, queries, scan.NumPages(), 0)
-			if err != nil {
-				return nil, err
-			}
-			note := ""
-			if idx.Name() == "x" {
-				note = fmt.Sprintf("%d supernodes, %d chain pages", xst.Supernodes, xst.ChainPages)
-			}
-			t.Rows = append(t.Rows, []string{
-				itoa(dim), idx.Name(), fmt.Sprintf("%.4f", m.NormIO),
-				fmt.Sprintf("%.1f", m.AvgIO), note,
-			})
-		}
-	}
-	return t, nil
-}

@@ -8,6 +8,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -22,7 +23,6 @@ import (
 	"hybridtree/internal/seqscan"
 	"hybridtree/internal/srtree"
 	"hybridtree/internal/workload"
-	"hybridtree/internal/xtree"
 )
 
 // Options scales the experiments. The zero value is usable; Defaults()
@@ -143,21 +143,6 @@ func BuildKDB(data []geom.Point, pageSize int) (*kdbtree.Tree, error) {
 	return tree, nil
 }
 
-// BuildX constructs an X-tree over data.
-func BuildX(data []geom.Point, pageSize int) (*xtree.Tree, error) {
-	file := pagefile.NewMemFile(pageSize)
-	tree, err := xtree.New(file, xtree.Config{Dim: len(data[0]), PageSize: pageSize})
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range data {
-		if err := tree.Insert(p, uint64(i)); err != nil {
-			return nil, fmt.Errorf("x insert %d: %w", i, err)
-		}
-	}
-	return tree, nil
-}
-
 // BuildScan constructs the sequential-scan baseline over data.
 func BuildScan(data []geom.Point, pageSize int) (*seqscan.Scan, error) {
 	file := pagefile.NewMemFile(pageSize)
@@ -188,39 +173,36 @@ type Measurement struct {
 // denominator); scanCPU the measured scan CPU per query (0 to skip CPU
 // normalization).
 func RunBox(idx index.Index, queries []geom.Rect, scanPages int, scanCPU time.Duration) (Measurement, error) {
-	return run(idx, scanPages, scanCPU, len(queries), func(i int) (int, error) {
-		res, err := idx.SearchBox(queries[i])
-		return len(res), err
+	return run(idx, scanPages, scanCPU, len(queries), func(i int) core.Query {
+		return core.Query{Kind: core.Box, Rect: queries[i]}
 	})
 }
 
 // RunRange executes the distance-range batch under metric m.
 func RunRange(idx index.Index, queries []workload.Ball, m dist.Metric, scanPages int, scanCPU time.Duration) (Measurement, error) {
-	return run(idx, scanPages, scanCPU, len(queries), func(i int) (int, error) {
-		res, err := idx.SearchRange(queries[i].Center, queries[i].Radius, m)
-		return len(res), err
+	return run(idx, scanPages, scanCPU, len(queries), func(i int) core.Query {
+		return core.Query{Kind: core.Range, Point: queries[i].Center, Radius: queries[i].Radius, Metric: m}
 	})
 }
 
 // RunKNN executes a k-nearest-neighbor batch.
 func RunKNN(idx index.Index, centers []geom.Point, k int, m dist.Metric, scanPages int, scanCPU time.Duration) (Measurement, error) {
-	return run(idx, scanPages, scanCPU, len(centers), func(i int) (int, error) {
-		res, err := idx.SearchKNN(centers[i], k, m)
-		return len(res), err
+	return run(idx, scanPages, scanCPU, len(centers), func(i int) core.Query {
+		return core.Query{Kind: core.KNN, Point: centers[i], K: k, Metric: m}
 	})
 }
 
-func run(idx index.Index, scanPages int, scanCPU time.Duration, n int, query func(i int) (int, error)) (Measurement, error) {
+func run(idx index.Index, scanPages int, scanCPU time.Duration, n int, query func(i int) core.Query) (Measurement, error) {
 	stats := idx.File().Stats()
 	stats.Reset()
 	results := 0
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		c, err := query(i)
+		res, err := idx.Search(context.Background(), query(i))
 		if err != nil {
 			return Measurement{}, err
 		}
-		results += c
+		results += len(res)
 	}
 	elapsed := time.Since(start)
 

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"hybridtree/internal/core"
@@ -44,10 +45,6 @@ func TableObs(o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	x, err := BuildX(data, o.PageSize)
-	if err != nil {
-		return nil, err
-	}
 	scan, err := BuildScan(data, o.PageSize)
 	if err != nil {
 		return nil, err
@@ -61,7 +58,6 @@ func TableObs(o Options) (*Table, error) {
 		{"SR-tree", sr},
 		{"hB-tree", hb},
 		{"KDB-tree", kdb},
-		{"X-tree", x},
 		{"Seq scan", scan},
 	}
 
@@ -75,7 +71,7 @@ func TableObs(o Options) (*Table, error) {
 		r0, h0, m0, p0 := reads.Value(), hits.Value(), misses.Value(), prunes.Value()
 		results := 0
 		for _, q := range queries {
-			es, err := b.idx.SearchBox(q)
+			es, err := b.idx.Search(context.Background(), core.Query{Kind: core.Box, Rect: q})
 			if err != nil {
 				return nil, fmt.Errorf("tableobs: %s box query: %w", b.idx.Name(), err)
 			}

@@ -4,8 +4,8 @@
 // atomic pointer swap, and each search pins the current epoch on entry and
 // traverses that version without acquiring any lock. Tree therefore only
 // synchronizes writers against each other — a single mutex serializes
-// Insert / Delete / Update / Close — while any number of SearchBox /
-// SearchRange / SearchKNN / CountBox calls run concurrently with each other
+// Insert / Delete / Update / Close — while any number of Search /
+// SearchBatch / SearchKNN / CountBox calls run concurrently with each other
 // and with the writer, never blocking behind it. The paper's I/O accounting
 // is unaffected — every logical node access is still charged exactly one
 // counter increment, and increments commute — so a query batch reports
@@ -115,16 +115,6 @@ func (t *Tree) Update(old, new geom.Point, rid core.RecordID) (found bool, err e
 // valid after later commits retire the snapshot.
 func (t *Tree) Search(ctx context.Context, q core.Query) ([]core.Neighbor, error) {
 	return cloned(t.tree.Search(ctx, nil, q, nil))
-}
-
-// SearchBox is Search for a box, narrowed to entries.
-func (t *Tree) SearchBox(q geom.Rect) ([]core.Entry, error) {
-	return core.Entries(t.Search(nil, core.Query{Kind: core.Box, Rect: q}))
-}
-
-// SearchRange is Search for a distance range.
-func (t *Tree) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]core.Neighbor, error) {
-	return t.Search(nil, core.Query{Kind: core.Range, Point: q, Radius: radius, Metric: m})
 }
 
 // SearchKNN is Search for the k nearest neighbors.

@@ -1,6 +1,7 @@
 package concurrent
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -89,7 +90,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 				for d := 0; d < dim; d++ {
 					lo[d], hi[d] = center[d]/2, center[d]/2+0.3
 				}
-				if _, err := tree.SearchBox(geom.Rect{Lo: lo, Hi: hi}); err != nil {
+				if _, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: geom.Rect{Lo: lo, Hi: hi}}); err != nil {
 					errs <- err
 					return
 				}

@@ -1,6 +1,7 @@
 package concurrent
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -129,8 +130,8 @@ func TestGroupCommitMixedOpsWithReaders(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := tree.SearchBox(q); err != nil {
-					t.Errorf("SearchBox: %v", err)
+				if _, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: q}); err != nil {
+					t.Errorf("box search: %v", err)
 					return
 				}
 			}
@@ -181,7 +182,7 @@ func TestGroupCommitMixedOpsWithReaders(t *testing.T) {
 	for i := 1; i < n; i += 2 {
 		want[core.RecordID(i+1)] = true
 	}
-	got, err := tree.SearchBox(geom.Rect{Lo: geom.Point{0, 0}, Hi: geom.Point{1, 1}})
+	got, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: geom.Rect{Lo: geom.Point{0, 0}, Hi: geom.Point{1, 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +248,8 @@ func TestColdCacheReadersRaceGroupCommit(t *testing.T) {
 				}
 				lo := geom.Point{float32(rng.Float64() * 0.5), float32(rng.Float64() * 0.5)}
 				q := geom.Rect{Lo: lo, Hi: geom.Point{lo[0] + 0.5, lo[1] + 0.5}}
-				if _, err := cold.SearchBox(q); err != nil {
-					t.Errorf("SearchBox: %v", err)
+				if _, err := cold.Search(context.Background(), core.Query{Kind: core.Box, Rect: q}); err != nil {
+					t.Errorf("box search: %v", err)
 					return
 				}
 			}

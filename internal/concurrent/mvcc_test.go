@@ -1,6 +1,7 @@
 package concurrent
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -69,7 +70,7 @@ func TestSnapshotImmutabilityUnderWrites(t *testing.T) {
 			defer wg.Done()
 			last := -1
 			for !done.Load() {
-				es, err := tree.SearchBox(space)
+				es, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: space})
 				if err != nil {
 					errs <- err
 					return

@@ -1,6 +1,7 @@
 package concurrent
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -75,7 +76,7 @@ func TestSlabCopyOnWriteUnderReaders(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for !done.Load() {
-				es, err := tree.SearchBox(space)
+				es, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: space})
 				if err != nil {
 					errs <- err
 					return

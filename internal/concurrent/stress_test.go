@@ -1,6 +1,7 @@
 package concurrent
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -130,7 +131,7 @@ func TestConcurrentStress(t *testing.T) {
 				running = false // one last pass over the final state
 			default:
 			}
-			es, err := tree.SearchBox(space)
+			es, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: space})
 			if err != nil {
 				fail(err)
 				return
@@ -162,7 +163,7 @@ func TestConcurrentStress(t *testing.T) {
 				for d := 0; d < dim; d++ {
 					lo[d], hi[d] = c[d]*0.5, c[d]*0.5+0.25
 				}
-				if _, err := tree.SearchBox(geom.Rect{Lo: lo, Hi: hi}); err != nil {
+				if _, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: geom.Rect{Lo: lo, Hi: hi}}); err != nil {
 					fail(err)
 					return
 				}

@@ -58,13 +58,13 @@ type Query struct {
 // sibling of ErrBadVector.
 var ErrBadQuery = errors.New("core: malformed query")
 
-// validate is the one place a query's shape is checked.
-func (t *Tree) validate(q *Query) error {
-	dim := t.cfg.Dim
+// Validate is the one place a query's shape is checked against an index of
+// dimensionality dim; every index calls it before reading a page.
+func (q *Query) Validate(dim int) error {
 	switch q.Kind {
 	case Box:
 		if len(q.Rect.Lo) != dim || len(q.Rect.Hi) != dim {
-			return fmt.Errorf("%w: box corners have dim %d and %d, tree expects %d", ErrBadQuery, len(q.Rect.Lo), len(q.Rect.Hi), dim)
+			return fmt.Errorf("%w: box corners have dim %d and %d, index expects %d", ErrBadQuery, len(q.Rect.Lo), len(q.Rect.Hi), dim)
 		}
 		for d, lo := range q.Rect.Lo {
 			if !(lo <= q.Rect.Hi[d]) { // NaN corners included
@@ -87,7 +87,7 @@ func (t *Tree) validate(q *Query) error {
 		return fmt.Errorf("%w: unknown %v", ErrBadQuery, q.Kind)
 	}
 	if len(q.Point) != dim {
-		return fmt.Errorf("%w: point has dim %d, tree expects %d", ErrBadQuery, len(q.Point), dim)
+		return fmt.Errorf("%w: point has dim %d, index expects %d", ErrBadQuery, len(q.Point), dim)
 	}
 	for d, v := range q.Point {
 		if v != v {
@@ -123,7 +123,7 @@ func (t *Tree) Search(ctx context.Context, c *QueryContext, q Query, dst []Neigh
 // a callback instead of dst (SearchBoxFunc), and own substitutes a caller's
 // trace for the tracer's (ExplainBox).
 func (t *Tree) search(ctx context.Context, c *QueryContext, q *Query, dst []Neighbor, visit func(Entry) bool, own *obs.Trace) ([]Neighbor, error) {
-	if err := t.validate(q); err != nil {
+	if err := q.Validate(t.cfg.Dim); err != nil {
 		return dst, err
 	}
 	if c == nil {

@@ -25,16 +25,17 @@
 // optimizations that are never required for reachability.
 //
 // Per footnote 2 of the hybrid tree paper, the hB-tree does not support
-// distance-based queries; SearchRange and SearchKNN return
-// index.ErrUnsupported, and the paper's Figure 7(c,d) excludes the hB-tree
+// distance-based queries; Search returns index.ErrUnsupported for range and
+// k-NN, and the paper's Figure 7(c,d) excludes the hB-tree
 // for the same reason.
 package hbtree
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
-	"hybridtree/internal/dist"
+	"hybridtree/internal/core"
 	"hybridtree/internal/geom"
 	"hybridtree/internal/index"
 	"hybridtree/internal/nodestore"
@@ -558,18 +559,27 @@ func (n *node) compact() {
 	n.kd = fresh
 }
 
-// SearchBox implements index.Index. Path posting and extraction can
-// reference one page from several routes, each covering a different region,
-// so the walk tracks the routing region of every arrival: a page's I/O is
+// Search implements index.Index. Per footnote 2 of the paper the hB-tree
+// answers box queries only; range and k-NN return ErrUnsupported.
+func (t *Tree) Search(ctx context.Context, q core.Query) ([]core.Neighbor, error) {
+	if err := index.Check(ctx, q, t.cfg.Dim); err != nil {
+		return nil, err
+	}
+	if q.Kind != core.Box {
+		return nil, fmt.Errorf("hbtree: %v: %w", q.Kind, index.ErrUnsupported)
+	}
+	return t.searchBox(q.Rect)
+}
+
+// searchBox copes with path posting and extraction, which can reference one
+// page from several routes, each covering a different region: the walk
+// tracks the routing region of every arrival: a page's I/O is
 // charged once per query (it is pinned after the first load) and its
 // entries are emitted once, but forward entries are re-checked per arrival
 // clipped to that arrival's region — the clipping is what keeps stale
 // references from fanning out into irrelevant siblings.
-func (t *Tree) SearchBox(q geom.Rect) ([]index.Entry, error) {
-	if q.Dim() != t.cfg.Dim {
-		return nil, fmt.Errorf("hbtree: query has dim %d, want %d", q.Dim(), t.cfg.Dim)
-	}
-	var out []index.Entry
+func (t *Tree) searchBox(q geom.Rect) ([]core.Neighbor, error) {
+	var out []core.Neighbor
 	pruned := 0
 	pinned := make(map[pagefile.PageID]*node)
 	emitted := make(map[pagefile.PageID]bool)
@@ -614,7 +624,7 @@ func (t *Tree) SearchBox(q geom.Rect) ([]index.Entry, error) {
 				emitted[id] = true
 				for i, p := range n.pts {
 					if q.Contains(p) {
-						out = append(out, index.Entry{Point: p, RID: n.rids[i]})
+						out = append(out, core.Neighbor{Entry: core.Entry{Point: p, RID: core.RecordID(n.rids[i])}})
 					}
 				}
 			}
@@ -671,16 +681,6 @@ func (t *Tree) SearchBox(q geom.Rect) ([]index.Entry, error) {
 // the paper's evaluation (insert-then-query workloads) never exercises.
 func (t *Tree) Delete(geom.Point, uint64) (bool, error) {
 	return false, fmt.Errorf("hbtree: delete: %w", index.ErrUnsupported)
-}
-
-// SearchRange implements index.Index; unsupported, as in the paper.
-func (t *Tree) SearchRange(geom.Point, float64, dist.Metric) ([]index.Neighbor, error) {
-	return nil, fmt.Errorf("hbtree: range: %w", index.ErrUnsupported)
-}
-
-// SearchKNN implements index.Index; unsupported, as in the paper.
-func (t *Tree) SearchKNN(geom.Point, int, dist.Metric) ([]index.Neighbor, error) {
-	return nil, fmt.Errorf("hbtree: knn: %w", index.ErrUnsupported)
 }
 
 // Stats summarizes structure, including the redundancy ratio of Table 1:

@@ -1,11 +1,13 @@
 package hbtree
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"hybridtree/internal/core"
 	"hybridtree/internal/dist"
 	"hybridtree/internal/geom"
 	"hybridtree/internal/index"
@@ -75,16 +77,16 @@ func queryRect(rng *rand.Rand, dim int, side float32) geom.Rect {
 
 func checkBox(t *testing.T, tree *Tree, pts []geom.Point, rect geom.Rect, what string) {
 	t.Helper()
-	got, err := tree.SearchBox(rect)
+	got, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: rect})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gotSet := make(map[uint64]bool)
 	for _, e := range got {
-		if gotSet[e.RID] {
+		if gotSet[uint64(e.RID)] {
 			t.Fatalf("%s: duplicate result %d", what, e.RID)
 		}
-		gotSet[e.RID] = true
+		gotSet[uint64(e.RID)] = true
 	}
 	want := make(map[uint64]bool)
 	for i, p := range pts {
@@ -120,7 +122,7 @@ func TestValidation(t *testing.T) {
 	if err := tree.Insert(geom.Point{0.1, 0.2, 0.3, 1.5}, 1); err == nil {
 		t.Fatal("out-of-space vector accepted")
 	}
-	if _, err := tree.SearchBox(geom.UnitCube(3)); err == nil {
+	if _, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: geom.UnitCube(3)}); err == nil {
 		t.Fatal("wrong dim query accepted")
 	}
 }
@@ -129,11 +131,11 @@ func TestDistanceQueriesUnsupported(t *testing.T) {
 	// Footnote 2 of the paper: the hB-tree does not support distance-based
 	// search; Figure 7(c,d) excludes it for this reason.
 	tree, _ := build(t, 100, 4, 512, 3)
-	if _, err := tree.SearchRange(geom.Point{0, 0, 0, 0}, 0.5, dist.L1()); !errors.Is(err, index.ErrUnsupported) {
-		t.Fatalf("SearchRange err = %v, want ErrUnsupported", err)
+	if _, err := tree.Search(context.Background(), core.Query{Kind: core.Range, Point: geom.Point{0, 0, 0, 0}, Radius: 0.5, Metric: dist.L1()}); !errors.Is(err, index.ErrUnsupported) {
+		t.Fatalf("range err = %v, want ErrUnsupported", err)
 	}
-	if _, err := tree.SearchKNN(geom.Point{0, 0, 0, 0}, 5, dist.L1()); !errors.Is(err, index.ErrUnsupported) {
-		t.Fatalf("SearchKNN err = %v, want ErrUnsupported", err)
+	if _, err := tree.Search(context.Background(), core.Query{Kind: core.KNN, Point: geom.Point{0, 0, 0, 0}, K: 5, Metric: dist.L1()}); !errors.Is(err, index.ErrUnsupported) {
+		t.Fatalf("knn err = %v, want ErrUnsupported", err)
 	}
 }
 
@@ -179,13 +181,13 @@ func TestPointLookups(t *testing.T) {
 	tree, pts := build(t, 2500, 6, 512, 11)
 	for i := 0; i < 200; i++ {
 		rect := geom.Rect{Lo: pts[i], Hi: pts[i]}
-		got, err := tree.SearchBox(rect)
+		got, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: rect})
 		if err != nil {
 			t.Fatal(err)
 		}
 		found := false
 		for _, e := range got {
-			if e.RID == uint64(i) {
+			if e.RID == core.RecordID(i) {
 				found = true
 			}
 		}

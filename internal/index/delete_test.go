@@ -1,10 +1,12 @@
 package index_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 
+	"hybridtree/internal/core"
 	"hybridtree/internal/geom"
 	"hybridtree/internal/index"
 )
@@ -37,7 +39,7 @@ func TestDeleteAllMethods(t *testing.T) {
 	victims := rng.Perm(n)[:n/2]
 	for _, idx := range idxs {
 		if idx.Name() == "hb" {
-			before, err := idx.SearchBox(all)
+			before, err := idx.Search(context.Background(), core.Query{Kind: core.Box, Rect: all})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +47,7 @@ func TestDeleteAllMethods(t *testing.T) {
 			if !errors.Is(err, index.ErrUnsupported) || found {
 				t.Fatalf("hb delete: found=%v err=%v, want ErrUnsupported", found, err)
 			}
-			after, err := idx.SearchBox(all)
+			after, err := idx.Search(context.Background(), core.Query{Kind: core.Box, Rect: all})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +91,7 @@ func checkSurvivors(t *testing.T, idx index.Index, pts []geom.Point, deleted []i
 	for _, v := range deleted {
 		dead[uint64(v)] = true
 	}
-	got, err := idx.SearchBox(all)
+	got, err := idx.Search(context.Background(), core.Query{Kind: core.Box, Rect: all})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,13 +100,13 @@ func checkSurvivors(t *testing.T, idx index.Index, pts []geom.Point, deleted []i
 	}
 	seen := make(map[uint64]bool, len(got))
 	for _, e := range got {
-		if dead[e.RID] {
+		if dead[uint64(e.RID)] {
 			t.Fatalf("%s: deleted rid %d still present", idx.Name(), e.RID)
 		}
-		if seen[e.RID] {
+		if seen[uint64(e.RID)] {
 			t.Fatalf("%s: rid %d duplicated", idx.Name(), e.RID)
 		}
-		seen[e.RID] = true
+		seen[uint64(e.RID)] = true
 		if !pts[e.RID].Equal(e.Point) {
 			t.Fatalf("%s: rid %d has wrong point", idx.Name(), e.RID)
 		}
@@ -113,8 +115,8 @@ func checkSurvivors(t *testing.T, idx index.Index, pts []geom.Point, deleted []i
 
 // TestDeleteThenQueryAgree re-runs the cross-method agreement check on
 // trees that have absorbed deletions, so post-delete geometry (drained
-// SR-tree spheres, stale X-tree MBRs, underfull K-D-B pages) is what the
-// queries actually exercise.
+// SR-tree spheres, underfull K-D-B pages) is what the queries actually
+// exercise.
 func TestDeleteThenQueryAgree(t *testing.T) {
 	const dim = 5
 	const n = 2000
@@ -149,7 +151,7 @@ func TestDeleteThenQueryAgree(t *testing.T) {
 			lo[d], hi[d] = c-0.3, c+0.3
 		}
 		rect := geom.Rect{Lo: lo, Hi: hi}
-		want, err := oracle.SearchBox(rect)
+		want, err := oracle.Search(context.Background(), core.Query{Kind: core.Box, Rect: rect})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +160,7 @@ func TestDeleteThenQueryAgree(t *testing.T) {
 			if idx.Name() == "hb" {
 				continue // did not absorb the deletes
 			}
-			got, err := idx.SearchBox(rect)
+			got, err := idx.Search(context.Background(), core.Query{Kind: core.Box, Rect: rect})
 			if err != nil {
 				t.Fatalf("%s box: %v", idx.Name(), err)
 			}

@@ -8,52 +8,18 @@ package index
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"hybridtree/internal/core"
-	"hybridtree/internal/dist"
 	"hybridtree/internal/geom"
 	"hybridtree/internal/pagefile"
 )
 
-// Entry is one stored (vector, record id) pair.
-type Entry struct {
-	Point geom.Point
-	RID   uint64
-}
-
-// Neighbor is an Entry annotated with its distance to a query.
-type Neighbor struct {
-	Entry
-	Dist float64
-}
-
 // ErrUnsupported is returned by access methods that do not implement a
 // query type — notably the hB-tree for distance-based queries, which the
-// paper excludes from Figure 7(c,d) for exactly this reason (footnote 2).
+// paper excludes from Figure 7(c,d) for exactly this reason (footnote 2) —
+// or cannot honor a query's Budget or Epsilon.
 var ErrUnsupported = errors.New("index: query type unsupported by this access method")
-
-// Lifecycle is the optional request-lifecycle extension of Index: one
-// Search taking the query as a value, honoring a context (cancellation,
-// deadline) and the query's resource budget. Budget exhaustion degrades —
-// the partial result is returned alongside a *core.ErrBudgetExceeded —
-// while context abandonment discards partials and returns ctx.Err(). Box
-// hits come back as Neighbors with Dist 0 (see Entries). The harness
-// type-asserts for this interface and falls back to the plain methods when
-// a method lacks it.
-type Lifecycle interface {
-	Index
-	Search(ctx context.Context, q core.Query) ([]Neighbor, error)
-}
-
-// Entries narrows a box Search's results to their entries; it wraps the
-// call directly.
-func Entries(ns []Neighbor, err error) ([]Entry, error) {
-	out := make([]Entry, len(ns))
-	for i, n := range ns {
-		out[i] = n.Entry
-	}
-	return out, err
-}
 
 // Index is a paginated multidimensional access method.
 type Index interface {
@@ -64,14 +30,29 @@ type Index interface {
 	// Delete removes one entry matching (p, rid) exactly, reporting whether
 	// it was found, or returns ErrUnsupported.
 	Delete(p geom.Point, rid uint64) (bool, error)
-	// SearchBox returns all entries inside q, boundaries inclusive.
-	SearchBox(q geom.Rect) ([]Entry, error)
-	// SearchRange returns all entries within radius of q under m, or
-	// ErrUnsupported.
-	SearchRange(q geom.Point, radius float64, m dist.Metric) ([]Neighbor, error)
-	// SearchKNN returns the k nearest entries to q under m, closest first,
-	// or ErrUnsupported.
-	SearchKNN(q geom.Point, k int, m dist.Metric) ([]Neighbor, error)
+	// Search answers q: box hits in any order with Dist 0, range hits in
+	// any order, k-NN closest first. A malformed q is refused with
+	// core.ErrBadQuery before any page is read, a query the method cannot
+	// answer with ErrUnsupported, and an abandoned ctx with ctx.Err().
+	// Only the hybrid tree honors q.Budget, degrading to a partial answer
+	// alongside a *core.ErrBudgetExceeded.
+	Search(ctx context.Context, q core.Query) ([]core.Neighbor, error)
 	// File exposes the underlying page file for access accounting.
 	File() pagefile.File
+}
+
+// Check is the refusal rule every baseline applies before reading a page:
+// a malformed q, an abandoned ctx, and a Budget or Epsilon the baselines
+// cannot honor (rather than silently running to completion).
+func Check(ctx context.Context, q core.Query, dim int) error {
+	if err := q.Validate(dim); err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if !q.Budget.Unlimited() || q.Epsilon != 0 {
+		return fmt.Errorf("%w: %v query with a budget or epsilon", ErrUnsupported, q.Kind)
+	}
+	return nil
 }

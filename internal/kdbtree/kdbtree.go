@@ -12,11 +12,13 @@
 package kdbtree
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
 
+	"hybridtree/internal/core"
 	"hybridtree/internal/dist"
 	"hybridtree/internal/geom"
 	"hybridtree/internal/index"
@@ -351,12 +353,22 @@ func (t *Tree) cutNode(n *node, region geom.Rect, dim int, val float32) (*splitI
 	return &splitInfo{leftRect: leftRect, rightRect: rightRect, left: n.id, right: right.id}, nil
 }
 
-// SearchBox implements index.Index.
-func (t *Tree) SearchBox(q geom.Rect) ([]index.Entry, error) {
-	if q.Dim() != t.cfg.Dim {
-		return nil, fmt.Errorf("kdbtree: query has dim %d, want %d", q.Dim(), t.cfg.Dim)
+// Search implements index.Index.
+func (t *Tree) Search(ctx context.Context, q core.Query) ([]core.Neighbor, error) {
+	if err := index.Check(ctx, q, t.cfg.Dim); err != nil {
+		return nil, err
 	}
-	var out []index.Entry
+	switch q.Kind {
+	case core.Box:
+		return t.searchBox(q.Rect)
+	case core.Range:
+		return t.searchRange(q.Point, q.Radius, q.Metric)
+	}
+	return t.searchKNN(q.Point, q.K, q.Metric)
+}
+
+func (t *Tree) searchBox(q geom.Rect) ([]core.Neighbor, error) {
+	var out []core.Neighbor
 	pruned := 0
 	var walk func(id pagefile.PageID) error
 	walk = func(id pagefile.PageID) error {
@@ -367,7 +379,7 @@ func (t *Tree) SearchBox(q geom.Rect) ([]index.Entry, error) {
 		if n.leaf {
 			for i, p := range n.pts {
 				if q.Contains(p) {
-					out = append(out, index.Entry{Point: p, RID: n.rids[i]})
+					out = append(out, core.Neighbor{Entry: core.Entry{Point: p, RID: core.RecordID(n.rids[i])}})
 				}
 			}
 			return nil
@@ -388,16 +400,10 @@ func (t *Tree) SearchBox(q geom.Rect) ([]index.Entry, error) {
 	return out, err
 }
 
-// SearchRange implements index.Index (regions are plain rectangles, so any
+// searchRange prunes by MINDIST (regions are plain rectangles, so any
 // metric's MINDIST applies).
-func (t *Tree) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]index.Neighbor, error) {
-	if len(q) != t.cfg.Dim {
-		return nil, fmt.Errorf("kdbtree: query has dim %d, want %d", len(q), t.cfg.Dim)
-	}
-	if radius < 0 {
-		return nil, fmt.Errorf("kdbtree: negative radius %g", radius)
-	}
-	var out []index.Neighbor
+func (t *Tree) searchRange(q geom.Point, radius float64, m dist.Metric) ([]core.Neighbor, error) {
+	var out []core.Neighbor
 	pruned := 0
 	var walk func(id pagefile.PageID) error
 	walk = func(id pagefile.PageID) error {
@@ -408,7 +414,7 @@ func (t *Tree) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]index
 		if n.leaf {
 			for i, p := range n.pts {
 				if d := m.Distance(q, p); d <= radius {
-					out = append(out, index.Neighbor{Entry: index.Entry{Point: p, RID: n.rids[i]}, Dist: d})
+					out = append(out, core.Neighbor{Entry: core.Entry{Point: p, RID: core.RecordID(n.rids[i])}, Dist: d})
 				}
 			}
 			return nil
@@ -429,17 +435,11 @@ func (t *Tree) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]index
 	return out, err
 }
 
-// SearchKNN implements index.Index with best-first traversal.
-func (t *Tree) SearchKNN(q geom.Point, k int, m dist.Metric) ([]index.Neighbor, error) {
-	if len(q) != t.cfg.Dim {
-		return nil, fmt.Errorf("kdbtree: query has dim %d, want %d", len(q), t.cfg.Dim)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("kdbtree: k must be >= 1, got %d", k)
-	}
+// searchKNN is best-first traversal.
+func (t *Tree) searchKNN(q geom.Point, k int, m dist.Metric) ([]core.Neighbor, error) {
 	pruned := 0
 	var pq pqueue.Min[pagefile.PageID]
-	best := pqueue.NewKBest[index.Neighbor](k)
+	best := pqueue.NewKBest[core.Neighbor](k)
 	pq.Push(t.root, 0)
 	for pq.Len() > 0 {
 		id, mindist := pq.Pop()
@@ -453,7 +453,7 @@ func (t *Tree) SearchKNN(q geom.Point, k int, m dist.Metric) ([]index.Neighbor, 
 		if n.leaf {
 			for i, p := range n.pts {
 				d := m.Distance(q, p)
-				best.Offer(index.Neighbor{Entry: index.Entry{Point: p, RID: n.rids[i]}, Dist: d}, d)
+				best.Offer(core.Neighbor{Entry: core.Entry{Point: p, RID: core.RecordID(n.rids[i])}, Dist: d}, d)
 			}
 			continue
 		}

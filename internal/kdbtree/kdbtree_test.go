@@ -1,11 +1,13 @@
 package kdbtree
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"hybridtree/internal/core"
 	"hybridtree/internal/dist"
 	"hybridtree/internal/geom"
 	"hybridtree/internal/pagefile"
@@ -74,13 +76,13 @@ func TestBoxMatchesBruteForce(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			for q := 0; q < 20; q++ {
 				rect := queryRect(rng, tc.dim, tc.side)
-				got, err := tree.SearchBox(rect)
+				got, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: rect})
 				if err != nil {
 					t.Fatal(err)
 				}
 				gotSet := make(map[uint64]bool)
 				for _, e := range got {
-					gotSet[e.RID] = true
+					gotSet[uint64(e.RID)] = true
 				}
 				want := 0
 				for i, p := range pts {
@@ -106,7 +108,7 @@ func TestRangeAndKNN(t *testing.T) {
 	for q := 0; q < 10; q++ {
 		center := pts[rng.Intn(len(pts))]
 		r := 0.1 + rng.Float64()*0.2
-		got, err := tree.SearchRange(center, r, m)
+		got, err := tree.Search(context.Background(), core.Query{Kind: core.Range, Point: center, Radius: r, Metric: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +123,7 @@ func TestRangeAndKNN(t *testing.T) {
 		}
 	}
 	query := geom.Point{0.5, 0.5, 0.5, 0.5}
-	got, err := tree.SearchKNN(query, 15, m)
+	got, err := tree.Search(context.Background(), core.Query{Kind: core.KNN, Point: query, K: 15, Metric: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +233,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		tree.store.DropCache()
-		if _, err := tree.SearchBox(geom.UnitCube(2)); err == nil {
+		if _, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: geom.UnitCube(2)}); err == nil {
 			t.Errorf("%s corruption not detected", name)
 		}
 	}
@@ -240,7 +242,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	tree.store.DropCache()
-	if _, err := tree.SearchBox(geom.UnitCube(2)); err != nil {
+	if _, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: geom.UnitCube(2)}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -251,15 +253,15 @@ func TestEmptyTreeQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tree.SearchBox(geom.UnitCube(3))
+	res, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: geom.UnitCube(3)})
 	if err != nil || len(res) != 0 {
 		t.Fatalf("empty box = %d, %v", len(res), err)
 	}
-	nn, err := tree.SearchKNN(geom.Point{0.5, 0.5, 0.5}, 4, dist.L2())
+	nn, err := tree.Search(context.Background(), core.Query{Kind: core.KNN, Point: geom.Point{0.5, 0.5, 0.5}, K: 4, Metric: dist.L2()})
 	if err != nil || len(nn) != 0 {
 		t.Fatalf("empty knn = %d, %v", len(nn), err)
 	}
-	rr, err := tree.SearchRange(geom.Point{0.5, 0.5, 0.5}, 0.2, dist.L1())
+	rr, err := tree.Search(context.Background(), core.Query{Kind: core.Range, Point: geom.Point{0.5, 0.5, 0.5}, Radius: 0.2, Metric: dist.L1()})
 	if err != nil || len(rr) != 0 {
 		t.Fatalf("empty range = %d, %v", len(rr), err)
 	}
@@ -288,7 +290,7 @@ func TestDeepCascades(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	for q := 0; q < 10; q++ {
 		rect := queryRect(rng, 6, 0.5)
-		got, err := tree.SearchBox(rect)
+		got, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: rect})
 		if err != nil {
 			t.Fatal(err)
 		}

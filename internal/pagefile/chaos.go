@@ -37,6 +37,16 @@ type ChaosProfile struct {
 	SyncLost float64
 }
 
+// ChaosProfiles are the named fault profiles the simulator, htreed and CI
+// select from.
+var ChaosProfiles = map[string]ChaosProfile{
+	"off": {},
+	"light": {ReadErr: 0.002, ReadCorrupt: 0.001, WriteErr: 0.005,
+		WriteTorn: 0.002, WriteShort: 0.001, AllocErr: 0.002, FreeErr: 0.002},
+	"heavy": {ReadErr: 0.02, ReadCorrupt: 0.01, WriteErr: 0.05,
+		WriteTorn: 0.02, WriteShort: 0.01, AllocErr: 0.02, FreeErr: 0.02},
+}
+
 // Zero reports whether the profile injects nothing.
 func (p ChaosProfile) Zero() bool {
 	return p.ReadErr == 0 && p.ReadCorrupt == 0 && p.WriteErr == 0 &&

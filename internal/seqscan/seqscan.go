@@ -7,10 +7,12 @@
 package seqscan
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 
+	"hybridtree/internal/core"
 	"hybridtree/internal/dist"
 	"hybridtree/internal/geom"
 	"hybridtree/internal/index"
@@ -189,58 +191,58 @@ func (s *Scan) scan(fn func(p geom.Point, rid uint64)) error {
 	return nil
 }
 
-// SearchBox implements index.Index.
-func (s *Scan) SearchBox(q geom.Rect) ([]index.Entry, error) {
-	if q.Dim() != s.dim {
-		return nil, fmt.Errorf("seqscan: query has dim %d, want %d", q.Dim(), s.dim)
+// Search implements index.Index.
+func (s *Scan) Search(ctx context.Context, q core.Query) ([]core.Neighbor, error) {
+	if err := index.Check(ctx, q, s.dim); err != nil {
+		return nil, err
 	}
-	var out []index.Entry
+	switch q.Kind {
+	case core.Box:
+		return s.searchBox(q.Rect)
+	case core.Range:
+		return s.searchRange(q.Point, q.Radius, q.Metric)
+	}
+	return s.searchKNN(q.Point, q.K, q.Metric)
+}
+
+func (s *Scan) searchBox(q geom.Rect) ([]core.Neighbor, error) {
+	var out []core.Neighbor
 	err := s.scan(func(p geom.Point, rid uint64) {
 		if q.Contains(p) {
-			out = append(out, index.Entry{Point: p.Clone(), RID: rid})
+			out = append(out, core.Neighbor{Entry: core.Entry{Point: p.Clone(), RID: core.RecordID(rid)}})
 		}
 	})
 	return out, err
 }
 
-// SearchRange implements index.Index. Under a metric with an additive kernel
-// (L1, L2 and their weighted forms) the scan compares sums against the
-// radius in sum space with partial-sum early abandonment, paying one root per
-// reported hit instead of one full distance per stored point.
-func (s *Scan) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]index.Neighbor, error) {
-	if len(q) != s.dim {
-		return nil, fmt.Errorf("seqscan: query has dim %d, want %d", len(q), s.dim)
-	}
-	var out []index.Neighbor
+// searchRange under a metric with an additive kernel (L1, L2 and their
+// weighted forms) compares sums against the radius in sum space with
+// partial-sum early abandonment, paying one root per reported hit instead
+// of one full distance per stored point.
+func (s *Scan) searchRange(q geom.Point, radius float64, m dist.Metric) ([]core.Neighbor, error) {
+	var out []core.Neighbor
 	if add, ok := dist.AsAdditive(m); ok {
 		bound := add.SumBound(radius)
 		err := s.scan(func(p geom.Point, rid uint64) {
 			if sum := add.SumBounded(q, p, bound); sum <= bound {
-				out = append(out, index.Neighbor{Entry: index.Entry{Point: p.Clone(), RID: rid}, Dist: add.Root(sum)})
+				out = append(out, core.Neighbor{Entry: core.Entry{Point: p.Clone(), RID: core.RecordID(rid)}, Dist: add.Root(sum)})
 			}
 		})
 		return out, err
 	}
 	err := s.scan(func(p geom.Point, rid uint64) {
 		if d := m.Distance(q, p); d <= radius {
-			out = append(out, index.Neighbor{Entry: index.Entry{Point: p.Clone(), RID: rid}, Dist: d})
+			out = append(out, core.Neighbor{Entry: core.Entry{Point: p.Clone(), RID: core.RecordID(rid)}, Dist: d})
 		}
 	})
 	return out, err
 }
 
-// SearchKNN implements index.Index. Points are cloned only once they beat
-// the current k-th bound (the seed cloned every stored point), and under a
-// metric with an additive kernel the whole scan runs in sum space with early
-// abandonment against that bound.
-func (s *Scan) SearchKNN(q geom.Point, k int, m dist.Metric) ([]index.Neighbor, error) {
-	if len(q) != s.dim {
-		return nil, fmt.Errorf("seqscan: query has dim %d, want %d", len(q), s.dim)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("seqscan: k must be >= 1, got %d", k)
-	}
-	best := pqueue.NewKBest[index.Neighbor](k)
+// searchKNN clones a point only once it beats the current k-th bound, and
+// under a metric with an additive kernel runs the whole scan in sum space
+// with early abandonment against that bound.
+func (s *Scan) searchKNN(q geom.Point, k int, m dist.Metric) ([]core.Neighbor, error) {
+	best := pqueue.NewKBest[core.Neighbor](k)
 	add, fast := dist.AsAdditive(m)
 	err := s.scan(func(p geom.Point, rid uint64) {
 		bound := math.Inf(1)
@@ -256,7 +258,7 @@ func (s *Scan) SearchKNN(q geom.Point, k int, m dist.Metric) ([]index.Neighbor, 
 		if d > bound {
 			return // abandoned or beaten; Offer would reject it
 		}
-		best.Offer(index.Neighbor{Entry: index.Entry{Point: p.Clone(), RID: rid}, Dist: d}, d)
+		best.Offer(core.Neighbor{Entry: core.Entry{Point: p.Clone(), RID: core.RecordID(rid)}, Dist: d}, d)
 	})
 	if err != nil {
 		return nil, err

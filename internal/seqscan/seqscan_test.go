@@ -1,10 +1,12 @@
 package seqscan
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"hybridtree/internal/core"
 	"hybridtree/internal/dist"
 	"hybridtree/internal/geom"
 	"hybridtree/internal/pagefile"
@@ -43,10 +45,10 @@ func TestValidation(t *testing.T) {
 	if err := s.Insert(geom.Point{0.5}, 1); err == nil {
 		t.Fatal("wrong dim accepted")
 	}
-	if _, err := s.SearchBox(geom.UnitCube(2)); err == nil {
+	if _, err := s.Search(context.Background(), core.Query{Kind: core.Box, Rect: geom.UnitCube(2)}); err == nil {
 		t.Fatal("wrong dim query accepted")
 	}
-	if _, err := s.SearchKNN(make(geom.Point, 4), 0, dist.L2()); err == nil {
+	if _, err := s.Search(context.Background(), core.Query{Kind: core.KNN, Point: make(geom.Point, 4), K: 0, Metric: dist.L2()}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -63,7 +65,7 @@ func TestSearches(t *testing.T) {
 		c := rng.Float32()
 		rect.Lo[d], rect.Hi[d] = c-0.35, c+0.35
 	}
-	got, err := s.SearchBox(rect)
+	got, err := s.Search(context.Background(), core.Query{Kind: core.Box, Rect: rect})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestSearches(t *testing.T) {
 
 	center := pts[17]
 	m := dist.L1()
-	rres, err := s.SearchRange(center, 0.8, m)
+	rres, err := s.Search(context.Background(), core.Query{Kind: core.Range, Point: center, Radius: 0.8, Metric: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func TestSearches(t *testing.T) {
 		t.Fatalf("range: got %d, want %d", len(rres), count)
 	}
 
-	nres, err := s.SearchKNN(center, 12, m)
+	nres, err := s.Search(context.Background(), core.Query{Kind: core.KNN, Point: center, K: 12, Metric: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +122,7 @@ func TestSearches(t *testing.T) {
 func TestSequentialAccounting(t *testing.T) {
 	s, _, file := build(t, 1000, 8, 512, 7)
 	file.Stats().Reset()
-	if _, err := s.SearchBox(geom.UnitCube(8)); err != nil {
+	if _, err := s.Search(context.Background(), core.Query{Kind: core.Box, Rect: geom.UnitCube(8)}); err != nil {
 		t.Fatal(err)
 	}
 	st := file.Stats()

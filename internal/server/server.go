@@ -1,6 +1,6 @@
 // Package server is the hybrid tree's network front door: a stdlib-only
 // net/http server that exposes the in-process request-lifecycle machinery —
-// index.Lifecycle-shaped budgeted searches, concurrent.Executor admission
+// budgeted core.Query searches, concurrent.Executor admission
 // control, the six-way outcome taxonomy, the obs mux — over a socket.
 //
 // It is engineered for failure first. Overload resolves at the edges in a

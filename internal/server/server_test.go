@@ -145,7 +145,7 @@ func TestServeWrites(t *testing.T) {
 		}
 	}
 	for i, p := range inserted {
-		es, err := tree.SearchBox(geom.Rect{Lo: p, Hi: p})
+		es, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: geom.Rect{Lo: p, Hi: p}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,6 @@ import (
 	"hybridtree/internal/loadgen"
 	"hybridtree/internal/obs"
 	"hybridtree/internal/pagefile"
-	"hybridtree/internal/sim"
 	"hybridtree/internal/wal"
 )
 
@@ -29,7 +28,7 @@ import (
 // divine silent corruption. ReadCorrupt stays: the checksum layer above
 // chaos detects it and the retry layer rereads.
 func stormProfile() pagefile.ChaosProfile {
-	p := sim.Profiles["heavy"]
+	p := pagefile.ChaosProfiles["heavy"]
 	p.WriteShort = 0
 	p.WriteTorn = 0
 	p.SyncLost = 0

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -153,8 +154,10 @@ func RunConcurrent(cfg ConcurrentConfig) (ConcurrentResult, error) {
 			last := -1
 			snapshots, knns := 0, 0
 			minP, maxP := cfg.Inserts+1, 0
-			for !done.Load() {
-				es, err := tree.SearchBox(space)
+			// The loop tests done after its body, so every reader verifies
+			// at least one snapshot even when the writer finishes first.
+			for more := true; more; more = !done.Load() {
+				es, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: space})
 				if err != nil {
 					violate(fmt.Errorf("sim: concurrent reader %d box: %w", r, err))
 					return
@@ -192,7 +195,7 @@ func RunConcurrent(cfg ConcurrentConfig) (ConcurrentResult, error) {
 					for d := range q {
 						q[d] = rng.Float32()
 					}
-					ns, err := tree.SearchKNN(q, cfg.KNNK, metric)
+					ns, err := tree.Search(context.Background(), core.Query{Kind: core.KNN, Point: q, K: cfg.KNNK, Metric: metric})
 					if err != nil {
 						violate(fmt.Errorf("sim: concurrent reader %d knn: %w", r, err))
 						return

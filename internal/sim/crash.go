@@ -1,13 +1,13 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"hybridtree/internal/core"
 	"hybridtree/internal/dist"
 	"hybridtree/internal/geom"
-	"hybridtree/internal/index"
 	"hybridtree/internal/pagefile"
 	"hybridtree/internal/seqscan"
 	"hybridtree/internal/wal"
@@ -155,6 +155,17 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 	storageErr := func(err error) bool {
 		return pagefile.IsTransient(err) || pagefile.IsCorrupt(err)
 	}
+	// check judges a complete answer against the oracle.
+	check := func(i int, label string, q core.Query, got []core.Neighbor) error {
+		detail, err := checkAnswer(oracle, q, got, false)
+		if err != nil {
+			return err
+		}
+		if detail != "" {
+			return diverge(i, label+detail)
+		}
+		return nil
+	}
 
 	// checkRecovered is the five-method differential: box (collecting),
 	// box (streaming count), range, exact k-NN, and approximate k-NN at
@@ -162,61 +173,38 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 	// byte-for-byte against the oracle's replay of the acknowledged ops.
 	// Runs quiesced: it is the measurement instrument, not the workload.
 	checkRecovered := func(i int, t *core.Tree) error {
-		sut := &index.Hybrid{Tree: t}
-		want, err := oracle.SearchBox(space)
-		if err != nil {
-			return fmt.Errorf("sim: oracle box: %w", err)
-		}
-		got, err := sut.SearchBox(space)
-		if err != nil {
-			return diverge(i, fmt.Sprintf("recovered box failed: %v", err))
-		}
-		if detail := compareEntries(got, want); detail != "" {
-			return diverge(i, "recovered box: "+detail)
-		}
-		foldEntries(dg, got)
-		n, err := t.CountBox(space)
-		if err != nil {
-			return diverge(i, fmt.Sprintf("recovered count failed: %v", err))
-		}
-		if n != len(want) {
-			return diverge(i, fmt.Sprintf("recovered count %d, oracle has %d", n, len(want)))
-		}
 		q := randQuery(killRng, dim)
 		radius := killRng.Float64() * 0.5
-		wantR, err := oracle.SearchRange(q, radius, metric)
-		if err != nil {
-			return fmt.Errorf("sim: oracle range: %w", err)
-		}
-		gotR, err := sut.SearchRange(q, radius, metric)
-		if err != nil {
-			return diverge(i, fmt.Sprintf("recovered range failed: %v", err))
-		}
-		if detail := compareNeighborSets(gotR, wantR); detail != "" {
-			return diverge(i, "recovered range: "+detail)
-		}
-		foldNeighbors(dg, gotR)
 		k := 1 + killRng.Intn(10)
-		wantK, err := oracle.SearchKNN(q, k, metric)
-		if err != nil {
-			return fmt.Errorf("sim: oracle knn: %w", err)
+		for _, op := range []Op{
+			{Kind: OpBox, Rect: space},
+			{Kind: OpRange, Point: q, Radius: radius},
+			{Kind: OpKNN, Point: q, K: k},
+		} {
+			query := op.Query(metric, core.Budget{})
+			got, err := t.Search(context.Background(), nil, query, nil)
+			if err != nil {
+				return diverge(i, fmt.Sprintf("recovered %v failed: %v", query.Kind, err))
+			}
+			if err := check(i, "recovered ", query, got); err != nil {
+				return err
+			}
+			foldAnswer(dg, query.Kind, got)
+			if op.Kind == OpBox {
+				n, err := t.CountBox(space)
+				if err != nil {
+					return diverge(i, fmt.Sprintf("recovered count failed: %v", err))
+				}
+				if n != len(got) {
+					return diverge(i, fmt.Sprintf("recovered count %d, oracle has %d", n, len(got)))
+				}
+			}
 		}
-		gotK, err := sut.SearchKNN(q, k, metric)
-		if err != nil {
-			return diverge(i, fmt.Sprintf("recovered knn failed: %v", err))
-		}
-		if detail := compareKNN(q, gotK, wantK, metric); detail != "" {
-			return diverge(i, "recovered knn: "+detail)
-		}
-		foldNeighbors(dg, gotK)
-		gotA, err := t.SearchKNNApprox(q, k, metric, 0)
+		got, err := t.SearchKNNApprox(q, k, metric, 0)
 		if err != nil {
 			return diverge(i, fmt.Sprintf("recovered approx knn failed: %v", err))
 		}
-		if detail := compareKNN(q, convertNeighbors(gotA), wantK, metric); detail != "" {
-			return diverge(i, "recovered approx knn (epsilon 0): "+detail)
-		}
-		return nil
+		return check(i, "recovered approx (epsilon 0) ", Op{Kind: OpKNN, Point: q, K: k}.Query(metric, core.Budget{}), got)
 	}
 
 	ackedSinceCkpt := 0
@@ -264,61 +252,20 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 				if found != wantFound {
 					return rep, diverge(i, fmt.Sprintf("delete found=%v, oracle says %v", found, wantFound))
 				}
-			case OpBox:
+			default: // a box, range or k-NN query
 				rep.Queries++
-				got, err := tree.SearchBox(op.Rect)
+				q := op.Query(metric, core.Budget{})
+				got, err := tree.Search(context.Background(), nil, q, nil)
 				if err != nil {
 					if !storageErr(err) {
-						return rep, diverge(i, fmt.Sprintf("box failed: %v", err))
+						return rep, diverge(i, fmt.Sprintf("%v failed: %v", q.Kind, err))
 					}
 					rep.Tolerated++
 					dg.fold(4)
 					break
 				}
-				want, oerr := oracle.SearchBox(op.Rect)
-				if oerr != nil {
-					return rep, fmt.Errorf("sim: oracle box: %w", oerr)
-				}
-				if detail := compareEntries(convertEntries(got), want); detail != "" {
-					return rep, diverge(i, "box: "+detail)
-				}
-				dg.fold(uint64(len(got)))
-			case OpRange:
-				rep.Queries++
-				got, err := tree.SearchRange(op.Point, op.Radius, metric)
-				if err != nil {
-					if !storageErr(err) {
-						return rep, diverge(i, fmt.Sprintf("range failed: %v", err))
-					}
-					rep.Tolerated++
-					dg.fold(4)
-					break
-				}
-				want, oerr := oracle.SearchRange(op.Point, op.Radius, metric)
-				if oerr != nil {
-					return rep, fmt.Errorf("sim: oracle range: %w", oerr)
-				}
-				if detail := compareNeighborSets(convertNeighbors(got), want); detail != "" {
-					return rep, diverge(i, "range: "+detail)
-				}
-				dg.fold(uint64(len(got)))
-			case OpKNN:
-				rep.Queries++
-				got, err := tree.SearchKNN(op.Point, op.K, metric)
-				if err != nil {
-					if !storageErr(err) {
-						return rep, diverge(i, fmt.Sprintf("knn failed: %v", err))
-					}
-					rep.Tolerated++
-					dg.fold(4)
-					break
-				}
-				want, oerr := oracle.SearchKNN(op.Point, op.K, metric)
-				if oerr != nil {
-					return rep, fmt.Errorf("sim: oracle knn: %w", oerr)
-				}
-				if detail := compareKNN(op.Point, convertNeighbors(got), want, metric); detail != "" {
-					return rep, diverge(i, "knn: "+detail)
+				if err := check(i, "", q, got); err != nil {
+					return rep, err
 				}
 				dg.fold(uint64(len(got)))
 			}
@@ -395,23 +342,4 @@ func randQuery(rng *rand.Rand, dim int) geom.Point {
 		p[d] = rng.Float32()
 	}
 	return p
-}
-
-func convertEntries(es []core.Entry) []index.Entry {
-	out := make([]index.Entry, len(es))
-	for i, e := range es {
-		out[i] = index.Entry{Point: e.Point, RID: uint64(e.RID)}
-	}
-	return out
-}
-
-func convertNeighbors(ns []core.Neighbor) []index.Neighbor {
-	out := make([]index.Neighbor, len(ns))
-	for i, n := range ns {
-		out[i] = index.Neighbor{
-			Entry: index.Entry{Point: n.Point, RID: uint64(n.RID)},
-			Dist:  n.Dist,
-		}
-	}
-	return out
 }

@@ -78,7 +78,7 @@ func TestHybridSurvivesHeavyFaults(t *testing.T) {
 	rep, err := Run(Config{
 		Trace:      TraceConfig{Seed: 5, Ops: 4000},
 		Indexes:    []string{"hybrid"},
-		Faults:     Profiles["heavy"],
+		Faults:     pagefile.ChaosProfiles["heavy"],
 		CheckEvery: 500,
 	})
 	if err != nil {
@@ -100,7 +100,7 @@ func TestHybridSurvivesHeavyFaults(t *testing.T) {
 // TestDigestReproducible is the bit-reproducibility contract: identical
 // configs yield identical digests, different seeds different ones.
 func TestDigestReproducible(t *testing.T) {
-	cfg := Config{Trace: TraceConfig{Seed: 3, Ops: 2000}, Faults: Profiles["light"]}
+	cfg := Config{Trace: TraceConfig{Seed: 3, Ops: 2000}, Faults: pagefile.ChaosProfiles["light"]}
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestLifecycleHeavyFaultsWithDeadlines(t *testing.T) {
 	rep, err := Run(Config{
 		Trace:      TraceConfig{Seed: 5, Ops: 4000},
 		Indexes:    []string{"hybrid"},
-		Faults:     Profiles["heavy"],
+		Faults:     pagefile.ChaosProfiles["heavy"],
 		CheckEvery: 500,
 		Lifecycle:  LifecycleConfig{Deadline: 2 * time.Second, BudgetPages: 16, Retry: true},
 	})
@@ -174,7 +174,7 @@ func TestLifecycleRetryKeepsOracleAgreement(t *testing.T) {
 	cfg := Config{
 		Trace:      TraceConfig{Seed: 13, Ops: 3000},
 		Indexes:    []string{"hybrid"},
-		Faults:     Profiles["heavy"],
+		Faults:     pagefile.ChaosProfiles["heavy"],
 		CheckEvery: 300,
 		Lifecycle:  LifecycleConfig{Retry: true},
 	}
@@ -309,7 +309,7 @@ func TestMinimizeShrinks(t *testing.T) {
 // over a prefix of the generated trace behaves identically to the same
 // prefix of a full run (same digest inputs, no divergence).
 func TestReplayTruncatedTrace(t *testing.T) {
-	cfg := Config{Trace: TraceConfig{Seed: 6, Ops: 1200}, Faults: Profiles["light"]}
+	cfg := Config{Trace: TraceConfig{Seed: 6, Ops: 1200}, Faults: pagefile.ChaosProfiles["light"]}
 	cfg = cfg.withDefaults()
 	trace := GenTrace(cfg.Trace)
 	ir, err := Replay(cfg, "hybrid", trace[:600])

@@ -13,6 +13,8 @@ import (
 	"math"
 	"math/rand"
 
+	"hybridtree/internal/core"
+	"hybridtree/internal/dist"
 	"hybridtree/internal/geom"
 )
 
@@ -52,6 +54,18 @@ type Op struct {
 	Rect   geom.Rect
 	Radius float64
 	K      int
+}
+
+// Query is the core.Query a box, range or k-NN op asks, under metric m (for
+// the distance kinds) and budget b.
+func (op Op) Query(m dist.Metric, b core.Budget) core.Query {
+	switch op.Kind {
+	case OpBox:
+		return core.Query{Kind: core.Box, Rect: op.Rect, Budget: b}
+	case OpRange:
+		return core.Query{Kind: core.Range, Point: op.Point, Radius: op.Radius, Metric: m, Budget: b}
+	}
+	return core.Query{Kind: core.KNN, Point: op.Point, K: op.K, Metric: m, Budget: b}
 }
 
 // TraceConfig parameterizes trace generation.

@@ -10,11 +10,13 @@
 package srtree
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
 
+	"hybridtree/internal/core"
 	"hybridtree/internal/dist"
 	"hybridtree/internal/geom"
 	"hybridtree/internal/index"
@@ -489,13 +491,24 @@ func regionMinDistSum(q geom.Point, e *entry, add dist.Additive, sphereOK bool) 
 	return lb
 }
 
-// SearchBox implements index.Index: a child is visited when the query box
-// intersects both its bounding rectangle and its bounding sphere.
-func (t *Tree) SearchBox(q geom.Rect) ([]index.Entry, error) {
-	if q.Dim() != t.cfg.Dim {
-		return nil, fmt.Errorf("srtree: query has dim %d, want %d", q.Dim(), t.cfg.Dim)
+// Search implements index.Index.
+func (t *Tree) Search(ctx context.Context, q core.Query) ([]core.Neighbor, error) {
+	if err := index.Check(ctx, q, t.cfg.Dim); err != nil {
+		return nil, err
 	}
-	var out []index.Entry
+	switch q.Kind {
+	case core.Box:
+		return t.searchBox(q.Rect)
+	case core.Range:
+		return t.searchRange(q.Point, q.Radius, q.Metric)
+	}
+	return t.searchKNN(q.Point, q.K, q.Metric)
+}
+
+// searchBox visits a child when the query box intersects both its bounding
+// rectangle and its bounding sphere.
+func (t *Tree) searchBox(q geom.Rect) ([]core.Neighbor, error) {
+	var out []core.Neighbor
 	pruned := 0
 	var walk func(id pagefile.PageID) error
 	walk = func(id pagefile.PageID) error {
@@ -506,7 +519,7 @@ func (t *Tree) SearchBox(q geom.Rect) ([]index.Entry, error) {
 		if n.leaf {
 			for i, p := range n.pts {
 				if q.Contains(p) {
-					out = append(out, index.Entry{Point: p, RID: n.rids[i]})
+					out = append(out, core.Neighbor{Entry: core.Entry{Point: p, RID: core.RecordID(n.rids[i])}})
 				}
 			}
 			return nil
@@ -532,21 +545,15 @@ func (t *Tree) SearchBox(q geom.Rect) ([]index.Entry, error) {
 	return out, err
 }
 
-// SearchRange implements index.Index.
-func (t *Tree) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]index.Neighbor, error) {
-	if len(q) != t.cfg.Dim {
-		return nil, fmt.Errorf("srtree: query has dim %d, want %d", len(q), t.cfg.Dim)
-	}
-	if radius < 0 {
-		return nil, fmt.Errorf("srtree: negative radius %g", radius)
-	}
+// searchRange visits every child whose region lies within radius of q.
+func (t *Tree) searchRange(q geom.Point, radius float64, m dist.Metric) ([]core.Neighbor, error) {
 	sphereOK := dist.DominatesL2(m)
 	add, fast := dist.AsAdditive(m)
 	bound := radius
 	if fast {
 		bound = add.SumBound(radius)
 	}
-	var out []index.Neighbor
+	var out []core.Neighbor
 	pruned := 0
 	var walk func(id pagefile.PageID) error
 	walk = func(id pagefile.PageID) error {
@@ -558,10 +565,10 @@ func (t *Tree) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]index
 			for i, p := range n.pts {
 				if fast {
 					if sum := add.SumBounded(q, p, bound); sum <= bound {
-						out = append(out, index.Neighbor{Entry: index.Entry{Point: p, RID: n.rids[i]}, Dist: add.Root(sum)})
+						out = append(out, core.Neighbor{Entry: core.Entry{Point: p, RID: core.RecordID(n.rids[i])}, Dist: add.Root(sum)})
 					}
 				} else if d := m.Distance(q, p); d <= radius {
-					out = append(out, index.Neighbor{Entry: index.Entry{Point: p, RID: n.rids[i]}, Dist: d})
+					out = append(out, core.Neighbor{Entry: core.Entry{Point: p, RID: core.RecordID(n.rids[i])}, Dist: d})
 				}
 			}
 			return nil
@@ -588,20 +595,13 @@ func (t *Tree) SearchRange(q geom.Point, radius float64, m dist.Metric) ([]index
 	return out, err
 }
 
-// SearchKNN implements index.Index with best-first traversal over the
-// rect∩sphere regions.
-func (t *Tree) SearchKNN(q geom.Point, k int, m dist.Metric) ([]index.Neighbor, error) {
-	if len(q) != t.cfg.Dim {
-		return nil, fmt.Errorf("srtree: query has dim %d, want %d", len(q), t.cfg.Dim)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("srtree: k must be >= 1, got %d", k)
-	}
+// searchKNN is best-first traversal over the rect∩sphere regions.
+func (t *Tree) searchKNN(q geom.Point, k int, m dist.Metric) ([]core.Neighbor, error) {
 	sphereOK := dist.DominatesL2(m)
 	add, fast := dist.AsAdditive(m)
 	pruned := 0
 	var pq pqueue.Min[pagefile.PageID]
-	best := pqueue.NewKBest[index.Neighbor](k)
+	best := pqueue.NewKBest[core.Neighbor](k)
 	pq.Push(t.root, 0)
 	for pq.Len() > 0 {
 		id, mindist := pq.Pop()
@@ -627,7 +627,7 @@ func (t *Tree) SearchKNN(q geom.Point, k int, m dist.Metric) ([]index.Neighbor, 
 				if d > bound {
 					continue // abandoned or beaten; Offer would reject it
 				}
-				best.Offer(index.Neighbor{Entry: index.Entry{Point: p, RID: n.rids[i]}, Dist: d}, d)
+				best.Offer(core.Neighbor{Entry: core.Entry{Point: p, RID: core.RecordID(n.rids[i])}, Dist: d}, d)
 				if best.Full() {
 					bound = best.Bound()
 				}

@@ -1,14 +1,15 @@
 package srtree
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"hybridtree/internal/core"
 	"hybridtree/internal/dist"
 	"hybridtree/internal/geom"
-	"hybridtree/internal/index"
 	"hybridtree/internal/pagefile"
 )
 
@@ -44,10 +45,10 @@ func queryRect(rng *rand.Rand, dim int, side float32) geom.Rect {
 	return geom.Rect{Lo: lo, Hi: hi}
 }
 
-func toSet(es []index.Entry) map[uint64]bool {
+func toSet(es []core.Neighbor) map[uint64]bool {
 	m := make(map[uint64]bool)
 	for _, e := range es {
-		m[e.RID] = true
+		m[uint64(e.RID)] = true
 	}
 	return m
 }
@@ -73,13 +74,13 @@ func TestValidation(t *testing.T) {
 	if err := tree.Insert(geom.Point{0.1}, 1); err == nil {
 		t.Fatal("wrong dim accepted")
 	}
-	if _, err := tree.SearchBox(geom.UnitCube(2)); err == nil {
+	if _, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: geom.UnitCube(2)}); err == nil {
 		t.Fatal("wrong dim query accepted")
 	}
-	if _, err := tree.SearchRange(geom.Point{0, 0, 0, 0}, -1, dist.L2()); err == nil {
+	if _, err := tree.Search(context.Background(), core.Query{Kind: core.Range, Point: geom.Point{0, 0, 0, 0}, Radius: -1, Metric: dist.L2()}); err == nil {
 		t.Fatal("negative radius accepted")
 	}
-	if _, err := tree.SearchKNN(geom.Point{0, 0, 0, 0}, 0, dist.L2()); err == nil {
+	if _, err := tree.Search(context.Background(), core.Query{Kind: core.KNN, Point: geom.Point{0, 0, 0, 0}, K: 0, Metric: dist.L2()}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -98,7 +99,7 @@ func TestBoxMatchesBruteForce(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			for q := 0; q < 20; q++ {
 				rect := queryRect(rng, tc.dim, tc.side)
-				got, err := tree.SearchBox(rect)
+				got, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: rect})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,7 +130,7 @@ func TestRangeAndKNN(t *testing.T) {
 		for q := 0; q < 10; q++ {
 			center := pts[rng.Intn(len(pts))]
 			r := 0.2 + rng.Float64()*0.4
-			got, err := tree.SearchRange(center, r, m)
+			got, err := tree.Search(context.Background(), core.Query{Kind: core.Range, Point: center, Radius: r, Metric: m})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +150,7 @@ func TestRangeAndKNN(t *testing.T) {
 			query[d] = rng.Float32()
 		}
 		k := 10
-		got, err := tree.SearchKNN(query, k, m)
+		got, err := tree.Search(context.Background(), core.Query{Kind: core.KNN, Point: query, K: k, Metric: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,12 +241,12 @@ func TestCodecRoundTrip(t *testing.T) {
 	// Force full decode of every node and re-verify a query.
 	rng := rand.New(rand.NewSource(31))
 	rect := queryRect(rng, 5, 0.4)
-	before, err := tree.SearchBox(rect)
+	before, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: rect})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tree.store.DropCache()
-	after, err := tree.SearchBox(rect)
+	after, err := tree.Search(context.Background(), core.Query{Kind: core.Box, Rect: rect})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,11 +22,10 @@ func TestSearchSurface(t *testing.T) {
 		want string
 	}{
 		{(*core.Tree)(nil), coreTree},
-		{(*concurrent.Tree)(nil), "Search SearchBatch SearchBox SearchKNN SearchRange"},
+		{(*concurrent.Tree)(nil), "Search SearchBatch SearchKNN"},
 		{(*concurrent.Executor)(nil), "Search SearchBox SearchKNN SearchRange"},
-		// Hybrid embeds *core.Tree: it declares Search, SearchBox, SearchKNN
-		// and SearchRange (index-typed, shadowing core's) and is promoted the
-		// rest.
+		// Hybrid embeds *core.Tree: it declares Search (index.Index's,
+		// shadowing core's) and is promoted the rest.
 		{(*index.Hybrid)(nil), coreTree},
 	} {
 		typ := reflect.TypeOf(tc.typ)
