@@ -44,7 +44,7 @@ func main() {
 		dim        = flag.Int("dim", 0, "dimensionality (required)")
 		pageSize   = flag.Int("page", pagefile.DefaultPageSize, "page size in bytes")
 		addr       = flag.String("addr", ":8080", "listen address")
-		writes     = flag.Bool("writes", false, "serve /v1/insert and /v1/delete (group-committed)")
+		writes     = flag.Bool("writes", false, "serve /v1/insert and /v1/delete (group-committed; requires -wal)")
 		walOn      = flag.Bool("wal", false, "write ahead through <db>.wal; commits fsync before acknowledgment and reopen replays any crashed tail")
 		fsyncEv    = flag.Int("fsync-every", 1, "wal: fsync the log every N commits")
 		mmap       = flag.Bool("mmap", false, "serve read-only through a memory mapping (incompatible with -writes/-wal/-chaos)")
@@ -83,6 +83,9 @@ func main() {
 	}
 	if *mmap && (*writes || *walOn || !profile.Zero()) {
 		fatal("-mmap is read-only and incompatible with -writes, -wal and -chaos")
+	}
+	if *writes && !*walOn {
+		fatal("-writes requires -wal: without a log, a crash loses acknowledged writes")
 	}
 
 	// Storage stack, innermost out: disk (or mmap), chaos, retry/breaker,

@@ -33,6 +33,8 @@ type TreeStats struct {
 type auditView struct {
 	get      func(id pagefile.PageID) (*node, error)
 	elsGet   func(id uint32, outer geom.Rect) (geom.Rect, bool)
+	elsOn    bool
+	elsLen   int
 	root     pagefile.PageID
 	height   int
 	size     int
@@ -45,6 +47,8 @@ func (t *Tree) writerView() auditView {
 	return auditView{
 		get:      t.store.get,
 		elsGet:   t.els.Get,
+		elsOn:    t.els.Enabled(),
+		elsLen:   t.els.Len(),
 		root:     t.root,
 		height:   t.height,
 		size:     t.size,
@@ -58,6 +62,8 @@ func (t *Tree) snapshotView(ver *treeVersion) auditView {
 	return auditView{
 		get:      func(id pagefile.PageID) (*node, error) { return t.store.getAudit(id, ver.epoch) },
 		elsGet:   ver.els.Get,
+		elsOn:    ver.els.Enabled(),
+		elsLen:   ver.els.Len(),
 		root:     ver.root,
 		height:   ver.height,
 		size:     ver.size,
@@ -176,7 +182,9 @@ func (t *Tree) statsOver(v auditView) (TreeStats, error) {
 //     rectangle (ELS conservativeness);
 //  4. non-root data nodes respect capacity; all data nodes fit their page;
 //  5. every level is reachable at a consistent height;
-//  6. the entry count equals Size().
+//  6. the entry count equals Size();
+//  7. with ELS on, the table holds exactly one entry per live non-root
+//     node (the root's entry is optional): a freed node's entry is gone.
 //
 // Like Stats it reads the writer-side state; concurrent readers should use
 // CheckInvariantsSnapshot.
@@ -200,7 +208,7 @@ func (t *Tree) CheckInvariantsSnapshot() error {
 }
 
 func (t *Tree) checkInvariantsOver(v auditView) error {
-	entries := 0
+	entries, encoded := 0, 0
 	var walk func(id pagefile.PageID, br geom.Rect, level int) (geom.Rect, error)
 	walk = func(id pagefile.PageID, br geom.Rect, level int) (geom.Rect, error) {
 		if !t.cfg.Space.ContainsRect(br) {
@@ -247,10 +255,15 @@ func (t *Tree) checkInvariantsOver(v auditView) error {
 				live.EnlargeRect(childLive)
 			}
 		}
-		if dec, ok := v.elsGet(uint32(id), t.cfg.Space); ok && !live.IsEmpty() {
-			if !dec.ContainsRect(live) {
-				return geom.Rect{}, fmt.Errorf("node %d: decoded live rect %v misses true live rect %v", id, dec, live)
-			}
+		dec, ok := v.elsGet(uint32(id), t.cfg.Space)
+		if ok && !live.IsEmpty() && !dec.ContainsRect(live) {
+			return geom.Rect{}, fmt.Errorf("node %d: decoded live rect %v misses true live rect %v", id, dec, live)
+		}
+		if v.elsOn && !ok && id != v.root {
+			return geom.Rect{}, fmt.Errorf("node %d: no ELS entry", id)
+		}
+		if ok {
+			encoded++
 		}
 		return live, nil
 	}
@@ -259,6 +272,9 @@ func (t *Tree) checkInvariantsOver(v auditView) error {
 	}
 	if entries != v.size {
 		return fmt.Errorf("entry count %d != Size() %d", entries, v.size)
+	}
+	if encoded != v.elsLen {
+		return fmt.Errorf("ELS holds %d entries, only %d of them for live nodes", v.elsLen, encoded)
 	}
 	return nil
 }

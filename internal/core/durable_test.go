@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hybridtree/internal/geom"
+	"hybridtree/internal/obs"
 	"hybridtree/internal/pagefile"
 	"hybridtree/internal/wal"
 )
@@ -362,14 +363,15 @@ func TestWALTreeFailedCommitLeavesNoTrace(t *testing.T) {
 			})
 		}},
 	}
+	staged := obs.Default().Counter("wal_appends_total")
 	for _, op := range ops {
 		before, entries := snap(), contents(t, tree)
-		writes := wf.Stats().Writes
+		appends := staged.Value()
 		log.FailNextSyncs(1)
 		if err := op.run(); err == nil {
 			t.Fatalf("%s succeeded despite the failed commit fsync", op.name)
 		}
-		if got := wf.Stats().Writes - writes; got == 0 {
+		if got := staged.Value() - appends; got == 0 {
 			t.Fatalf("%s failed before its seal; the test is vacuous", op.name)
 		}
 		if after := snap(); !reflect.DeepEqual(after, before) {

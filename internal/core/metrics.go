@@ -121,19 +121,6 @@ func loadDefaultTracer() obs.Tracer {
 // tracer without synchronization.
 func (t *Tree) SetTracer(tr obs.Tracer) { t.tracer = tr }
 
-// SetMetricsEnabled attaches or detaches the tree's obs instruments
-// (attached by default). Like SetTracer, flip it only while the tree is
-// otherwise idle.
-func (t *Tree) SetMetricsEnabled(on bool) {
-	if on {
-		t.metrics = hybridMetrics()
-		t.store.setObs(storeObsFor("hybrid"))
-	} else {
-		t.metrics = nil
-		t.store.setObs(nil)
-	}
-}
-
 // tally accumulates one query's traversal counts as plain ints; it is
 // flushed to the shared atomic counters once, at query end.
 type tally struct {

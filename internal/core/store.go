@@ -149,8 +149,6 @@ func storeObsFor(method string) *storeObs {
 	return &storeObs{reads: reads, hits: hits, misses: misses}
 }
 
-func (s *store) setObs(o *storeObs) { s.obs.Store(o) }
-
 // pauseObs detaches the obs counters and returns the previous attachment
 // for resumeObs, so audit walks don't inflate read accounting.
 func (s *store) pauseObs() *storeObs {

@@ -1,10 +1,11 @@
 // Package wal implements a physical-redo write-ahead log over
 // internal/pagefile. A wal.File interposes between the tree and its page
-// file: writes are framed into an append-only log and, once committed, land
-// in a volatile page overlay; SealTx makes a group of writes durable with
-// one log fsync (the commit point); Sync checkpoints — flushes the overlay into the
-// inner file, fsyncs it, and truncates the log; Open replays the committed
-// log tail after a crash, discarding torn frames and uncommitted records.
+// file: writes are framed into an append-only log; SealTx makes a group of
+// writes durable with one log fsync (the commit point) and then writes them
+// back to the inner file; Sync checkpoints — flushes what the overlay still
+// holds, fsyncs the inner file, and truncates the log; Open replays the
+// committed log tail after a crash, discarding torn frames and uncommitted
+// records.
 //
 // The framing reuses the ChecksumFile idiom: every record is length-prefixed
 // and guarded by a CRC32-C over its payload, so a torn log tail is detected
@@ -43,8 +44,8 @@ func sealFrame(dst []byte, off int) {
 }
 
 // appendWrite appends a framed write record carrying the page image as
-// given (the overlay re-pads to full pages, so short meta writes stay
-// short on the log too).
+// given (write-back pads it to the full page, so short meta writes stay
+// short on the log).
 func appendWrite(dst []byte, id pagefile.PageID, data []byte) []byte {
 	off := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
@@ -55,6 +56,7 @@ func appendWrite(dst []byte, id pagefile.PageID, data []byte) []byte {
 	return dst
 }
 
+// appendSeqRecord appends a framed commit or checkpoint record for seq.
 func appendSeqRecord(dst []byte, kind byte, seq uint64) []byte {
 	off := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
@@ -67,11 +69,6 @@ func appendSeqRecord(dst []byte, kind byte, seq uint64) []byte {
 // appendCommit appends a framed commit record sealing transaction seq.
 func appendCommit(dst []byte, seq uint64) []byte {
 	return appendSeqRecord(dst, kindCommit, seq)
-}
-
-// appendCheckpoint appends a framed checkpoint record.
-func appendCheckpoint(dst []byte, seq uint64) []byte {
-	return appendSeqRecord(dst, kindCheckpoint, seq)
 }
 
 // record is one parsed log record. data aliases the scanned buffer and is

@@ -2,9 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -28,16 +29,9 @@ var ErrBroken = errors.New("wal: log rewind failed, refusing further writes")
 // transaction would flush unsealed writes past the commit point.
 var errInTx = errors.New("wal: operation not allowed inside an open transaction")
 
-// errMismatch reports a checkpoint read-back that returned different bytes
+// errMismatch reports a write-back read-back that returned different bytes
 // without any I/O error — a silent short or torn write underneath.
 var errMismatch = errors.New("wal: read-back mismatch")
-
-func errVerify(readErr error) error {
-	if readErr != nil {
-		return readErr
-	}
-	return errMismatch
-}
 
 // Options tunes a wal.File.
 type Options struct {
@@ -63,34 +57,29 @@ type Recovery struct {
 	TruncatedTo int64
 }
 
-// File layers a write-ahead log over a pagefile.File. It is a no-steal
-// design at both levels: committed writes live in a volatile page overlay
-// and in log records — the inner file is only touched by Allocate (growth
-// is cheap metadata) and by checkpoints — and an open transaction's writes
-// live only in its staged frames. Reads hit the overlay first, so they
-// return the last committed image; the tree above serves its own
-// uncommitted pages from its dirty set and never reads them back.
-//
-// Durability protocol, in order:
+// File layers a write-ahead log over a pagefile.File. An open
+// transaction's writes live only in its staged frames (no-steal). Once the
+// log fsync that covers a committed image succeeds, the image is written
+// back to the inner file, unsynced, and read back; until then, or when the
+// write-back fails, it waits in a volatile page overlay that reads hit
+// first. The tree above serves its own uncommitted pages from its dirty set.
 //
 //	WritePage* in a tx → staged log record (volatile, invisible to reads)
 //	SealTx             → append records + commit frame, fsync log:
-//	                     COMMITTED, then publish the images to the overlay
+//	                     COMMITTED, then write back or keep in the overlay
 //	Sync (checkpoint)  → flush overlay to inner, fsync inner, truncate log
 //
-// The invariant recovery relies on: every page whose overlay contents
-// differ from the inner file has a log record since the last checkpoint
-// whose replay reproduces those contents. Checkpoints preserve it by
-// truncating the log only after the inner fsync succeeds; aborted and
-// failed commits rewind the log and never touched the overlay.
+// The invariant recovery relies on: every page whose inner contents may not
+// be durable has a log record since the last checkpoint whose replay
+// reproduces its committed image. Checkpoints truncate the log only after
+// the inner fsync succeeds; aborted and failed commits rewind the log and
+// never reach the overlay or the inner file.
 //
 // Mutating calls (including BeginTx / SealTx / AbortTx / Sync) require
 // external exclusion from each other, like every pagefile implementation.
-// Reads, however, may run concurrently with mutations: the MVCC layer above
-// serves lock-free searches whose cold-cache misses read through the file
-// while a writer holds the tree lock, so every overlay access is guarded by
-// ovMu. Writer-side cost is one uncontended mutex per page touched —
-// negligible next to the log append.
+// Reads may run concurrently with mutations — lock-free searches above miss
+// their node cache while a writer holds the tree lock — so readers take
+// ovMu, and the writer, the overlay's only mutator, takes it to change it.
 type File struct {
 	inner pagefile.File
 	log   LogStore
@@ -100,11 +89,13 @@ type File struct {
 	overlay map[pagefile.PageID][]byte
 
 	inTx     bool
-	pending  []byte        // staged frames of the open transaction
-	staged   []stagedWrite // the page images inside pending, in write order
-	seq      uint64        // last committed transaction sequence
-	unsynced int           // commits since the last log fsync
-	broken   error         // set when a rewind could not be made durable
+	pending  []byte            // staged frames of the open transaction
+	staged   []stagedWrite     // the page images inside pending, in write order
+	waiting  []pagefile.PageID // overlay pages committed since the last log fsync
+	seq      uint64            // last committed transaction sequence
+	unsynced int               // commits since the last log fsync
+	broken   error             // set when a rewind could not be made durable
+	cur, got []byte            // write-back scratch: padded image, read-back
 
 	m *walMetrics
 }
@@ -128,6 +119,8 @@ func Open(inner pagefile.File, log LogStore, opts Options) (*File, Recovery, err
 		log:     log,
 		opts:    opts,
 		overlay: make(map[pagefile.PageID][]byte),
+		cur:     make([]byte, inner.PageSize()),
+		got:     make([]byte, inner.PageSize()),
 		m:       metrics(),
 	}
 	rec, err := f.recover()
@@ -148,12 +141,8 @@ func (f *File) recover() (Recovery, error) {
 	}
 	maxPayload := 5 + f.inner.PageSize()
 
-	type writeRec struct {
-		id   pagefile.PageID
-		data []byte
-	}
-	var committed []writeRec // flattened committed writes, log order
-	var uncommitted []writeRec
+	var committed []record // flattened committed writes, log order
+	var uncommitted []record
 	pos := 0
 	validEnd := 0
 	for pos < len(data) {
@@ -164,7 +153,7 @@ func (f *File) recover() (Recovery, error) {
 		}
 		switch r.kind {
 		case kindWrite:
-			uncommitted = append(uncommitted, writeRec{r.pageID, r.data})
+			uncommitted = append(uncommitted, r)
 		case kindCommit:
 			committed = append(committed, uncommitted...)
 			uncommitted = uncommitted[:0]
@@ -188,8 +177,8 @@ func (f *File) recover() (Recovery, error) {
 	// buffer) and make sure the inner file is large enough to address every
 	// replayed page — growth is durable metadata, contents are not.
 	for _, w := range committed {
-		if err := f.applyReplay(w.id, w.data); err != nil {
-			return rec, fmt.Errorf("wal: replay page %d: %w", w.id, err)
+		if err := f.applyReplay(w.pageID, w.data); err != nil {
+			return rec, fmt.Errorf("wal: replay page %d: %w", w.pageID, err)
 		}
 	}
 	rec.Replayed = len(committed)
@@ -217,9 +206,6 @@ func (f *File) recover() (Recovery, error) {
 // applyReplay installs one replayed page image in the overlay, growing the
 // inner file if the page id is beyond its current end.
 func (f *File) applyReplay(id pagefile.PageID, data []byte) error {
-	if len(data) > f.inner.PageSize() {
-		return pagefile.ErrTooLarge
-	}
 	for f.inner.NumPages() <= int(id) {
 		if _, err := f.inner.Allocate(); err != nil {
 			return err
@@ -231,8 +217,8 @@ func (f *File) applyReplay(id pagefile.PageID, data []byte) error {
 
 // setOverlay stores a copy of a committed image at the size it was written
 // — core writes a node's encoded bytes, not a padded page. Reads zero-fill
-// the rest of the page and the checkpoint pads it, so the short copy reads
-// and flushes exactly as the full page would.
+// the rest of the page and writeBack pads it, so the short copy reads and
+// flushes exactly as the full page would.
 func (f *File) setOverlay(id pagefile.PageID, data []byte) {
 	f.ovMu.Lock()
 	defer f.ovMu.Unlock()
@@ -292,8 +278,8 @@ func (f *File) read(id pagefile.PageID, buf []byte, seq bool) error {
 
 // WritePage implements pagefile.File: inside a transaction the write is
 // only staged, and SealTx publishes it; outside one it is logged as its own
-// single-write transaction and published at once. Either way the inner file
-// is untouched until the next checkpoint.
+// single-write transaction and waits in the overlay until the next log
+// fsync. The write is counted once, when it reaches the inner file.
 func (f *File) WritePage(id pagefile.PageID, data []byte) error {
 	if len(data) > f.inner.PageSize() {
 		return fmt.Errorf("%w: %d > %d", pagefile.ErrTooLarge, len(data), f.inner.PageSize())
@@ -304,14 +290,12 @@ func (f *File) WritePage(id pagefile.PageID, data []byte) error {
 	if f.inTx {
 		f.pending = appendWrite(f.pending, id, data)
 		f.staged = append(f.staged, stagedWrite{id, len(f.pending) - len(data), len(f.pending)})
-		f.inner.Stats().AddWrites(1)
 		f.m.appends.Inc()
 		return nil
 	}
 	// Auto-commit: a single-write transaction, logged but not fsynced —
 	// out-of-tx writes (construction, flushes) duplicate state that is
-	// either rebuilt or already covered by earlier records, so deferred
-	// durability is safe for them.
+	// rebuilt or covered by earlier records, so durability can wait.
 	frame := appendWrite(nil, id, data)
 	f.seq++
 	frame = appendCommit(frame, f.seq)
@@ -323,10 +307,9 @@ func (f *File) WritePage(id pagefile.PageID, data []byte) error {
 		f.rewindTo(pos)
 		return fmt.Errorf("wal: log append: %w", err)
 	}
-	f.setOverlay(id, data)
-	f.inner.Stats().AddWrites(1)
 	f.m.appends.Inc()
 	f.unsynced++
+	f.publish(id, data)
 	return nil
 }
 
@@ -364,7 +347,7 @@ func (f *File) AbortTx() {
 
 // SealTx implements pagefile.TxFile: the staged writes plus a commit frame
 // are appended to the log and, subject to FsyncEvery, fsynced; only then
-// are the page images published to the overlay. A nil return with
+// are the page images published (see publish). A nil return with
 // FsyncEvery ≤ 1 means the transaction is durable. On error the
 // transaction is gone as if aborted: the log is durably rewound so recovery
 // can never resurrect it. If even the rewind fails, the file wedges itself
@@ -392,30 +375,68 @@ func (f *File) SealTx() error {
 	if f.opts.FsyncEvery <= 1 || f.unsynced >= f.opts.FsyncEvery {
 		if err := f.syncLog(); err != nil {
 			// The commit must not be acknowledged: rewind the log to the
-			// pre-transaction position so replay can never see it. (Any
-			// earlier unsynced auto-committed records dropped with it only
-			// duplicate state still covered by the durable prefix.)
+			// pre-transaction position so replay can never see it.
 			f.seq--
 			f.rewindTo(pos)
 			return err
 		}
 	}
 	for _, w := range f.staged {
-		f.setOverlay(w.id, f.pending[w.off:w.end])
+		f.publish(w.id, f.pending[w.off:w.end])
+	}
+	if f.unsynced == 0 { // the fsync also covers every image still waiting
+		for _, id := range f.waiting {
+			if p, ok := f.overlay[id]; ok { // gone if this commit rewrote it
+				_ = f.writeBack(id, p)
+			}
+		}
+		f.waiting = f.waiting[:0]
 	}
 	f.m.commits.Inc()
 	f.m.groupedOps.Add(uint64(len(f.staged)))
 	return nil
 }
 
-// rewindTo durably removes an acknowledged-but-rejected log tail. The
-// truncate must itself reach the disk: without an fsync the OS could still
-// write back the rejected pages and drop the truncate metadata in a crash,
-// and recovery would replay a CRC-valid commit that was reported failed and
-// rolled back. If the rewind cannot be made durable, the on-disk log is in
-// an unknown state, so the WAL turns every further mutation into ErrBroken
-// rather than risk that resurrection. The rewind fsync also resets the
-// unsynced counter (via syncLog), so a rewound commit never counts toward
+// publish makes a committed image the page's contents. Once the log fsync
+// that covers it has succeeded it is written back to the inner file; until
+// then it waits in the overlay for that fsync, and an image whose
+// write-back fails stays there for the next checkpoint. Reads find both.
+func (f *File) publish(id pagefile.PageID, data []byte) {
+	if f.unsynced > 0 {
+		f.waiting = append(f.waiting, id)
+	} else if f.writeBack(id, data) == nil {
+		return
+	}
+	f.setOverlay(id, data)
+}
+
+// writeBack writes a committed image to the inner file, unsynced and padded
+// to the page it stands for, and reads it back: a short write that lied
+// about success must not let the overlay copy go. On success it drops id's
+// overlay entry, which can only hold an older image. The inner file counts
+// the write, so Stats charge it here, once.
+func (f *File) writeBack(id pagefile.PageID, data []byte) error {
+	clear(f.cur[copy(f.cur, data):])
+	if err := f.inner.WritePage(id, f.cur); err != nil {
+		return err
+	}
+	if err := f.inner.ReadPage(id, f.got); err != nil {
+		return err
+	} else if !bytes.Equal(f.got, f.cur) {
+		return errMismatch
+	}
+	f.ovMu.Lock()
+	delete(f.overlay, id)
+	f.ovMu.Unlock()
+	return nil
+}
+
+// rewindTo durably removes an acknowledged-but-rejected log tail. Without
+// an fsync of the truncate the OS could write back the rejected frames and
+// lose the truncate in a crash, and recovery would replay a commit reported
+// failed. If the rewind cannot be made durable, the WAL turns every further
+// mutation into ErrBroken. The rewind fsync also resets the unsynced
+// counter (via syncLog), so a rewound commit never counts toward
 // FsyncEvery batching.
 func (f *File) rewindTo(pos int64) {
 	if err := f.log.Truncate(pos); err != nil {
@@ -455,45 +476,27 @@ func (f *File) Sync() error {
 			return err
 		}
 	}
-	// Snapshot the overlay under the read lock. The page slices themselves
-	// are stable references: only setOverlay rewrites them, and mutators are
-	// externally excluded from Sync.
-	type overlayPage struct {
-		id   pagefile.PageID
-		data []byte
+	f.waiting = f.waiting[:0] // the flush below covers them
+	ids := make([]pagefile.PageID, 0, len(f.overlay))
+	for id := range f.overlay {
+		ids = append(ids, id)
 	}
-	f.ovMu.RLock()
-	pages := make([]overlayPage, 0, len(f.overlay))
-	for id, p := range f.overlay {
-		pages = append(pages, overlayPage{id, p})
-	}
-	f.ovMu.RUnlock()
-	sort.Slice(pages, func(i, j int) bool { return pages[i].id < pages[j].id })
-	scratch := make([]byte, f.inner.PageSize())
-	cur := make([]byte, f.inner.PageSize())
-	for _, pg := range pages {
-		// Compare-and-skip keeps the invariant cheaply: a page is written
-		// back only when it differs, and any read failure (torn page from
-		// an earlier aborted checkpoint, checksum damage) counts as
-		// different and gets repaired. The image is padded to the full
-		// page it stands for.
-		id := pg.id
-		clear(cur[copy(cur, pg.data):])
-		if err := f.inner.ReadPage(id, scratch); err == nil && bytes.Equal(scratch, cur) {
+	slices.Sort(ids)
+	for _, id := range ids {
+		// Compare-and-skip: after a recovery the inner file mostly holds
+		// the replayed images already, written back before the crash. Any
+		// read failure (a torn page, checksum damage) counts as different
+		// and gets repaired. The checkpoint is the last moment that damage
+		// is still recoverable, so a failed write-back is loud here.
+		p := f.overlay[id]
+		clear(f.cur[copy(f.cur, p):])
+		if err := f.inner.ReadPage(id, f.got); err == nil && bytes.Equal(f.got, f.cur) {
 			f.m.ckptSkipped.Inc()
 			continue
 		}
-		if err := f.inner.WritePage(id, cur); err != nil {
+		if err := f.writeBack(id, p); err != nil {
 			f.m.ckptFails.Inc()
 			return fmt.Errorf("wal: checkpoint flush page %d: %w", id, err)
-		}
-		// Read back and verify: a short write that lied about success would
-		// otherwise let the overlay (and its log records) be discarded while
-		// the inner file holds a torn page. The checkpoint is the last
-		// moment that damage is still recoverable, so it must be loud here.
-		if err := f.inner.ReadPage(id, scratch); err != nil || !bytes.Equal(scratch, cur) {
-			f.m.ckptFails.Inc()
-			return fmt.Errorf("wal: checkpoint verify page %d: %w", id, errVerify(err))
 		}
 		f.m.ckptPages.Inc()
 	}
@@ -506,13 +509,10 @@ func (f *File) Sync() error {
 	clear(f.overlay)
 	f.ovMu.Unlock()
 	// Mark and shrink the log. The checkpoint frame lands before the
-	// truncate so a crash in between replays nothing stale; the truncate
-	// itself is the cleanup. (A checkpoint frame surviving a rewind is
-	// harmless — the inner fsync above already made everything it marks
-	// durable — so the rewinds here still use rewindTo for the durable
-	// truncate, keeping the log's tracked size honest.)
+	// truncate so a crash in between replays nothing stale. (A mark that
+	// survives a rewind is harmless: the inner fsync made it true.)
 	f.seq++
-	frame := appendCheckpoint(nil, f.seq)
+	frame := appendSeqRecord(nil, kindCheckpoint, f.seq)
 	pos := f.log.Size()
 	if err := f.log.Append(frame); err != nil {
 		f.seq--
@@ -534,8 +534,10 @@ func (f *File) Sync() error {
 	return nil
 }
 
-// OverlayPages returns how many pages currently live only in the overlay
-// and the log — the replay work a crash right now would require.
+// OverlayPages returns how many committed images the inner file does not
+// hold yet: those waiting for their log fsync, failed write-backs and pages
+// replayed by recovery. The next checkpoint drains them; with healthy
+// storage and FsyncEvery ≤ 1 it is 0 after every commit.
 func (f *File) OverlayPages() int {
 	f.ovMu.RLock()
 	defer f.ovMu.RUnlock()
@@ -549,14 +551,5 @@ func (f *File) Seq() uint64 { return f.seq }
 // inner file. The checkpoint error (if any) wins, but both underlying
 // files are closed regardless.
 func (f *File) Close() error {
-	cerr := f.Sync()
-	lerr := f.log.Close()
-	ierr := f.inner.Close()
-	if cerr != nil {
-		return cerr
-	}
-	if lerr != nil {
-		return lerr
-	}
-	return ierr
+	return cmp.Or(f.Sync(), f.log.Close(), f.inner.Close())
 }

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -628,5 +629,230 @@ func TestFileLogShortReadDetected(t *testing.T) {
 	}
 	if _, err := log.Contents(); err == nil {
 		t.Fatalf("Contents returned zero-padded buffer for a short log")
+	}
+}
+
+// TestCommitWritesBack: with healthy storage every commit leaves the
+// overlay empty. Each committed image is in the inner file, and each page
+// write is counted once, when it reaches the inner file. Auto-committed
+// writes wait for the next commit's log fsync and are written back then.
+func TestCommitWritesBack(t *testing.T) {
+	f, inner, _ := newStack(t, Options{})
+	ids := []pagefile.PageID{mustAlloc(t, f), mustAlloc(t, f), mustAlloc(t, f)}
+	want := map[pagefile.PageID]byte{}
+	check := func(when string) {
+		t.Helper()
+		if got := f.OverlayPages(); got != 0 {
+			t.Fatalf("%s: overlay holds %d pages, want 0", when, got)
+		}
+		for id, fill := range want {
+			if got := readPage(t, inner, id); !bytes.Equal(got, page(fill)) {
+				t.Fatalf("%s: inner page %d reads %x..., want %x", when, id, got[0], fill)
+			}
+		}
+	}
+	if err := f.WritePage(ids[2], page(0x01)); err != nil { // auto-commit
+		t.Fatal(err)
+	}
+	if got := f.OverlayPages(); got != 1 {
+		t.Fatalf("auto-commit: overlay holds %d pages, want 1 until the next log fsync", got)
+	}
+	want[ids[2]] = 0x01
+	for i := 0; i < 6; i++ {
+		writes := f.Stats().Writes
+		f.BeginTx()
+		for j, id := range ids[:2] {
+			fill := byte(0x10*i + j + 2)
+			if err := f.WritePage(id, page(fill)); err != nil {
+				t.Fatal(err)
+			}
+			want[id] = fill
+		}
+		if got := f.Stats().Writes - writes; got != 0 {
+			t.Fatalf("commit %d: %d writes counted before the seal", i, got)
+		}
+		if err := f.SealTx(); err != nil {
+			t.Fatal(err)
+		}
+		wantWrites := uint64(2)
+		if i == 0 {
+			wantWrites = 3 // the auto-committed page rode this fsync
+		}
+		if got := f.Stats().Writes - writes; got != wantWrites {
+			t.Fatalf("commit %d: %d writes counted, want %d", i, got, wantWrites)
+		}
+		check(fmt.Sprintf("commit %d", i))
+	}
+}
+
+// TestFailedWriteBackStaysInOverlay: a write-back that fails, or that a
+// silent short write makes read back differently, keeps the committed image
+// in the overlay. The commit itself stands: reads return its image, the
+// next checkpoint repairs the inner page, and a crash before that
+// checkpoint recovers the image from the log.
+func TestFailedWriteBackStaysInOverlay(t *testing.T) {
+	faults := []struct {
+		name    string
+		profile pagefile.ChaosProfile
+	}{
+		{"write error", pagefile.ChaosProfile{WriteErr: 1}},
+		{"silent short write", pagefile.ChaosProfile{WriteShort: 1}},
+	}
+	for _, fault := range faults {
+		for _, crash := range []bool{false, true} {
+			name := fault.name + "/checkpoint"
+			if crash {
+				name = fault.name + "/crash"
+			}
+			t.Run(name, func(t *testing.T) {
+				inner := pagefile.NewCrashFile(testPageSize)
+				chaos := pagefile.NewChaosFile(inner, fault.profile, 3)
+				chaos.SetEnabled(false)
+				log := NewMemLog()
+				f, _, err := Open(chaos, log, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := mustAlloc(t, f)
+				if err := f.WritePage(a, page(0x11)); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.Sync(); err != nil {
+					t.Fatal(err)
+				}
+
+				chaos.SetEnabled(true)
+				f.BeginTx()
+				if err := f.WritePage(a, page(0x22)); err != nil {
+					t.Fatal(err)
+				}
+				if err := f.SealTx(); err != nil {
+					t.Fatalf("a failed write-back failed the commit: %v", err)
+				}
+				chaos.SetEnabled(false)
+				if c := chaos.Counts(); c.Total() != 1 {
+					t.Fatalf("chaos injected %+v, want exactly one fault", c)
+				}
+				if got := f.OverlayPages(); got != 1 {
+					t.Fatalf("overlay holds %d pages, want the failed one", got)
+				}
+				if got := readPage(t, inner, a); bytes.Equal(got, page(0x22)) {
+					t.Fatal("the inner page holds the image the fault was meant to stop")
+				}
+				if got := readPage(t, f, a); !bytes.Equal(got, page(0x22)) {
+					t.Fatalf("page reads %x..., want the committed 22", got[0])
+				}
+
+				if crash {
+					inner.Crash(50)
+					log.Crash(51)
+					f2, rec := reopen(t, inner, log, Options{})
+					if rec.Txs != 1 {
+						t.Fatalf("recovery %+v, want the one commit", rec)
+					}
+					if got := readPage(t, f2, a); !bytes.Equal(got, page(0x22)) {
+						t.Fatalf("after the crash page reads %x..., want the committed 22", got[0])
+					}
+					return
+				}
+				if err := f.Sync(); err != nil {
+					t.Fatalf("checkpoint: %v", err)
+				}
+				if got := f.OverlayPages(); got != 0 {
+					t.Fatalf("overlay holds %d pages after the checkpoint, want 0", got)
+				}
+				if got := readPage(t, inner, a); !bytes.Equal(got, page(0x22)) {
+					t.Fatalf("checkpoint left the inner page at %x..., want 22", got[0])
+				}
+			})
+		}
+	}
+}
+
+// logWatchFile is an inner file that counts page writes and those made
+// while the log still held bytes no fsync had covered.
+type logWatchFile struct {
+	pagefile.File
+	log           *MemLog
+	writes, early int
+}
+
+func (w *logWatchFile) WritePage(id pagefile.PageID, data []byte) error {
+	w.writes++
+	if int64(w.log.Synced()) != w.log.Size() {
+		w.early++
+	}
+	return w.File.WritePage(id, data)
+}
+
+// TestWriteBackWaitsForLogFsync: log before data. With FsyncEvery 3 the
+// first commits, and an auto-committed write, wait in the overlay; the
+// commit whose fsync covers them writes them all back, and no page reaches
+// the inner file while the log holds an unsynced byte. A commit whose fsync
+// fails writes nothing back.
+func TestWriteBackWaitsForLogFsync(t *testing.T) {
+	log := NewMemLog()
+	inner := &logWatchFile{File: pagefile.NewCrashFile(testPageSize), log: log}
+	f, _, err := Open(inner, log, Options{FsyncEvery: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := mustAlloc(t, f), mustAlloc(t, f), mustAlloc(t, f)
+	seal := func(id pagefile.PageID, fill byte) error {
+		f.BeginTx()
+		if err := f.WritePage(id, page(fill)); err != nil {
+			t.Fatal(err)
+		}
+		return f.SealTx()
+	}
+	for i, step := range []func() error{
+		func() error { return seal(a, 0xA1) },
+		func() error { return seal(b, 0xB1) },
+		func() error { return f.WritePage(c, page(0xC1)) }, // auto-commit
+	} {
+		if err := step(); err != nil {
+			t.Fatal(err)
+		}
+		if inner.writes != 0 || f.OverlayPages() != i+1 {
+			t.Fatalf("step %d: %d inner writes, %d overlay pages; want 0 and %d",
+				i, inner.writes, f.OverlayPages(), i+1)
+		}
+	}
+	if err := seal(a, 0xA2); err != nil { // the fsync covering all four
+		t.Fatal(err)
+	}
+	if inner.writes != 3 || inner.early != 0 || f.OverlayPages() != 0 {
+		t.Fatalf("covering commit: %d inner writes (%d before the fsync), %d overlay pages; want 3, 0, 0",
+			inner.writes, inner.early, f.OverlayPages())
+	}
+	for id, fill := range map[pagefile.PageID]byte{a: 0xA2, b: 0xB1, c: 0xC1} {
+		if got := readPage(t, inner, id); !bytes.Equal(got, page(fill)) {
+			t.Fatalf("inner page %d reads %x..., want %x", id, got[0], fill)
+		}
+	}
+
+	for i := 0; i < 2; i++ { // unsynced commits 1 and 2 of the next batch
+		if err := seal(b, byte(0xB2+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log.FailNextSyncs(1)
+	if err := seal(c, 0xC2); err == nil {
+		t.Fatal("SealTx succeeded despite the failed fsync")
+	}
+	if inner.writes != 3 {
+		t.Fatalf("a failed commit wrote %d pages back", inner.writes-3)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if inner.early != 0 || f.OverlayPages() != 0 {
+		t.Fatalf("checkpoint: %d writes before the fsync, %d overlay pages", inner.early, f.OverlayPages())
+	}
+	if got := readPage(t, inner, b); !bytes.Equal(got, page(0xB3)) {
+		t.Fatalf("inner page b reads %x..., want b3", got[0])
+	}
+	if got := readPage(t, inner, c); !bytes.Equal(got, page(0xC1)) {
+		t.Fatalf("inner page c reads %x..., want the committed c1", got[0])
 	}
 }
