@@ -122,14 +122,15 @@ func (t *Tree) bulkSplit(pts []geom.Point, rids []RecordID) (*bulkNode, error) {
 		tmpPts:  make([]geom.Point, n),
 		tmpRids: make([]RecordID, n),
 	}
-	return b.split(0, n)
+	return b.split(0, n, geom.BoundingRect(pts), 0)
 }
 
 // bulkSplitter carries one bulk load's partition state. pts and rids are
 // private copies of the input that every split level permutes in place, so
 // a subtree always owns one contiguous range [lo, hi) of them; the other
 // slices are scratch of the same length, of which a range uses the same
-// positions.
+// positions. rects[k] holds the two bounding rectangles a split at depth k
+// hands its children, flat: left Lo, left Hi, right Lo, right Hi.
 type bulkSplitter struct {
 	t       *Tree
 	target  int
@@ -139,6 +140,7 @@ type bulkSplitter struct {
 	tmpKeys []splitKey
 	tmpPts  []geom.Point
 	tmpRids []RecordID
+	rects   [][]float32
 }
 
 // splitKey is one entry's split coordinate, as orderedBits, and its
@@ -200,8 +202,8 @@ func radixSort(keys, tmp []splitKey) {
 	}
 }
 
-// split turns the range [lo, hi) into a data page, or partitions it and
-// recurses into both halves.
+// split turns the range [lo, hi), whose bounding rectangle is br, into a
+// data page, or partitions it and recurses into both halves.
 //
 // A partitioned range is left in the order of a stable sort by the split
 // coordinate: ties keep the order the parent level left them in. That order
@@ -211,7 +213,10 @@ func radixSort(keys, tmp []splitKey) {
 // (key, position) pairs yields exactly that permutation without touching a
 // row; it needs totally ordered keys, which is why BulkLoad refuses NaN and
 // orderedBits folds -0 into +0.
-func (b *bulkSplitter) split(lo, hi int) (*bulkNode, error) {
+//
+// Each child's bounding rectangle is derived from br (childRects) rather
+// than rescanned, which on skewed data saves most of a deep build's reads.
+func (b *bulkSplitter) split(lo, hi int, br geom.Rect, depth int) (*bulkNode, error) {
 	pts, rids := b.pts[lo:hi], b.rids[lo:hi]
 	if len(pts) <= b.target {
 		n, err := b.t.store.alloc(true)
@@ -229,7 +234,7 @@ func (b *bulkSplitter) split(lo, hi int) (*bulkNode, error) {
 
 	// Policy-chosen split over this subset; clamp the cut so both sides
 	// can still fill pages reasonably.
-	dim, pos := b.t.cfg.Policy.ChooseDataSplit(pts, geom.BoundingRect(pts))
+	dim, pos := b.t.cfg.Policy.ChooseDataSplit(pts, br)
 	keys := b.keys[lo:hi]
 	for i, p := range pts {
 		keys[i] = splitKey{orderedBits(p[dim]), int32(i)}
@@ -257,16 +262,78 @@ func (b *bulkSplitter) split(lo, hi int) (*bulkNode, error) {
 
 	split := (pts[cut-1][dim] + pts[cut][dim]) / 2
 
-	left, err := b.split(lo, lo+cut)
+	// A data page needs no rectangle, so none is derived when both sides
+	// are pages.
+	var lbr, rbr geom.Rect
+	if max(cut, len(pts)-cut) > b.target {
+		d := len(br.Lo)
+		if depth == len(b.rects) {
+			b.rects = append(b.rects, make([]float32, 4*d))
+		}
+		r := b.rects[depth]
+		lbr = geom.Rect{Lo: r[:d:d], Hi: r[d : 2*d : 2*d]}
+		rbr = geom.Rect{Lo: r[2*d : 3*d : 3*d], Hi: r[3*d:]}
+		childRects(pts, cut, br, lbr, rbr)
+	}
+	left, err := b.split(lo, lo+cut, lbr, depth+1)
 	if err != nil {
 		return nil, err
 	}
-	right, err := b.split(lo+cut, hi)
+	right, err := b.split(lo+cut, hi, rbr, depth+1)
 	if err != nil {
 		return nil, err
 	}
 	return &bulkNode{dim: uint16(dim), pos: split, left: left, right: right,
 		leaves: left.leaves + right.leaves}, nil
+}
+
+// childRects writes into left and right the bounding rectangles of
+// pts[:cut] and pts[cut:], bit for bit what geom.BoundingRect returns for
+// each, given br = geom.BoundingRect of some order of pts. Only the smaller
+// side is scanned whole. The larger side inherits br's bound wherever no
+// other row can hold it: a value that the smaller side does not attain is
+// attained only in the larger side, by rows whose bits all agree. Where the
+// smaller side ties the bound, or the bound is zero (whose rows may disagree
+// in sign, and which geom.BoundingRect settles by range order), the larger
+// side's one coordinate is re-read in range order, up to the first row that
+// attains the bound.
+func childRects(pts []geom.Point, cut int, br, left, right geom.Rect) {
+	small, big := pts[:cut], pts[cut:]
+	sbr, bbr := left, right
+	if len(small) > len(big) {
+		small, big, sbr, bbr = big, small, right, left
+	}
+	copy(sbr.Lo, small[0])
+	copy(sbr.Hi, small[0])
+	for _, p := range small[1:] {
+		sbr.Enlarge(p)
+	}
+	// The comparisons are geom.Rect.Enlarge's: strict, so that of equal
+	// values (-0 and +0) the first row's stands.
+	for d, lo := range br.Lo {
+		v := lo
+		if lo == 0 || sbr.Lo[d] == lo {
+			v = big[0][d]
+			for i := 1; i < len(big) && v != lo; i++ {
+				if big[i][d] < v {
+					v = big[i][d]
+				}
+			}
+		}
+		bbr.Lo[d] = v
+	}
+	for d, hi := range br.Hi {
+		v := hi
+		if hi == 0 || sbr.Hi[d] == hi {
+			v = big[0][d]
+			for i := 1; i < len(big) && v != hi; i++ {
+				if big[i][d] > v {
+					v = big[i][d]
+				}
+			}
+		}
+		bbr.Hi[d] = v
+	}
 }
 
 // bulkPack cuts the split tree into index pages of uniform height (every

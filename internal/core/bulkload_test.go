@@ -2,14 +2,17 @@ package core
 
 import (
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hybridtree/internal/dataset"
 	"hybridtree/internal/dist"
 	"hybridtree/internal/geom"
+	"hybridtree/internal/obs"
 	"hybridtree/internal/pagefile"
 )
 
@@ -297,18 +300,23 @@ func TestBulkLoadPinnedFile(t *testing.T) {
 // it is computed. The uniform case is insert-only over coordinates
 // quantized to k/16, which land on ELS cell boundaries — where a union of
 // stored codes differs from the code of the union, so an incremental
-// encoding shortcut shows. The COLHIST case is the benchmark's shape:
-// 64-d, 4 KB pages, bulk-loaded and then inserted into.
+// encoding shortcut shows. The COLHIST cases are the benchmark's shape:
+// 64-d, 4 KB pages, bulk-loaded and then inserted into; the delete-built one
+// then deletes every entry of the leftmost data page and every seventh
+// inserted vector, so underfull elimination, its orphan reinsertions and
+// its ELS cleanup all write into the pinned file.
 func TestInsertPinnedFile(t *testing.T) {
 	colhist := dataset.ColHist(13000, 64, 1999)
 	for _, tc := range []struct {
 		name          string
 		bulk, insert  []geom.Point
+		deletes       bool
 		dim, pageSize int
 		want          string
 	}{
-		{"quantized16d", nil, quantizedPoints(6000, 16), 16, 1024, "628 pages 626 els 6f8a7165e394e8ed"},
-		{"colhist64d", colhist[:10000], colhist[10000:], 64, 4096, "1297 pages 1296 els f7b5aa84a3b88ee5"},
+		{"quantized16d", nil, quantizedPoints(6000, 16), false, 16, 1024, "628 pages 626 els 6f8a7165e394e8ed"},
+		{"colhist64d", colhist[:10000], colhist[10000:], false, 64, 4096, "1297 pages 1296 els f7b5aa84a3b88ee5"},
+		{"colhist64d-deleted", colhist[:10000], colhist[10000:], true, 64, 4096, "1273 pages 1272 els c6e429c9f5b55ce0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Dim: tc.dim, PageSize: tc.pageSize}
@@ -332,6 +340,9 @@ func TestInsertPinnedFile(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if tc.deletes {
+				deleteLeafAndEvery7th(t, tree, tc.insert, len(tc.bulk))
+			}
 			if err := tree.Flush(); err != nil {
 				t.Fatal(err)
 			}
@@ -346,6 +357,56 @@ func TestInsertPinnedFile(t *testing.T) {
 				t.Fatalf("insert-built file is %s, pinned %s", got, tc.want)
 			}
 		})
+	}
+}
+
+// deleteLeafAndEvery7th deletes every entry of tree's leftmost data page,
+// requiring that the page is eliminated as underfull and its last entries
+// reinserted, and then every seventh of inserted, whose record ids start at
+// base.
+func deleteLeafAndEvery7th(t *testing.T, tree *Tree, inserted []geom.Point, base int) {
+	t.Helper()
+	leaf, err := tree.store.get(tree.root)
+	for err == nil && !leaf.leaf {
+		k := leaf.kdRoot
+		for !leaf.kd[k].isLeaf() {
+			k = leaf.kd[k].Left
+		}
+		leaf, err = tree.store.get(leaf.kd[k].Child)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pts []geom.Point
+	for _, p := range leaf.materializePoints(nil) {
+		pts = append(pts, p.Clone())
+	}
+	rids := slices.Clone(leaf.rids)
+
+	ring := obs.NewRing(1)
+	tree.SetTracer(ring)
+	defer tree.SetTracer(nil)
+	del := func(p geom.Point, rid RecordID) int {
+		found, err := tree.Delete(p, rid)
+		if err != nil || !found {
+			t.Fatalf("delete rid %d: found %v, %v", rid, found, err)
+		}
+		return int(ring.Snapshot()[0].Reinserts)
+	}
+	reinserts := 0
+	for i, p := range pts {
+		reinserts += del(p, rids[i])
+	}
+	if reinserts == 0 {
+		t.Fatalf("deleting all %d entries of data page %d reinserted no orphans", len(pts), leaf.id)
+	}
+	for i := 0; i < len(inserted); i += 7 {
+		if !slices.Contains(rids, RecordID(base+i)) {
+			del(inserted[i], RecordID(base+i))
+		}
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -364,12 +425,18 @@ func quantizedPoints(n, dim int) []geom.Point {
 	return pts
 }
 
-// hashPages writes every page of file, in id order, into h.
+// hashPages writes every page of file, in id order, into h; a freed page
+// is written as its id.
 func hashPages(t *testing.T, h io.Writer, file pagefile.File) {
 	t.Helper()
 	buf := make([]byte, file.PageSize())
 	for id := 0; id < file.NumPages(); id++ {
-		if err := file.ReadPage(pagefile.PageID(id), buf); err != nil {
+		err := file.ReadPage(pagefile.PageID(id), buf)
+		if errors.Is(err, pagefile.ErrPageFreed) {
+			fmt.Fprintf(h, "free %d;", id)
+			continue
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		h.Write(buf)

@@ -313,6 +313,67 @@ func FuzzBulkSplitOrder(f *testing.F) {
 	})
 }
 
+// FuzzBulkChildRects checks the rectangles a bulk-load split hands its
+// children: for any rows, any split dimension and any cut, childRects must
+// give each side exactly geom.BoundingRect's bits, as the split's policy
+// would have seen them had the side been rescanned. The parent's rectangle
+// is taken, as in BulkLoad, over the rows before the stable sort by the
+// split coordinate. The first byte picks 1–8 dimensions and the split
+// dimension, the second the cut; every further byte is one coordinate drawn
+// from a set that is half zeros of either sign, so ties, duplicate rows and
+// signed zeros that change order in the sort are the rule, and a unique
+// extreme on either side is common.
+func FuzzBulkChildRects(f *testing.F) {
+	// The larger side holds -0 and +0 in dimension 1 in the other order
+	// than the parent did, and the smaller side holds neither.
+	f.Add([]byte{1, 0, 5, 1, 4, 0, 6, 5})
+	f.Add([]byte("rows of sixty-four bytes split into eight dimensions, and then some more"))
+	f.Add(bytes.Repeat([]byte{0x1b, 7, 0, 1, 2, 3, 4, 5, 6, 7, 1, 0}, 12))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		negZero := float32(math.Copysign(0, -1))
+		vals := [8]float32{negZero, 0, negZero, 0, 0.5, 1, -1, 0.25}
+		dim := 1 + int(data[0]&7)
+		sortDim := int(data[0]>>3) % dim
+		rows := data[2:]
+		n := len(rows) / dim
+		if n < 2 {
+			return
+		}
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = make(geom.Point, dim)
+			for d := range pts[i] {
+				pts[i][d] = vals[rows[i*dim+d]&7]
+			}
+		}
+		br := geom.BoundingRect(pts)
+		slices.SortStableFunc(pts, func(a, b geom.Point) int { return cmp.Compare(a[sortDim], b[sortDim]) })
+		cut := 1 + int(data[1])%(n-1)
+
+		left, right := geom.EmptyRect(dim), geom.EmptyRect(dim)
+		childRects(pts, cut, br, left, right)
+		for _, side := range []struct {
+			name string
+			got  geom.Rect
+			rows []geom.Point
+		}{{"left", left, pts[:cut]}, {"right", right, pts[cut:]}} {
+			want := geom.BoundingRect(side.rows)
+			for d := 0; d < dim; d++ {
+				if math.Float32bits(side.got.Lo[d]) != math.Float32bits(want.Lo[d]) ||
+					math.Float32bits(side.got.Hi[d]) != math.Float32bits(want.Hi[d]) {
+					t.Fatalf("%s of cut %d/%d, dim %d: derived [%g, %g] (%#x, %#x), rescanned [%g, %g] (%#x, %#x)",
+						side.name, cut, n, d, side.got.Lo[d], side.got.Hi[d],
+						math.Float32bits(side.got.Lo[d]), math.Float32bits(side.got.Hi[d]),
+						want.Lo[d], want.Hi[d], math.Float32bits(want.Lo[d]), math.Float32bits(want.Hi[d]))
+				}
+			}
+		}
+	})
+}
+
 // chooseChildBrute is ChooseSubtree without the certificate: every
 // reachable kd leaf pays enlargementAndArea and the first least
 // (enlargement, area) wins. It is FuzzChooseChild's oracle: chooseChild,

@@ -129,7 +129,10 @@ func BenchmarkBulkLoad16d(b *testing.B) {
 // BenchmarkBulkLoadColHist64d bulk-loads the benchmark's shape: 40,000
 // COLHIST vectors at 64-d into 4 KB pages. Unlike uniform data, the skewed
 // histograms make most splits peel one page off the end of a range, so each
-// vector is sorted at ≈ 57 split levels rather than ≈ 12.
+// vector is sorted at ≈ 57 split levels rather than ≈ 12. The levels'
+// bounding rectangles are derived rather than rescanned, so a build reads
+// 31.2 M coordinates, not 146.4 M; a level's cost is now mostly those
+// reads, the gather of the split coordinate and the radix sort.
 func BenchmarkBulkLoadColHist64d(b *testing.B) {
 	pts := dataset.ColHist(40000, 64, 1999)
 	rids := make([]RecordID, len(pts))

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"hybridtree/internal/dist"
-	"hybridtree/internal/geom"
-)
+import "hybridtree/internal/geom"
 
 // SearchBoxFunc streams every entry inside q to fn without materializing a
 // result slice; fn returning false stops the search early (useful for
@@ -24,27 +21,4 @@ func (t *Tree) CountBox(q geom.Rect) (int, error) {
 		return true
 	})
 	return count, err
-}
-
-// ContainsAny reports whether at least one entry lies inside q, stopping at
-// the first hit.
-func (t *Tree) ContainsAny(q geom.Rect) (bool, error) {
-	found := false
-	err := t.SearchBoxFunc(q, func(Entry) bool {
-		found = true
-		return false
-	})
-	return found, err
-}
-
-// CountRange returns the number of entries within radius of q under metric
-// m without materializing them.
-func (t *Tree) CountRange(q geom.Point, radius float64, m dist.Metric) (int, error) {
-	// Range search already streams internally; reuse it via a thin
-	// collector to keep one traversal implementation.
-	ns, err := t.SearchRange(q, radius, m)
-	if err != nil {
-		return 0, err
-	}
-	return len(ns), nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
@@ -58,6 +59,17 @@ func TestSearchBoxFuncValidation(t *testing.T) {
 	}
 }
 
+// containsAny reports whether at least one entry lies inside q, stopping
+// the search at the first hit.
+func containsAny(tree *Tree, q geom.Rect) (bool, error) {
+	found := false
+	err := tree.SearchBoxFunc(q, func(Entry) bool {
+		found = true
+		return false
+	})
+	return found, err
+}
+
 func TestCountBoxAndContainsAny(t *testing.T) {
 	tree, pts := buildRandom(t, 2000, 4, 512, Config{}, 311)
 	rng := rand.New(rand.NewSource(313))
@@ -71,19 +83,19 @@ func TestCountBoxAndContainsAny(t *testing.T) {
 		if count != want {
 			t.Fatalf("count = %d, want %d", count, want)
 		}
-		any, err := tree.ContainsAny(rect)
+		any, err := containsAny(tree, rect)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if any != (want > 0) {
-			t.Fatalf("ContainsAny = %v with %d matches", any, want)
+			t.Fatalf("containsAny = %v with %d matches", any, want)
 		}
 	}
 	// An empty corner of space.
 	tiny := geom.NewRect(
 		geom.Point{0.99999, 0.99999, 0.99999, 0.99999},
 		geom.Point{0.99999, 0.99999, 0.99999, 0.99999})
-	any, err := tree.ContainsAny(tiny)
+	any, err := containsAny(tree, tiny)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +105,8 @@ func TestCountBoxAndContainsAny(t *testing.T) {
 }
 
 func TestContainsAnyStopsEarly(t *testing.T) {
-	// ContainsAny over the whole space must touch far fewer pages than a
-	// full enumeration.
+	// A visitor that stops at the first hit over the whole space must
+	// touch far fewer pages than a full enumeration.
 	tree, _ := buildRandom(t, 5000, 8, 512, Config{}, 317)
 	stats := tree.File().Stats()
 	stats.Reset()
@@ -103,9 +115,9 @@ func TestContainsAnyStopsEarly(t *testing.T) {
 	}
 	full := stats.Reads()
 	stats.Reset()
-	any, err := tree.ContainsAny(geom.UnitCube(8))
+	any, err := containsAny(tree, geom.UnitCube(8))
 	if err != nil || !any {
-		t.Fatalf("ContainsAny = %v, %v", any, err)
+		t.Fatalf("containsAny = %v, %v", any, err)
 	}
 	early := stats.Reads()
 	if early*10 > full {
@@ -116,7 +128,7 @@ func TestContainsAnyStopsEarly(t *testing.T) {
 func TestCountRange(t *testing.T) {
 	tree, pts := buildRandom(t, 1500, 6, 512, Config{}, 331)
 	m := dist.L1()
-	count, err := tree.CountRange(pts[3], 0.7, m)
+	ns, err := tree.Search(context.Background(), nil, Query{Kind: Range, Point: pts[3], Radius: 0.7, Metric: m}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +138,8 @@ func TestCountRange(t *testing.T) {
 			want++
 		}
 	}
-	if count != want {
-		t.Fatalf("count = %d, want %d", count, want)
+	if len(ns) != want {
+		t.Fatalf("count = %d, want %d", len(ns), want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package pagefile
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -98,5 +99,38 @@ func TestDiskFileErrorPaths(t *testing.T) {
 	}
 	if err := f.ReadPage(id, buf); !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed read err = %v", err)
+	}
+}
+
+// TestDiskFileWritePage checks that a full-page write goes to the OS file
+// without a copy, and that short writes, which share one padding buffer,
+// are each zero-padded to the page.
+func TestDiskFileWritePage(t *testing.T) {
+	f, err := CreateDiskFile(filepath.Join(t.TempDir(), "write.db"), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	id, err := f.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := bytes.Repeat([]byte{0xff}, 256)
+	if a := testing.AllocsPerRun(10, func() { _ = f.WritePage(id, full) }); a != 0 {
+		t.Fatalf("full-page WritePage allocates %.1f times per call", a)
+	}
+	buf := make([]byte, 256)
+	for _, data := range [][]byte{full, []byte("short write"), []byte("x")} {
+		if err := f.WritePage(id, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.ReadPage(id, buf); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, 256)
+		copy(want, data)
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("after writing %d bytes the page reads %q", len(data), buf)
+		}
 	}
 }

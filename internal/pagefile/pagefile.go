@@ -408,8 +408,9 @@ func (f *MemFile) Close() error {
 // serialises every call, reads included: it spans the pread.
 type DiskFile struct {
 	pageSpace
-	mu sync.Mutex
-	f  *os.File
+	mu  sync.Mutex
+	f   *os.File
+	pad []byte // under mu: a short write's zero-padded page
 }
 
 func newDiskFile(f *os.File, pageSize int) *DiskFile {
@@ -477,8 +478,14 @@ func (f *DiskFile) WritePage(id PageID, data []byte) error {
 	if err := f.checkWrite(id, data); err != nil {
 		return err
 	}
-	page := make([]byte, f.pageSize)
-	copy(page, data)
+	page := data
+	if len(data) < f.pageSize {
+		if f.pad == nil {
+			f.pad = make([]byte, f.pageSize)
+		}
+		page = f.pad
+		clear(page[copy(page, data):])
+	}
 	if _, err := f.f.WriteAt(page, int64(id)*int64(f.pageSize)); err != nil {
 		return fmt.Errorf("pagefile: write page %d: %w", id, err)
 	}
