@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 
-	"hybridtree/internal/els"
 	"hybridtree/internal/geom"
 	"hybridtree/internal/pagefile"
 )
@@ -27,47 +26,23 @@ func BulkLoad(file pagefile.File, cfg Config, pts []geom.Point, rids []RecordID)
 	if len(pts) != len(rids) {
 		return nil, fmt.Errorf("core: %d points but %d record ids", len(pts), len(rids))
 	}
-	cfg, err := cfg.withDefaults()
+	if len(pts) == 0 {
+		return New(file, cfg)
+	}
+	t, err := newTree(file, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if file.PageSize() != cfg.PageSize {
-		return nil, fmt.Errorf("core: file page size %d != configured %d", file.PageSize(), cfg.PageSize)
 	}
 	for i, p := range pts {
-		if len(p) != cfg.Dim {
-			return nil, fmt.Errorf("%w: point %d has dim %d, want %d", ErrBadVector, i, len(p), cfg.Dim)
+		if len(p) != t.cfg.Dim {
+			return nil, fmt.Errorf("%w: point %d has dim %d, want %d", ErrBadVector, i, len(p), t.cfg.Dim)
 		}
-		if !cfg.Space.Contains(p) {
-			return nil, fmt.Errorf("%w: point %d %v outside the data space %v", ErrBadVector, i, p, cfg.Space)
+		if !t.cfg.Space.Contains(p) {
+			return nil, fmt.Errorf("%w: point %d %v outside the data space %v", ErrBadVector, i, p, t.cfg.Space)
 		}
 	}
-
-	t := &Tree{
-		cfg:     cfg,
-		file:    file,
-		store:   newStore(file, cfg.Dim),
-		els:     els.NewTable(cfg.ELSBits),
-		elsHead: pagefile.InvalidPage,
-	}
-	metaID, err := file.Allocate()
-	if err != nil {
+	if t.meta, err = file.Allocate(); err != nil {
 		return nil, err
-	}
-	t.meta = metaID
-
-	if len(pts) == 0 {
-		root, err := t.store.alloc(true)
-		if err != nil {
-			return nil, err
-		}
-		if err := t.store.writeThrough(root); err != nil {
-			return nil, err
-		}
-		t.root = root.id
-		t.height = 1
-		t.publishNow()
-		return t, t.writeMeta()
 	}
 
 	split, err := t.bulkSplit(pts, rids)
@@ -81,12 +56,9 @@ func BulkLoad(file pagefile.File, cfg Config, pts []geom.Point, rids []RecordID)
 	t.root = rootID
 	t.height = height
 	t.size = len(pts)
-	if t.els.Enabled() {
-		if err := t.RebuildELS(); err != nil {
-			return nil, err
-		}
+	if err := t.RebuildELS(); err != nil {
+		return nil, err
 	}
-	t.publishNow()
 	return t, t.writeMeta()
 }
 

@@ -314,9 +314,9 @@ func TestInsertPinnedFile(t *testing.T) {
 		dim, pageSize int
 		want          string
 	}{
-		{"quantized16d", nil, quantizedPoints(6000, 16), false, 16, 1024, "628 pages 626 els 6f8a7165e394e8ed"},
-		{"colhist64d", colhist[:10000], colhist[10000:], false, 64, 4096, "1297 pages 1296 els f7b5aa84a3b88ee5"},
-		{"colhist64d-deleted", colhist[:10000], colhist[10000:], true, 64, 4096, "1273 pages 1272 els c6e429c9f5b55ce0"},
+		{"quantized16d", nil, quantizedPoints(6000, 16), false, 16, 1024, "628 pages 626 els 2a1b312d09f9ffe3"},
+		{"colhist64d", colhist[:10000], colhist[10000:], false, 64, 4096, "1297 pages 1296 els b24e66a836eb0c8d"},
+		{"colhist64d-deleted", colhist[:10000], colhist[10000:], true, 64, 4096, "1273 pages 1272 els 10f12b80a7434e02"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{Dim: tc.dim, PageSize: tc.pageSize}

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"hybridtree/internal/dataset"
 	"hybridtree/internal/geom"
 	"hybridtree/internal/obs"
 	"hybridtree/internal/pagefile"
@@ -425,13 +429,11 @@ func TestRunTxWritesEachPageOnce(t *testing.T) {
 	}
 }
 
-// TestCrashReusesELSChain: a kill between two Closes must not orphan the
-// ELS snapshot chain the first one saved. Each cycle opens the closed file
-// under a WAL, commits a few inserts, kills everything volatile, recovers,
-// flushes and closes; the recovered tree rebuilds its ELS table rather than
-// load the stale snapshot, and Close frees that snapshot and saves the new
-// one into the same pages, so the file keeps its size.
-func TestCrashReusesELSChain(t *testing.T) {
+// TestCrashCyclesKeepFileSize: crash cycles under a WAL cost no pages. Each
+// cycle opens the closed file under a log, commits a few inserts, kills
+// everything volatile, recovers, flushes and closes, and the file keeps its
+// size.
+func TestCrashCyclesKeepFileSize(t *testing.T) {
 	const dim, n, perCycle = 8, 3000, 5
 	inner := pagefile.NewCrashFile(1024)
 	cfg := Config{Dim: dim, PageSize: pagefile.NewChecksumFile(inner).PageSize()}
@@ -441,9 +443,6 @@ func TestCrashReusesELSChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := tree.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := inner.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	pages := inner.NumPages()
@@ -496,12 +495,10 @@ func TestCrashReusesELSChain(t *testing.T) {
 	}
 }
 
-// TestFlushKeepsELSSnapshotStale: Flush after mutations on a tree that
-// loaded its ELS table from a snapshot must not write metadata that vouches
-// for that snapshot. A process that flushes and then dies without Close
-// would otherwise reopen with live spaces that miss the new records, and
-// searches would prune them.
-func TestFlushKeepsELSSnapshotStale(t *testing.T) {
+// TestFlushThenReopenFindsEverything: a process that inserts without a log,
+// flushes and then dies without Close leaves a clean file that reopens with
+// every record, and with live spaces that cover them.
+func TestFlushThenReopenFindsEverything(t *testing.T) {
 	const dim, n = 4, 2000
 	cfg := Config{Dim: dim, PageSize: 512}
 	file := pagefile.NewMemFile(512)
@@ -535,5 +532,160 @@ func TestFlushKeepsELSSnapshotStale(t *testing.T) {
 		if got, err := reopened.SearchPoint(pts[i]); err != nil || len(got) != 1 {
 			t.Fatalf("flushed insert %d found %v, err %v", i, got, err)
 		}
+	}
+}
+
+// TestUncleanShutdownRefused: a file written without a log and dropped
+// without Flush or Close may hold only some of its last mutations' pages,
+// so Open refuses it with ErrUncleanShutdown, with or without a log on
+// top, instead of serving a tree whose size and live spaces are stale.
+func TestUncleanShutdownRefused(t *testing.T) {
+	const dim, n, extra = 64, 20000, 50
+	path := filepath.Join(t.TempDir(), "idx.ht")
+	cfg := Config{Dim: dim, PageSize: 4096}
+	pts := dataset.ColHist(n+extra, dim, 1999)
+	rids := make([]RecordID, n)
+	for i := range rids {
+		rids[i] = RecordID(i)
+	}
+	disk, err := pagefile.CreateDiskFile(path, cfg.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := BulkLoad(disk, cfg, pts[:n], rids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if tree, err = Open(disk, cfg); err != nil {
+		t.Fatal(err)
+	}
+	for i := n; i < n+extra; i++ {
+		if err := tree.Insert(pts[i], RecordID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := disk.Close(); err != nil { // the process dies: no Flush, no Close
+		t.Fatal(err)
+	}
+
+	if disk, err = pagefile.OpenDiskFile(path, cfg.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	defer disk.Close()
+	_, err = Open(disk, cfg)
+	if !errors.Is(err, ErrUncleanShutdown) {
+		t.Fatalf("Open of a file dropped mid-write: err %v, want ErrUncleanShutdown", err)
+	}
+	if !strings.Contains(err.Error(), "htree build") {
+		t.Fatalf("error %q does not say how to rebuild", err)
+	}
+	wf, _, err := wal.Open(disk, wal.NewMemLog(), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(wf, cfg); !errors.Is(err, ErrUncleanShutdown) {
+		t.Fatalf("Open under a log of a file dropped mid-write: err %v, want ErrUncleanShutdown", err)
+	}
+}
+
+// TestOldFormatMetaOpens: a metadata page in the layout of earlier
+// versions, which named the head of a persisted ELS snapshot chain at byte
+// 32 and its stale flag at byte 36, opens cleanly; the chain's pages are
+// left unreferenced and the table is rebuilt from the data.
+func TestOldFormatMetaOpens(t *testing.T) {
+	const dim = 4
+	cfg := Config{Dim: dim, PageSize: 512}
+	pts, rids := seededPoints(57, 600, dim)
+	for _, stale := range []byte{0, 1} {
+		file := pagefile.NewMemFile(cfg.PageSize)
+		tree, err := New(file, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range pts {
+			if err := tree.Insert(pts[i], rids[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		chain, err := file.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := file.WritePage(chain, []byte{'E', 8, 0, 0, 0xff, 0xff, 0xff, 0xff}); err != nil {
+			t.Fatal(err)
+		}
+		meta := make([]byte, 37)
+		copy(meta, metaMagic)
+		binary.LittleEndian.PutUint32(meta[8:], dim)
+		binary.LittleEndian.PutUint32(meta[12:], uint32(tree.root))
+		binary.LittleEndian.PutUint32(meta[16:], uint32(tree.height))
+		binary.LittleEndian.PutUint64(meta[20:], uint64(tree.size))
+		binary.LittleEndian.PutUint32(meta[28:], uint32(cfg.PageSize))
+		binary.LittleEndian.PutUint32(meta[32:], uint32(chain))
+		meta[36] = stale
+		if err := file.WritePage(tree.meta, meta); err != nil {
+			t.Fatal(err)
+		}
+
+		reopened, err := Open(file, cfg)
+		if err != nil {
+			t.Fatalf("stale byte %d: %v", stale, err)
+		}
+		if err := reopened.CheckInvariants(); err != nil {
+			t.Fatalf("stale byte %d: %v", stale, err)
+		}
+		if !sameContents(contents(t, reopened), contents(t, tree)) {
+			t.Fatalf("stale byte %d: reopened tree has other contents", stale)
+		}
+	}
+}
+
+// TestBulkLoadUnderWAL: a bulk-loaded tree on a log commits its inserts
+// through the log like any other, so an acknowledged insert survives a
+// crash of the log's unsynced tail and the file's unsynced pages.
+func TestBulkLoadUnderWAL(t *testing.T) {
+	const dim, n, extra = 8, 2000, 20
+	inner := pagefile.NewCrashFile(1024)
+	log := wal.NewMemLog()
+	wf, _, err := wal.Open(pagefile.NewChecksumFile(inner), log, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Dim: dim, PageSize: wf.PageSize()}
+	pts, rids := seededPoints(59, n+extra, dim)
+	tree, err := BulkLoad(wf, cfg, pts[:n], rids[:n])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := n; i < n+extra; i++ {
+		if err := tree.Insert(pts[i], rids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inner.Crash(61)
+	log.Crash(62)
+
+	if wf, _, err = wal.Open(pagefile.NewChecksumFile(inner), log, wal.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if tree, err = Open(wf, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if tree.Size() != n+extra {
+		t.Fatalf("recovered %d records, want %d", tree.Size(), n+extra)
+	}
+	for i := n; i < n+extra; i++ {
+		if got, err := tree.SearchPoint(pts[i]); err != nil || len(got) != 1 {
+			t.Fatalf("acknowledged insert %d found %v, err %v", i, got, err)
+		}
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

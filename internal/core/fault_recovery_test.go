@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"regexp"
@@ -77,29 +76,20 @@ func checkDeferredWrites(t *testing.T, ops []byte, kth int, pageWrites uint64) {
 }
 
 // checkPageAccounting verifies that every live page of the file is owned:
-// the metadata page, one page per tree node, the persisted ELS snapshot
-// chain, and the pages LeakedPages reports (which the next Flush retries).
-// Any other live page is a leak that nothing tracks. Only meaningful on a
-// file the tree has had to itself since New (a reopened file has forgotten
-// its free list).
+// the metadata page, one page per tree node, and the pages LeakedPages
+// reports (which the next Flush retries). Any other live page is a leak
+// that nothing tracks. Only meaningful on a file the tree has had to itself
+// since New (a reopened file has forgotten its free list).
 func checkPageAccounting(t *testing.T, tree *Tree) {
 	t.Helper()
 	st, err := tree.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	elsPages := 0
-	buf := make([]byte, tree.cfg.PageSize)
-	for page := tree.elsHead; page != pagefile.InvalidPage; elsPages++ {
-		if err := tree.file.ReadPage(page, buf); err != nil {
-			t.Fatal(err)
-		}
-		page = pagefile.PageID(binary.LittleEndian.Uint32(buf[4:]))
-	}
-	owned := 1 + st.DataNodes + st.IndexNodes + elsPages + tree.LeakedPages()
+	owned := 1 + st.DataNodes + st.IndexNodes + tree.LeakedPages()
 	if live := tree.file.NumPages(); live != owned {
-		t.Fatalf("file has %d live pages, tree owns %d (1 meta + %d data + %d index + %d ELS snapshot + %d leaked)",
-			live, owned, st.DataNodes, st.IndexNodes, elsPages, tree.LeakedPages())
+		t.Fatalf("file has %d live pages, tree owns %d (1 meta + %d data + %d index + %d leaked)",
+			live, owned, st.DataNodes, st.IndexNodes, tree.LeakedPages())
 	}
 }
 
@@ -374,7 +364,7 @@ func TestCloseRepairsAfterFailedSeal(t *testing.T) {
 	if err := tree.Close(); err != nil {
 		t.Fatal(err)
 	}
-	checkPageAccounting(t, tree) // now with an ELS snapshot chain in the file
+	checkPageAccounting(t, tree)
 	reopened, err := Open(mem, cfg)
 	if err != nil {
 		t.Fatal(err)

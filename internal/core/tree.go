@@ -38,13 +38,11 @@ type Tree struct {
 	// current is the published tree version searches traverse. Writers
 	// replace it with a single atomic store at commit.
 	current atomic.Pointer[treeVersion]
-	// elsHead is the page chain holding the persisted ELS snapshot
-	// (InvalidPage when none has been written). elsStale records that a
-	// mutation has committed since the chain was saved: the metadata then
-	// says so, Open rebuilds the table instead of loading it, and the chain
-	// is kept only so that Close can free it and reuse its pages.
-	elsHead  pagefile.PageID
-	elsStale bool
+	// dirty records that the metadata page on disk says "dirty": without
+	// a write-ahead log, the first seal after New, Open, BulkLoad or a
+	// Flush marks it so, durably, before it writes a node page, and Flush
+	// and Close mark it clean again. Open refuses a dirty file.
+	dirty bool
 	// qcPool recycles QueryContexts for the plain (context-less) search
 	// methods; see queryctx.go. Safe for the concurrent read path: pooled
 	// contexts are exclusive to one search at a time by construction.
@@ -126,17 +124,21 @@ func (t *Tree) beginMutation() mutationScope {
 // sealMutation is the only place an outermost mutation reaches storage: the
 // nodes it changed are written, once each, and under a write-ahead log the
 // metadata page follows (so a recovered file opens with the post-mutation
-// root/size) and the transaction is sealed — the log's commit point. Any
-// mutation makes a previously saved ELS snapshot stale, so the metadata
-// marks it stale: recovery rebuilds the ELS table from the data instead,
-// while the chain stays referenced for Close to free. A non-nil error means
-// durability was NOT reached and the caller must roll back: acknowledged
-// always implies durable.
+// root/size) and the transaction is sealed — the log's commit point.
+// Without a log nothing makes the writes atomic, so the first seal after
+// the file was last clean marks the metadata dirty and syncs it before
+// any node page is written. A non-nil error means durability was NOT
+// reached and the caller must roll back: acknowledged always implies
+// durable.
 func (t *Tree) sealMutation(m mutationScope) error {
 	if m.nested {
 		return nil
 	}
-	t.elsStale = true
+	if t.tx == nil && !t.dirty {
+		if err := t.markDirty(); err != nil {
+			return err
+		}
+	}
 	err := t.store.writeMut()
 	if t.tx == nil {
 		// No log underneath: the writes before a failed one are in the file.
@@ -275,12 +277,13 @@ func (t *Tree) reclaimLeaked() {
 // one — and syncs the file. Without a write-ahead log every cached node is
 // re-encoded to its page: the decoded-node cache is authoritative (never
 // evicting), so this repairs whatever torn writes or a seal that failed
-// partway left in the file — the step to run before dropping caches. Under
-// a log the rewrite is skipped (the log's overlay holds only sealed
-// transactions and is authoritative over the inner file) and the sync is
-// the checkpoint that flushes the overlay and truncates the log. Flush also
-// rewrites the metadata page and retries the page frees that failed, so a
-// clean Flush leaves LeakedPages at zero.
+// partway left in the file — the step to run before dropping caches — and
+// is then marked clean (see markClean). Under a log the rewrite is skipped
+// (the log's overlay holds only sealed transactions and is authoritative
+// over the inner file) and the sync is the checkpoint that flushes the
+// overlay and truncates the log. Flush also rewrites the metadata page and
+// retries the page frees that failed, so a clean Flush leaves LeakedPages
+// at zero.
 func (t *Tree) Flush() error {
 	if t.tx == nil {
 		if err := t.store.flushAll(); err != nil {
@@ -289,6 +292,34 @@ func (t *Tree) Flush() error {
 		t.torn = false
 	}
 	t.reclaimLeaked()
+	return t.markClean()
+}
+
+// markDirty writes a metadata page marked dirty and syncs it, so that no
+// node page of the coming seal can reach the disk before the mark does.
+func (t *Tree) markDirty() error {
+	t.dirty = true
+	err := t.writeMeta()
+	if err == nil {
+		err = t.file.Sync()
+	}
+	if err != nil {
+		t.dirty = false // the next seal writes the mark again
+	}
+	return err
+}
+
+// markClean writes a metadata page marked clean and syncs it. Without a
+// log the node pages are synced first, so a clean mark on disk never
+// vouches for a node page that is not; under a log the sync is the
+// checkpoint.
+func (t *Tree) markClean() error {
+	if t.tx == nil {
+		if err := t.file.Sync(); err != nil {
+			return err
+		}
+	}
+	t.dirty = false
 	if err := t.writeMeta(); err != nil {
 		return err
 	}
@@ -318,9 +349,10 @@ func (t *Tree) RunTx(fn func() error) error {
 	return nil
 }
 
-// New creates an empty hybrid tree on file. Page 0 of the file is used for
-// tree metadata so the index can be reopened with Open.
-func New(file pagefile.File, cfg Config) (*Tree, error) {
+// newTree returns a tree over file with everything but its pages set up:
+// the node store, the ELS table, the log when file is one, and the default
+// tracer and metrics. New, Open and BulkLoad all start here.
+func newTree(file pagefile.File, cfg Config) (*Tree, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -333,16 +365,23 @@ func New(file pagefile.File, cfg Config) (*Tree, error) {
 		file:    file,
 		store:   newStore(file, cfg.Dim),
 		els:     els.NewTable(cfg.ELSBits),
-		elsHead: pagefile.InvalidPage,
 		tracer:  loadDefaultTracer(),
 		metrics: hybridMetrics(),
 	}
 	t.tx, _ = file.(pagefile.TxFile)
-	metaID, err := file.Allocate()
+	return t, nil
+}
+
+// New creates an empty hybrid tree on file. Page 0 of the file is used for
+// tree metadata so the index can be reopened with Open.
+func New(file pagefile.File, cfg Config) (*Tree, error) {
+	t, err := newTree(file, cfg)
 	if err != nil {
 		return nil, err
 	}
-	t.meta = metaID
+	if t.meta, err = file.Allocate(); err != nil {
+		return nil, err
+	}
 	root, err := t.store.alloc(true)
 	if err != nil {
 		return nil, err
@@ -359,61 +398,58 @@ func New(file pagefile.File, cfg Config) (*Tree, error) {
 	return t, nil
 }
 
-// Open loads a tree previously created with New from its file. The
-// configuration must match the one the tree was built with in Dim and
-// PageSize; split-policy and ELS settings may differ (the ELS side table is
-// rebuilt from the data, as it lives in memory).
+// ErrUncleanShutdown reports that Open found the metadata page marked
+// dirty: the file was written without a write-ahead log and the writer
+// stopped before Flush or Close, so some node pages of its last mutations
+// may be missing or torn. A log cannot repair writes it never saw, so Open
+// refuses the file with or without one.
+var ErrUncleanShutdown = errors.New("core: index was not closed cleanly (written without a write-ahead log, then stopped before Flush or Close); rebuild it with htree build")
+
+// Open loads a tree previously created with New or BulkLoad from its file.
+// The configuration must match the one the tree was built with in Dim and
+// PageSize; split-policy and ELS settings may differ (the ELS side table
+// lives in memory, and Open rebuilds it from the data).
 func Open(file pagefile.File, cfg Config) (*Tree, error) {
-	cfg, err := cfg.withDefaults()
+	t, err := newTree(file, cfg)
 	if err != nil {
 		return nil, err
 	}
-	t := &Tree{
-		cfg:     cfg,
-		file:    file,
-		store:   newStore(file, cfg.Dim),
-		els:     els.NewTable(cfg.ELSBits),
-		meta:    0,
-		elsHead: pagefile.InvalidPage,
-		tracer:  loadDefaultTracer(),
-		metrics: hybridMetrics(),
-	}
-	t.tx, _ = file.(pagefile.TxFile)
 	if err := t.readMeta(); err != nil {
 		return nil, err
 	}
-	if t.els.Enabled() {
-		restored := false
-		if !t.elsStale {
-			if restored, err = t.loadELS(t.elsHead); err != nil {
-				return nil, err
-			}
-		}
-		if !restored {
-			if err := t.RebuildELS(); err != nil {
-				return nil, err
-			}
-		}
+	if err := t.RebuildELS(); err != nil {
+		return nil, err
 	}
-	t.publishNow()
 	return t, nil
 }
 
 const metaMagic = "HTREEv1\x00"
 
-// writeMeta writes the metadata page: magic, dim, root, height, size, page
-// size, the ELS snapshot head and whether that snapshot is stale.
+// Metadata page layout (little endian): magic [0,8), dim [8,12), root
+// [12,16), height [16,20), size [20,28), page size [28,32), then
+// InvalidPage at [32,36) and byte 36 unused, where files of earlier
+// versions kept the head and stale flag of a persisted ELS snapshot, and
+// the dirty flag at byte 37, which those files hold as 0. An old binary
+// reading a new file finds no snapshot and rebuilds its ELS table; the
+// pages of an old file's snapshot chain are left unreferenced.
+const (
+	metaOldELSHead = 32
+	metaDirty      = 37
+	metaLen        = 38
+)
+
+// writeMeta writes the metadata page.
 func (t *Tree) writeMeta() error {
-	buf := make([]byte, 8+4+4+4+8+4+4+1)
+	buf := make([]byte, metaLen)
 	copy(buf, metaMagic)
 	binary.LittleEndian.PutUint32(buf[8:], uint32(t.cfg.Dim))
 	binary.LittleEndian.PutUint32(buf[12:], uint32(t.root))
 	binary.LittleEndian.PutUint32(buf[16:], uint32(t.height))
 	binary.LittleEndian.PutUint64(buf[20:], uint64(t.size))
 	binary.LittleEndian.PutUint32(buf[28:], uint32(t.cfg.PageSize))
-	binary.LittleEndian.PutUint32(buf[32:], uint32(t.elsHead))
-	if t.elsStale {
-		buf[36] = 1
+	binary.LittleEndian.PutUint32(buf[metaOldELSHead:], uint32(pagefile.InvalidPage))
+	if t.dirty {
+		buf[metaDirty] = 1
 	}
 	return t.file.WritePage(t.meta, buf)
 }
@@ -426,6 +462,9 @@ func (t *Tree) readMeta() error {
 	if string(buf[:8]) != metaMagic {
 		return &ErrCorruptPage{Page: t.meta, Reason: "bad meta magic"}
 	}
+	if buf[metaDirty] != 0 {
+		return ErrUncleanShutdown
+	}
 	if dim := int(binary.LittleEndian.Uint32(buf[8:])); dim != t.cfg.Dim {
 		return fmt.Errorf("core: tree has dim %d, config says %d", dim, t.cfg.Dim)
 	}
@@ -435,33 +474,25 @@ func (t *Tree) readMeta() error {
 	t.root = pagefile.PageID(binary.LittleEndian.Uint32(buf[12:]))
 	t.height = int(binary.LittleEndian.Uint32(buf[16:]))
 	t.size = int(binary.LittleEndian.Uint64(buf[20:]))
-	t.elsHead = pagefile.PageID(binary.LittleEndian.Uint32(buf[32:]))
-	if t.elsHead == t.meta {
-		// Page 0 is the metadata page, so 0 can never head a snapshot
-		// chain; files written before snapshots existed read as 0 here.
-		t.elsHead = pagefile.InvalidPage
-	}
-	t.elsStale = buf[36] != 0
 	return nil
 }
 
-// Close snapshots the ELS side table into the file and flushes metadata,
-// so a subsequent Open restores without re-reading the whole tree (after
-// rewriting the node pages from memory if a seal has failed partway since
-// the last Flush). The page file itself remains the caller's to close.
+// Close flushes the metadata. Without a write-ahead log it first rewrites
+// the node pages from memory if a seal has failed partway since the last
+// Flush, then marks the file clean (see markClean); a later Open rebuilds
+// the ELS side table from the data. The page file itself remains the
+// caller's to close.
 func (t *Tree) Close() error {
+	if t.tx != nil {
+		return t.writeMeta()
+	}
 	if t.torn {
 		if err := t.store.flushAll(); err != nil {
 			return err
 		}
 		t.torn = false
 	}
-	head, err := t.saveELS(t.elsHead)
-	if err != nil {
-		return err
-	}
-	t.elsHead, t.elsStale = head, false
-	return t.writeMeta()
+	return t.markClean()
 }
 
 // Size returns the number of records in the tree.
@@ -548,9 +579,9 @@ func (t *Tree) Insert(p geom.Point, rid RecordID) error {
 func (t *Tree) insertRecord(p geom.Point, rid RecordID) error {
 	// The descent enlarges the ELS entry of every node it passes *as a
 	// child of its parent* — which covers everything except the root.
-	// Fresh trees never store a root entry, but RebuildELS (recovery) and
-	// snapshot restore do, and that entry would otherwise go silently
-	// stale and under-report the live space.
+	// Fresh trees never store a root entry, but RebuildELS (Open, BulkLoad)
+	// does, and that entry would otherwise go silently stale and
+	// under-report the live space.
 	t.els.EnlargeExisting(uint32(t.root), t.cfg.Space, p)
 	sr, err := t.insertAt(t.root, t.cfg.Space, p.Clone(), rid, t.height)
 	if err != nil {

@@ -281,7 +281,8 @@ func (t *Table) Delete(id uint32) {
 func (t *Table) Len() int { return t.n }
 
 // Snapshot returns every stored (id, encoding) pair in ascending id order,
-// for persistence. The encodings are shared, not copied.
+// so that tests can pin a table or compare two. The encodings are shared,
+// not copied.
 func (t *Table) Snapshot() (ids []uint32, encs []Encoded) {
 	ids = make([]uint32, 0, t.n)
 	encs = make([]Encoded, 0, t.n)
@@ -297,16 +298,6 @@ func (t *Table) Snapshot() (ids []uint32, encs []Encoded) {
 		}
 	}
 	return ids, encs
-}
-
-// Restore installs an encoding captured by Snapshot or Encoded, decoding it
-// eagerly relative to outer (the same outer rectangle the original Set
-// used; the tree encodes every live rectangle relative to the data space).
-func (t *Table) Restore(id uint32, enc Encoded, outer geom.Rect) {
-	if !t.Enabled() {
-		return
-	}
-	t.install(id, outer, enc)
 }
 
 // Snap is an immutable point-in-time view of a Table, safe for concurrent

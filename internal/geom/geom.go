@@ -176,17 +176,6 @@ func (r Rect) Intersect(s Rect) Rect {
 	return out
 }
 
-// Union returns the smallest rectangle covering both r and s. Empty
-// rectangles act as the identity.
-func (r Rect) Union(s Rect) Rect {
-	out := Rect{Lo: make(Point, r.Dim()), Hi: make(Point, r.Dim())}
-	for d := range r.Lo {
-		out.Lo[d] = minf(r.Lo[d], s.Lo[d])
-		out.Hi[d] = maxf(r.Hi[d], s.Hi[d])
-	}
-	return out
-}
-
 // Enlarge grows r in place so that it contains p.
 func (r *Rect) Enlarge(p Point) {
 	for d := range p {
@@ -221,34 +210,6 @@ func (r Rect) Area() float64 {
 		a *= r.Extent(d)
 	}
 	return a
-}
-
-// Margin returns the sum of side lengths of r (the surface-area proxy used
-// when discussing cubic splits in Section 3.2).
-func (r Rect) Margin() float64 {
-	m := 0.0
-	for d := range r.Lo {
-		m += r.Extent(d)
-	}
-	return m
-}
-
-// EnlargementArea returns the increase in Area required for r to contain p.
-// This is the R-tree ChooseSubtree criterion the hybrid tree borrows for
-// insertion (Section 3.5).
-func (r Rect) EnlargementArea(p Point) float64 {
-	grown := 1.0
-	for d := range p {
-		lo, hi := r.Lo[d], r.Hi[d]
-		if p[d] < lo {
-			lo = p[d]
-		}
-		if p[d] > hi {
-			hi = p[d]
-		}
-		grown *= float64(hi) - float64(lo)
-	}
-	return grown - r.Area()
 }
 
 // MinkowskiVolume returns the volume of r with every side extended by query

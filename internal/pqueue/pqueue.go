@@ -55,10 +55,6 @@ func (q *Min[T]) Pop() (T, float64) {
 	return value, priority
 }
 
-// PeekPriority returns the smallest priority without removing its item. It
-// must not be called on an empty queue.
-func (q *Min[T]) PeekPriority() float64 { return q.pris[0] }
-
 func (q *Min[T]) swap(i, j int) {
 	q.vals[i], q.vals[j] = q.vals[j], q.vals[i]
 	q.pris[i], q.pris[j] = q.pris[j], q.pris[i]

@@ -15,13 +15,10 @@ func TestMinOrdering(t *testing.T) {
 	if q.Len() != 3 {
 		t.Fatalf("len = %d", q.Len())
 	}
-	if q.PeekPriority() != 1 {
-		t.Fatalf("peek = %g", q.PeekPriority())
-	}
-	for _, want := range []string{"a", "b", "c"} {
-		v, _ := q.Pop()
-		if v != want {
-			t.Fatalf("pop = %q, want %q", v, want)
+	for i, want := range []string{"a", "b", "c"} {
+		v, pri := q.Pop()
+		if v != want || pri != float64(i+1) {
+			t.Fatalf("pop = %q at %g, want %q at %d", v, pri, want, i+1)
 		}
 	}
 	if q.Len() != 0 {
