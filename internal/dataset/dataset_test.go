@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 )
@@ -209,6 +211,37 @@ func TestFourierGlobalDeterministic(t *testing.T) {
 	for i := range a {
 		if !a[i].Equal(b[i]) {
 			t.Fatal("same seed produced different data")
+		}
+	}
+}
+
+// TestColHistPinned pins the exact float32 bits ColHist returns at every
+// supported dimension and two seeds (1999 is the benchmark's). Generation
+// fans out over GOMAXPROCS workers, so run it under `go test -cpu 1,2,4`:
+// the output must not depend on the worker count. n spans several draw
+// blocks and leaves a partial last one.
+func TestColHistPinned(t *testing.T) {
+	want := map[[2]int64]uint64{
+		{16, 1999}: 0xb7f6f947d5731780,
+		{32, 1999}: 0x03b23c5557cf7048,
+		{64, 1999}: 0x57cf9e4124533e4a,
+		{16, 7}:    0xdadf1e26d9019e3c,
+		{32, 7}:    0xaef57bbeaa36d832,
+		{64, 7}:    0x403022b74e5ed204,
+	}
+	for _, dim := range []int64{16, 32, 64} {
+		for _, seed := range []int64{1999, 7} {
+			h := fnv.New64a()
+			var buf [4]byte
+			for _, p := range ColHist(5000, int(dim), seed) {
+				for _, v := range p {
+					binary.LittleEndian.PutUint32(buf[:], math.Float32bits(v))
+					h.Write(buf[:])
+				}
+			}
+			if got := h.Sum64(); got != want[[2]int64{dim, seed}] {
+				t.Errorf("ColHist(5000, %d, %d) hash = %#016x, want %#016x", dim, seed, got, want[[2]int64{dim, seed}])
+			}
 		}
 	}
 }
