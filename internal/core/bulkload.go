@@ -44,6 +44,14 @@ func BulkLoad(file pagefile.File, cfg Config, pts []geom.Point, rids []RecordID)
 	if t.meta, err = file.Allocate(); err != nil {
 		return nil, err
 	}
+	// Without a log nothing makes the build atomic: page 0 is marked dirty
+	// and synced before the first data page, so a build that dies partway
+	// opens to ErrUncleanShutdown, and a finished one ends clean and synced.
+	if t.tx == nil {
+		if err := t.markDirty(); err != nil {
+			return nil, err
+		}
+	}
 
 	split, err := t.bulkSplit(pts, rids)
 	if err != nil {
@@ -59,7 +67,10 @@ func BulkLoad(file pagefile.File, cfg Config, pts []geom.Point, rids []RecordID)
 	if err := t.RebuildELS(); err != nil {
 		return nil, err
 	}
-	return t, t.writeMeta()
+	if t.tx != nil {
+		return t, t.writeMeta()
+	}
+	return t, t.markClean()
 }
 
 // bulkFill is the target data-page fill fraction for bulk loads; the

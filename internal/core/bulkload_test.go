@@ -163,6 +163,57 @@ func TestBulkLoadPersistence(t *testing.T) {
 	}
 }
 
+// failingWrites fails every page write after the first ok ones, the way a
+// build that dies partway stops writing.
+type failingWrites struct {
+	pagefile.File
+	ok int
+}
+
+var errWriteFailed = errors.New("injected write failure")
+
+func (f *failingWrites) WritePage(id pagefile.PageID, data []byte) error {
+	if f.ok == 0 {
+		return errWriteFailed
+	}
+	f.ok--
+	return f.File.WritePage(id, data)
+}
+
+// TestBulkLoadDiesDirty: without a log, a bulk load whose writes stop
+// partway leaves a file Open refuses with ErrUncleanShutdown (not an
+// unreadable page 0), and one that finishes is clean and synced: it opens
+// after a crash that drops every unsynced write, with no Close.
+func TestBulkLoadDiesDirty(t *testing.T) {
+	const dim, n = 8, 3000
+	cfg := Config{Dim: dim, PageSize: 1024}
+	pts, rids := seededPoints(71, n, dim)
+	inner := pagefile.NewMemFile(cfg.PageSize)
+	if _, err := BulkLoad(&failingWrites{File: inner, ok: 20}, cfg, pts, rids); !errors.Is(err, errWriteFailed) {
+		t.Fatalf("bulk load over failing writes: err %v, want the injected failure", err)
+	}
+	if _, err := Open(inner, cfg); !errors.Is(err, ErrUncleanShutdown) {
+		t.Fatalf("Open after a bulk load died partway: err %v, want ErrUncleanShutdown", err)
+	}
+
+	crash := pagefile.NewCrashFile(cfg.PageSize)
+	crash.LoseProb, crash.TearProb = 1, 0
+	if _, err := BulkLoad(crash, cfg, pts, rids); err != nil {
+		t.Fatal(err)
+	}
+	crash.Crash(72)
+	tree, err := Open(crash, cfg)
+	if err != nil {
+		t.Fatalf("Open of a finished bulk load after a crash: %v", err)
+	}
+	if tree.Size() != n {
+		t.Fatalf("reopened size %d, want %d", tree.Size(), n)
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestBulkLoadValidation(t *testing.T) {
 	file := pagefile.NewMemFile(512)
 	if _, err := BulkLoad(file, Config{Dim: 2, PageSize: 512},

@@ -218,8 +218,8 @@ func TestFourierGlobalDeterministic(t *testing.T) {
 // TestColHistPinned pins the exact float32 bits ColHist returns at every
 // supported dimension and two seeds (1999 is the benchmark's). Generation
 // fans out over GOMAXPROCS workers, so run it under `go test -cpu 1,2,4`:
-// the output must not depend on the worker count. n spans several draw
-// blocks and leaves a partial last one.
+// the output must not depend on the worker count. n spans two draw
+// blocks, the second one partial.
 func TestColHistPinned(t *testing.T) {
 	want := map[[2]int64]uint64{
 		{16, 1999}: 0xb7f6f947d5731780,

@@ -40,19 +40,13 @@ func BoxQueries(data []geom.Point, count int, target float64, seed int64) ([]geo
 	centers := sampleCenters(data, count, rng)
 	sample := samplePoints(data, 4000, rng)
 
-	measure := func(side float64) float64 {
-		total := 0
-		for _, c := range centers {
-			q := boxAround(c, side, dim)
-			for _, p := range sample {
-				if q.Contains(p) {
-					total++
-				}
-			}
+	boxes := make([]geom.Rect, len(centers))
+	side := calibrate(len(centers), len(sample), target, 1.0, func(side float64) func(i int) bool {
+		for j, c := range centers {
+			boxes[j] = boxAround(c, side, dim)
 		}
-		return float64(total) / float64(len(centers)) / float64(len(sample))
-	}
-	side := bisect(measure, target, 1.0)
+		return func(i int) bool { return boxes[i/len(sample)].Contains(sample[i%len(sample)]) }
+	})
 	queries := make([]geom.Rect, count)
 	for i, c := range centers {
 		queries[i] = boxAround(c, side, dim)
@@ -70,22 +64,19 @@ func RangeQueries(data []geom.Point, count int, target float64, m dist.Metric, s
 	centers := sampleCenters(data, count, rng)
 	sample := samplePoints(data, 4000, rng)
 
-	measure := func(radius float64) float64 {
-		total := 0
-		for _, c := range centers {
-			for _, p := range sample {
-				if m.Distance(c, p) <= radius {
-					total++
-				}
-			}
+	dists := make([]float64, 0, len(centers)*len(sample))
+	for _, c := range centers {
+		for _, p := range sample {
+			dists = append(dists, m.Distance(c, p))
 		}
-		return float64(total) / float64(len(centers)) / float64(len(sample))
 	}
 	// An upper bound for the radius: the diameter of the unit cube under m
 	// is at most m.Distance(origin, ones).
 	dim := len(data[0])
 	hi := m.Distance(make(geom.Point, dim), onesPoint(dim))
-	radius := bisect(measure, target, hi)
+	radius := calibrate(len(centers), len(sample), target, hi, func(radius float64) func(i int) bool {
+		return func(i int) bool { return dists[i] <= radius }
+	})
 	queries := make([]Ball, count)
 	for i, c := range centers {
 		queries[i] = Ball{Center: c.Clone(), Radius: radius}
@@ -147,17 +138,39 @@ func boxAround(c geom.Point, side float64, dim int) geom.Rect {
 	return geom.Rect{Lo: lo, Hi: hi}
 }
 
-// bisect finds x in (0, hi] with measure(x) ~ target; measure must be
-// monotone non-decreasing. 40 iterations give plenty of precision for a
-// selectivity knob.
-func bisect(measure func(float64) float64, target, hi float64) float64 {
+// calibrate finds x in (0, hi] at which the mean selectivity over the
+// nCenters × nSample (centre, sample) pairs is ~ target, by 40 steps of
+// bisection; 40 give plenty of precision for a selectivity knob. at(x)
+// returns the test of pair i = centre i/nSample, sample i%nSample at x,
+// which must be monotone in x: a pair in at the lower bound stays in and a
+// pair out at the upper bound stays out, so each step tests only the pairs
+// still undecided between the bounds.
+func calibrate(nCenters, nSample int, target, hi float64, at func(x float64) func(i int) bool) float64 {
+	undecided := make([]int, nCenters*nSample)
+	for i := range undecided {
+		undecided[i] = i
+	}
+	known := 0 // pairs in at lo
 	lo := 0.0
 	for i := 0; i < 40; i++ {
 		mid := (lo + hi) / 2
-		if measure(mid) < target {
+		in := at(mid)
+		// Partition: pairs in at mid to the front.
+		nIn := 0
+		for j, p := range undecided {
+			if in(p) {
+				undecided[nIn], undecided[j] = p, undecided[nIn]
+				nIn++
+			}
+		}
+		total := known + nIn
+		if float64(total)/float64(nCenters)/float64(nSample) < target {
 			lo = mid
+			known = total
+			undecided = undecided[nIn:]
 		} else {
 			hi = mid
+			undecided = undecided[:nIn]
 		}
 	}
 	return (lo + hi) / 2
