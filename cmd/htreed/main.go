@@ -62,7 +62,6 @@ func main() {
 		drainTO    = flag.Duration("drain-timeout", 15*time.Second, "SIGTERM: bound on draining in-flight requests before force-close")
 		chaos      = flag.String("chaos", "off", "inject seeded storage faults under the tree: off, light, heavy (testing)")
 		chaosSeed  = flag.Int64("chaos-seed", 1, "fault schedule seed")
-		retryOn    = flag.Bool("retry", true, "layer the retry/breaker read path (with decorrelated-jitter backoff) above the page file")
 		slowK      = flag.Int("slow-k", 16, "slowest query traces retained at /debug/slow")
 		slowThresh = flag.Duration("slow-threshold", 0, "admit only traces at least this slow (0 = all)")
 		version    = flag.Bool("version", false, "print the build version and exit")
@@ -106,16 +105,14 @@ func main() {
 			file = chaosFile
 			fmt.Fprintf(os.Stderr, "htreed: chaos profile %s live (seed %d, announced fault modes only)\n", *chaos, *chaosSeed)
 		}
-		if *retryOn {
-			file = pagefile.NewRetryFile(file, pagefile.RetryPolicy{
-				MaxAttempts: 3,
-				Backoff:     200 * time.Microsecond,
-				MaxBackoff:  5 * time.Millisecond,
-				Jitter:      true,
-				TripAfter:   16,
-				ProbeAfter:  50 * time.Millisecond,
-			})
-		}
+		file = pagefile.NewRetryFile(file, pagefile.RetryPolicy{
+			MaxAttempts: 3,
+			Backoff:     200 * time.Microsecond,
+			MaxBackoff:  5 * time.Millisecond,
+			Jitter:      true,
+			TripAfter:   16,
+			ProbeAfter:  50 * time.Millisecond,
+		})
 		if *walOn {
 			log, err := wal.OpenFileLog(*db + ".wal")
 			check(err)

@@ -17,8 +17,8 @@ func TestFig5abShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eda := figA.Get("EDA-optimal")
-	vam := figA.Get("VAM")
+	eda := figA.get("EDA-optimal")
+	vam := figA.get("VAM")
 	if eda == nil || vam == nil {
 		t.Fatal("missing series")
 	}
@@ -32,7 +32,7 @@ func TestFig5abShape(t *testing.T) {
 			t.Errorf("dim %g: EDA %.1f worse than VAM %.1f", figA.X[i], eda.Y[i], vam.Y[i])
 		}
 	}
-	if figB.Get("EDA-optimal") == nil {
+	if figB.get("EDA-optimal") == nil {
 		t.Fatal("missing CPU series")
 	}
 	var sb strings.Builder
@@ -72,7 +72,7 @@ func TestFig5cShape(t *testing.T) {
 }
 
 func yAt(fig *Figure, label string, x float64) float64 {
-	s := fig.Get(label)
+	s := fig.get(label)
 	for i, xv := range fig.X {
 		if xv == x {
 			return s.Y[i]
@@ -86,9 +86,9 @@ func TestFig6ColHistShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid := figIO.Get("Hybrid Tree")
-	hb := figIO.Get("hB-tree")
-	sr := figIO.Get("SR-tree")
+	hybrid := figIO.get("Hybrid Tree")
+	hb := figIO.get("hB-tree")
+	sr := figIO.get("SR-tree")
 	for i := range figIO.X {
 		// Headline result: the hybrid tree beats both competitors on I/O
 		// at every dimensionality. At this test's reduced scale the
@@ -124,9 +124,9 @@ func TestFig6FourierShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid := figIO.Get("Hybrid Tree")
-	sr := figIO.Get("SR-tree")
-	hb := figIO.Get("hB-tree")
+	hybrid := figIO.get("Hybrid Tree")
+	sr := figIO.get("SR-tree")
+	hb := figIO.get("hB-tree")
 	for i := range figIO.X {
 		// On FOURIER the paper's full ordering reproduces: hybrid < hB < SR.
 		if hybrid.Y[i] >= sr.Y[i] {
@@ -149,8 +149,8 @@ func TestFig7abShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid := figIO.Get("Hybrid Tree")
-	sr := figIO.Get("SR-tree")
+	hybrid := figIO.get("Hybrid Tree")
+	sr := figIO.get("SR-tree")
 	if len(hybrid.Y) != 6 {
 		t.Fatalf("expected 6 sizes, got %d", len(hybrid.Y))
 	}
@@ -176,9 +176,9 @@ func TestFig7cdShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hybrid := figIO.Get("Hybrid Tree")
-	sr := figIO.Get("SR-tree")
-	if figIO.Get("linear scan") == nil || figCPU.Get("linear scan") == nil {
+	hybrid := figIO.get("Hybrid Tree")
+	sr := figIO.get("SR-tree")
+	if figIO.get("linear scan") == nil || figCPU.get("linear scan") == nil {
 		t.Fatal("missing scan reference")
 	}
 	for i := range figIO.X {

@@ -52,16 +52,6 @@ func (f *Figure) Print(w io.Writer) {
 	}
 }
 
-// Get returns the series with the given label, or nil.
-func (f *Figure) Get(label string) *Series {
-	for i := range f.Series {
-		if f.Series[i].Label == label {
-			return &f.Series[i]
-		}
-	}
-	return nil
-}
-
 // Table is a reproduced paper table: free-form rows under named columns.
 type Table struct {
 	Title   string

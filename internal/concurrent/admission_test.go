@@ -12,6 +12,7 @@ import (
 	"hybridtree/internal/core"
 	"hybridtree/internal/dist"
 	"hybridtree/internal/geom"
+	"hybridtree/internal/obs"
 )
 
 // panicMetric panics on every distance call — the fault the panic-isolation
@@ -259,29 +260,77 @@ func TestExecutorNoGoroutineLeak(t *testing.T) {
 	}
 }
 
-func TestBatchPanicIsolation(t *testing.T) {
-	tree, pts := buildTree(t, 4, 2000, 512)
+// lastTrace hands every operation a fresh trace and keeps the latest one.
+type lastTrace struct {
+	mu sync.Mutex
+	tr *obs.Trace
+}
+
+func (l *lastTrace) StartTrace(op string) *obs.Trace {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.tr = obs.NewTrace(op)
+	return l.tr
+}
+
+func (l *lastTrace) last() *obs.Trace {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.tr
+}
+
+// TestExecutorQueueWaitInTrace: a served request that waited for a slot
+// reports the wait as its trace's queue-wait stage, and a request that
+// waited but ran no search leaves no wait on its pooled context for the
+// next request to report.
+func TestExecutorQueueWaitInTrace(t *testing.T) {
+	const hold = 5 * time.Millisecond
+	rec := &lastTrace{}
+	core.SetDefaultTracer(rec)
+	tree, pts := buildTree(t, 4, 500, 512)
+	core.SetDefaultTracer(nil)
 	defer tree.Close()
-	qs := pts[:64]
+	e := NewExecutor(tree, ExecutorConfig{Workers: 1, QueueDepth: 1})
+	defer e.Close()
 
-	// Every query panics via the metric; the batch must return an error
-	// yet leave the tree fully usable (no leaked read locks).
-	_, err := tree.SearchBatch(knnQueries(qs, 5, panicMetric{}))
-	if err == nil {
-		t.Fatal("panicking batch returned nil error")
+	// waitBehind runs fn as a request that waits while another holds the
+	// only slot for 2×hold after the first one was admitted.
+	waitBehind := func(fn func(*core.QueryContext) error) error {
+		holding, release := make(chan struct{}), make(chan struct{})
+		held, done := make(chan error, 1), make(chan error, 1)
+		go func() {
+			held <- e.Do(context.Background(), func(*core.QueryContext) error { close(holding); <-release; return nil })
+		}()
+		<-holding
+		go func() { done <- e.Do(context.Background(), fn) }()
+		awaitWaiting(t, e, 1)
+		time.Sleep(2 * hold)
+		close(release)
+		return errors.Join(<-held, <-done)
+	}
+	q := core.Query{Kind: core.KNN, Point: pts[0], K: 5, Metric: dist.L2()}
+	search := func(c *core.QueryContext) error {
+		_, err := tree.tree.Search(context.Background(), c, q, nil)
+		return err
+	}
+	if err := waitBehind(search); err != nil {
+		t.Fatal(err)
+	}
+	if s := rec.last().Stages; s == nil || s.QueueWaitNs < int64(hold) {
+		t.Fatalf("waiting request's stages %+v, want queue wait >= %v", s, hold)
 	}
 
-	out, err := tree.SearchBatch(knnQueries(qs, 5, dist.L2()))
-	if err != nil {
-		t.Fatalf("post-panic batch: %v", err)
+	// The pooled context a searchless waiter ran on, searched on next
+	// (nothing else runs), must carry no queue wait.
+	var pooled *core.QueryContext
+	if err := waitBehind(func(c *core.QueryContext) error { pooled = c; return nil }); err != nil {
+		t.Fatal(err)
 	}
-	for i, ns := range out {
-		if len(ns) != 5 {
-			t.Fatalf("slot %d: %d results", i, len(ns))
-		}
+	if err := search(pooled); err != nil {
+		t.Fatal(err)
 	}
-	if err := tree.Insert(pts[0], core.RecordID(88888)); err != nil {
-		t.Fatalf("post-panic insert: %v", err)
+	if s := rec.last().Stages; s != nil && s.QueueWaitNs != 0 {
+		t.Fatalf("next search on the waiter's context reports queue wait %v", time.Duration(s.QueueWaitNs))
 	}
 }
 

@@ -4,21 +4,20 @@
 // atomic pointer swap, and each search pins the current epoch on entry and
 // traverses that version without acquiring any lock. Tree therefore only
 // synchronizes writers against each other — a single mutex serializes
-// Insert / Delete / Update / Close — while any number of Search /
-// SearchBatch / SearchKNN / CountBox calls run concurrently with each other
-// and with the writer, never blocking behind it. The paper's I/O accounting
-// is unaffected — every logical node access is still charged exactly one
-// counter increment, and increments commute — so a query batch reports
-// byte-identical Stats whether it ran serially or fanned out (see
-// TestBatchStatsParity).
+// Insert / Flush / Close, and GroupCommitter batches concurrent writers into
+// shared commits — while any number of Search / SearchKNN / CountBox calls
+// run concurrently with each other and with the writer, never blocking
+// behind it. The paper's I/O accounting is unaffected — every logical node
+// access is still charged exactly one counter increment, and increments
+// commute — so queries report byte-identical Stats whether they ran serially
+// or in parallel (see TestBatchStatsParity).
 //
-// For query-heavy workloads, SearchBatch fans a slice of queries (of any
-// mix of kinds) across a bounded pool of GOMAXPROCS workers.
+// Served reads go through one front door, Executor: admission control under
+// which each request's own goroutine runs its query on a pooled context.
 package concurrent
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"hybridtree/internal/core"
@@ -63,51 +62,6 @@ func (t *Tree) Insert(p geom.Point, rid core.RecordID) error {
 	return t.tree.Insert(p, rid)
 }
 
-// InsertBatch inserts many entries under one writer-lock acquisition.
-// Searches still observe each insert as its own committed snapshot.
-func (t *Tree) InsertBatch(pts []geom.Point, rids []core.RecordID) error {
-	if len(pts) != len(rids) {
-		return fmt.Errorf("concurrent: %d points but %d record ids", len(pts), len(rids))
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i, p := range pts {
-		if err := t.tree.Insert(p, rids[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Delete is a goroutine-safe core.Tree.Delete.
-func (t *Tree) Delete(p geom.Point, rid core.RecordID) (bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tree.Delete(p, rid)
-}
-
-// Update atomically replaces the vector of a record: the delete and the
-// insert run as one core mutation, so there is one commit (one fsync under a
-// write-ahead log) and a concurrent snapshot search sees the record at its
-// old vector or at its new one — never absent, torn or duplicated. If either
-// half fails (e.g. the new vector lies outside the data space) the whole
-// update rolls back and the old vector is kept.
-func (t *Tree) Update(old, new geom.Point, rid core.RecordID) (found bool, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	err = t.tree.RunTx(func() error {
-		var err error
-		if found, err = t.tree.Delete(old, rid); err != nil || !found {
-			return err
-		}
-		return t.tree.Insert(new, rid)
-	})
-	if err != nil && found {
-		err = fmt.Errorf("concurrent: update of record %d rolled back, old vector kept: %w", rid, err)
-	}
-	return found, err
-}
-
 // Search is a goroutine-safe core.Tree.Search on a pooled context: it runs
 // lock-free against the snapshot current at entry, concurrently with other
 // searches and with writers, honoring ctx and q.Budget (see core.Tree.Search
@@ -127,11 +81,6 @@ func (t *Tree) SearchKNN(q geom.Point, k int, m dist.Metric) ([]core.Neighbor, e
 func (t *Tree) CountBox(q geom.Rect) (int, error) {
 	return t.tree.CountBox(q)
 }
-
-// File exposes the underlying page file (for access accounting). The
-// returned Stats counters are atomic; snapshot them with Stats.Snapshot
-// while queries may be in flight.
-func (t *Tree) File() pagefile.File { return t.tree.File() }
 
 // Size returns the number of records in the current published snapshot.
 func (t *Tree) Size() int {

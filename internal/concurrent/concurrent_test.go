@@ -2,6 +2,7 @@ package concurrent
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -11,6 +12,35 @@ import (
 	"hybridtree/internal/geom"
 	"hybridtree/internal/pagefile"
 )
+
+// remove is a goroutine-safe core.Tree.Delete.
+func (t *Tree) remove(p geom.Point, rid core.RecordID) (bool, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.tree.Delete(p, rid)
+}
+
+// update replaces the vector of a record as one core mutation under the
+// writer lock: one commit (one fsync under a write-ahead log), and a
+// concurrent snapshot search sees the record at its old vector or at its new
+// one — never absent, torn or duplicated. If either half fails (e.g. the new
+// vector lies outside the data space) the whole update rolls back and the
+// old vector is kept.
+func (t *Tree) update(old, new geom.Point, rid core.RecordID) (found bool, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	err = t.tree.RunTx(func() error {
+		var err error
+		if found, err = t.tree.Delete(old, rid); err != nil || !found {
+			return err
+		}
+		return t.tree.Insert(new, rid)
+	})
+	if err != nil && found {
+		err = fmt.Errorf("concurrent: update of record %d rolled back, old vector kept: %w", rid, err)
+	}
+	return found, err
+}
 
 func TestConcurrentMixedWorkload(t *testing.T) {
 	const dim = 6
@@ -30,12 +60,10 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		}
 		seed[i] = p
 	}
-	var rids []core.RecordID
-	for i := range seed {
-		rids = append(rids, core.RecordID(i))
-	}
-	if err := tree.InsertBatch(seed, rids); err != nil {
-		t.Fatal(err)
+	for i, p := range seed {
+		if err := tree.Insert(p, core.RecordID(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Hammer the tree from many goroutines: inserters, deleters, searchers.
@@ -64,7 +92,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := g; i < 600; i += 2 {
-				if _, err := tree.Delete(seed[i], core.RecordID(i)); err != nil {
+				if _, err := tree.remove(seed[i], core.RecordID(i)); err != nil {
 					errs <- err
 					return
 				}
@@ -126,7 +154,7 @@ func TestUpdate(t *testing.T) {
 	if err := tree.Insert(oldP, 7); err != nil {
 		t.Fatal(err)
 	}
-	found, err := tree.Update(oldP, newP, 7)
+	found, err := tree.update(oldP, newP, 7)
 	if err != nil || !found {
 		t.Fatalf("update = %v, %v", found, err)
 	}
@@ -140,20 +168,9 @@ func TestUpdate(t *testing.T) {
 		t.Fatalf("new location count = %d, %v", n, err)
 	}
 	// Updating a missing record reports not found.
-	found, err = tree.Update(oldP, newP, 99)
+	found, err = tree.update(oldP, newP, 99)
 	if err != nil || found {
 		t.Fatalf("phantom update = %v, %v", found, err)
-	}
-}
-
-func TestInsertBatchValidation(t *testing.T) {
-	file := pagefile.NewMemFile(512)
-	tree, err := New(file, core.Config{Dim: 2, PageSize: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.InsertBatch([]geom.Point{{0.5, 0.5}}, nil); err == nil {
-		t.Fatal("mismatched batch accepted")
 	}
 }
 

@@ -30,8 +30,8 @@ type groupResult struct {
 // the whole batch, and a batch that fails durability rolls back and is
 // retried operation by operation so each caller gets its own verdict.
 //
-// Without a transactional file underneath this still batches the writer
-// lock like InsertBatch, it just cannot amortize what doesn't exist.
+// Without a transactional file underneath this still takes the writer lock
+// once per batch, it just cannot amortize what doesn't exist.
 type GroupCommitter struct {
 	t        *Tree
 	ch       chan *groupOp

@@ -410,7 +410,7 @@ func TestGroupCommitBadVectorCostsNoRollback(t *testing.T) {
 
 // TestWriteMetricsCountGroupCommits: every logical Insert and Delete is
 // counted and timed once, whether it runs alone, batched by the
-// GroupCommitter or inside Update, and every rolled back transaction counts
+// GroupCommitter or inside update, and every rolled back transaction counts
 // one rollback. Delete's orphan reinsertions are reinserts, not inserts.
 func TestWriteMetricsCountGroupCommits(t *testing.T) {
 	const dim, pageSize = 2, 512
@@ -467,7 +467,7 @@ func TestWriteMetricsCountGroupCommits(t *testing.T) {
 	}
 
 	before = read()
-	if found, err := tree.Update(pts[n-1], geom.Point{0.25, 0.75}, core.RecordID(n+1)); err != nil || !found {
+	if found, err := tree.update(pts[n-1], geom.Point{0.25, 0.75}, core.RecordID(n+1)); err != nil || !found {
 		t.Fatalf("Update: %v, %v", found, err)
 	}
 	check("Update", before, 1, 1, 0)
@@ -475,7 +475,7 @@ func TestWriteMetricsCountGroupCommits(t *testing.T) {
 	// The new vector is refused before its Insert starts, so the Delete
 	// is the only operation counted, and the transaction rolls back.
 	before = read()
-	if _, err := tree.Update(pts[n-2], geom.Point{2, 2}, core.RecordID(n)); !errors.Is(err, core.ErrBadVector) {
+	if _, err := tree.update(pts[n-2], geom.Point{2, 2}, core.RecordID(n)); !errors.Is(err, core.ErrBadVector) {
 		t.Fatalf("Update outside the space = %v, want core.ErrBadVector", err)
 	}
 	check("rolled back Update", before, 0, 1, 1)

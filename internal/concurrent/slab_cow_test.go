@@ -59,7 +59,7 @@ func TestSlabCopyOnWriteUnderReaders(t *testing.T) {
 		defer done.Store(true)
 		for i := 0; i < churn; i++ {
 			old := core.RecordID(i)
-			if _, err := tree.Delete(mvccPoint(i, dim), old); err != nil {
+			if _, err := tree.remove(mvccPoint(i, dim), old); err != nil {
 				errs <- err
 				return
 			}

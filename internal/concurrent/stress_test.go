@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hybridtree/internal/core"
@@ -31,13 +33,11 @@ func buildTree(t testing.TB, dim, n int, pageSize int) (*Tree, []geom.Point) {
 	}
 	rng := rand.New(rand.NewSource(42))
 	pts := make([]geom.Point, n)
-	rids := make([]core.RecordID, n)
 	for i := range pts {
 		pts[i] = randPoint(rng, dim)
-		rids[i] = core.RecordID(i)
-	}
-	if err := tree.InsertBatch(pts, rids); err != nil {
-		t.Fatal(err)
+		if err := tree.Insert(pts[i], core.RecordID(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return tree, pts
 }
@@ -86,7 +86,7 @@ func TestConcurrentStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < opsPerGoro; i++ {
 				idx := g*opsPerGoro + i
-				if _, err := tree.Delete(seed[idx], core.RecordID(idx)); err != nil {
+				if _, err := tree.remove(seed[idx], core.RecordID(idx)); err != nil {
 					fail(err)
 					return
 				}
@@ -105,7 +105,7 @@ func TestConcurrentStress(t *testing.T) {
 				// Update records the deleters never touch.
 				idx := seedN - 1 - g*opsPerGoro - i
 				newP := randPoint(rng, dim)
-				found, err := tree.Update(seed[idx], newP, core.RecordID(idx))
+				found, err := tree.update(seed[idx], newP, core.RecordID(idx))
 				if err != nil {
 					fail(err)
 					return
@@ -208,7 +208,7 @@ func TestUpdateRollback(t *testing.T) {
 	// The new vector lies outside the unit-cube data space, so the insert
 	// half of the update must fail after the delete half succeeded.
 	badP := geom.Point{1.5, 1.5}
-	found, err := tree.Update(oldP, badP, 7)
+	found, err := tree.update(oldP, badP, 7)
 	if !found {
 		t.Fatal("update did not find the record")
 	}
@@ -260,14 +260,42 @@ func mixedQueries(rng *rand.Rand, dim, n int) []core.Query {
 	return qs
 }
 
-// TestBatchMatchesSequential checks that a mixed-kind batch returns, slot
-// for slot, exactly what one-at-a-time calls return.
+// searchParallel answers qs through e from GOMAXPROCS goroutines, each
+// taking the next unanswered query; out[i] answers qs[i].
+func searchParallel(e *Executor, qs []core.Query) ([][]core.Neighbor, error) {
+	out := make([][]core.Neighbor, len(qs))
+	errs := make(chan error, len(qs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(qs); i = int(next.Add(1)) - 1 {
+				ns, err := e.Search(context.Background(), qs[i])
+				if err != nil {
+					errs <- err
+				}
+				out[i] = ns
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	return out, <-errs
+}
+
+// TestBatchMatchesSequential checks that mixed-kind queries answered in
+// parallel through the executor return, slot for slot, exactly what
+// one-at-a-time calls return.
 func TestBatchMatchesSequential(t *testing.T) {
 	const dim = 5
 	tree, _ := buildTree(t, dim, 2500, 1024)
 	qs := mixedQueries(rand.New(rand.NewSource(9)), dim, 40)
+	e := NewExecutor(tree, ExecutorConfig{})
+	defer e.Close()
 
-	got, err := tree.SearchBatch(qs)
+	got, err := searchParallel(e, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,21 +305,23 @@ func TestBatchMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("batch result %d (%v) differs from sequential", i, q.Kind)
+			t.Fatalf("parallel result %d (%v) differs from sequential", i, q.Kind)
 		}
 	}
 }
 
 // TestBatchStatsParity pins the accounting guarantee the paper's
-// evaluation depends on: a query batch — here one mixing all three kinds —
-// charges byte-identical Stats whether it runs sequentially or fanned
-// across the worker pool. Every logical node access is one atomic increment
-// either way, and increments commute.
+// evaluation depends on: queries — here mixing all three kinds — charge
+// byte-identical Stats whether they run sequentially or in parallel through
+// the executor. Every logical node access is one atomic increment either
+// way, and increments commute.
 func TestBatchStatsParity(t *testing.T) {
 	const dim = 6
 	tree, _ := buildTree(t, dim, 4000, 1024)
 	qs := mixedQueries(rand.New(rand.NewSource(11)), dim, 24)
 	stats := tree.tree.File().Stats()
+	e := NewExecutor(tree, ExecutorConfig{})
+	defer e.Close()
 
 	stats.Reset()
 	for _, q := range qs {
@@ -302,7 +332,7 @@ func TestBatchStatsParity(t *testing.T) {
 	sequential := stats.Snapshot()
 
 	stats.Reset()
-	if _, err := tree.SearchBatch(qs); err != nil {
+	if _, err := searchParallel(e, qs); err != nil {
 		t.Fatal(err)
 	}
 	parallel := stats.Snapshot()
@@ -311,92 +341,67 @@ func TestBatchStatsParity(t *testing.T) {
 		t.Fatalf("stats diverge: sequential %+v, parallel %+v", sequential, parallel)
 	}
 	if sequential.RandomReads == 0 {
-		t.Fatal("query batch charged no reads; accounting is broken")
+		t.Fatal("queries charged no reads; accounting is broken")
 	}
 }
 
-// BenchmarkSearchKNNBatch measures the batch executor end to end: one call
-// fans the whole query slice across the bounded worker pool.
-func BenchmarkSearchKNNBatch(b *testing.B) {
-	tree, pts := buildTree(b, 16, 10000, 4096)
-	qs := knnQueries(pts[:256], 10, dist.L2())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tree.SearchBatch(qs); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N)*float64(len(qs))/b.Elapsed().Seconds(), "queries/sec")
-}
-
-// TestBatchError checks that a failing query aborts the batch and surfaces
-// the error.
-func TestBatchError(t *testing.T) {
-	tree, _ := buildTree(t, 4, 100, 512)
-	qs := []geom.Point{
-		{0.1, 0.1, 0.1, 0.1},
-		{0.2, 0.2}, // wrong dimensionality
-		{0.3, 0.3, 0.3, 0.3},
-	}
-	if _, err := tree.SearchBatch(knnQueries(qs, 3, dist.L2())); err == nil {
-		t.Fatal("batch with bad query reported success")
-	}
-}
-
-// TestBatchContextPoolStress drives several whole batches concurrently —
-// each batch checks worker contexts out of the shared pool — while writers
-// mutate the tree between queries. Run under -race this proves a pooled
-// query context is never live in two batch workers at once (the context's
-// busy flag would also panic), and that every batch still returns exactly
-// what a serial query returns at some consistent point in time.
+// TestBatchContextPoolStress drives several query sets through the
+// executor concurrently — every request checks a context out of the shared
+// pool — while a writer commits between queries. Run under -race this
+// proves a pooled query context is never live in two requests at once (the
+// context's busy flag would also panic), and that every set still returns
+// exactly what a serial query returns at some consistent point in time.
 func TestBatchContextPoolStress(t *testing.T) {
 	const (
 		dim     = 6
 		seedN   = 2000
-		batches = 6
+		sets    = 6
 		queries = 80
 	)
 	tree, pts := buildTree(t, dim, seedN, 512)
 	rng := rand.New(rand.NewSource(7))
+	// sets × GOMAXPROCS callers at most: none is shed.
+	e := NewExecutor(tree, ExecutorConfig{QueueDepth: sets * runtime.GOMAXPROCS(0)})
+	defer e.Close()
 
 	qs := make([]geom.Point, queries)
 	for i := range qs {
 		qs[i] = pts[rng.Intn(len(pts))].Clone()
 	}
-	want, err := tree.SearchBatch(knnQueries(qs, 5, dist.L2()))
+	want, err := searchParallel(e, knnQueries(qs, 5, dist.L2()))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var wg sync.WaitGroup
-	errs := make(chan error, batches+1)
-	for b := 0; b < batches; b++ {
+	errs := make(chan error, sets+1)
+	for b := 0; b < sets; b++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := tree.SearchBatch(knnQueries(qs, 5, dist.L2()))
+			got, err := searchParallel(e, knnQueries(qs, 5, dist.L2()))
 			if err != nil {
 				errs <- err
 				return
 			}
 			for i := range got {
 				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("batch result %d differs across concurrent batches", i)
+					t.Errorf("result %d differs across concurrent query sets", i)
 					return
 				}
 			}
 		}()
 	}
-	// One writer forcing lock handoffs between batch items. Each update
-	// rewrites a record with its own vector, so the tree's contents — and
-	// therefore every batch's expected results — never change.
+	// One writer committing between queries. Each update rewrites a record
+	// with its own vector, so the tree's contents — and therefore every
+	// set's expected results — never change.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		wrng := rand.New(rand.NewSource(8))
 		for i := 0; i < 50; i++ {
 			j := wrng.Intn(len(pts))
-			if _, err := tree.Update(pts[j], pts[j], core.RecordID(j)); err != nil {
+			if _, err := tree.update(pts[j], pts[j], core.RecordID(j)); err != nil {
 				errs <- err
 				return
 			}

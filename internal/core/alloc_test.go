@@ -63,8 +63,8 @@ func TestSearchZeroAlloc(t *testing.T) {
 
 	// The no-op tracer must keep the hot path allocation-free: StartTrace
 	// returns nil and every per-event trace call is an inlined nil check.
-	tree.SetTracer(obs.Nop())
-	defer tree.SetTracer(nil)
+	tree.setTracer(obs.Nop())
+	defer tree.setTracer(nil)
 	for _, k := range kinds[:3] {
 		run(k.name+"/NopTracer", k.query)
 	}

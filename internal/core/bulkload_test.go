@@ -435,8 +435,8 @@ func deleteLeafAndEvery7th(t *testing.T, tree *Tree, inserted []geom.Point, base
 	rids := slices.Clone(leaf.rids)
 
 	ring := obs.NewRing(1)
-	tree.SetTracer(ring)
-	defer tree.SetTracer(nil)
+	tree.setTracer(ring)
+	defer tree.setTracer(nil)
 	del := func(p geom.Point, rid RecordID) int {
 		found, err := tree.Delete(p, rid)
 		if err != nil || !found {

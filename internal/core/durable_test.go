@@ -34,7 +34,7 @@ func seededPoints(seed int64, n, dim int) ([]geom.Point, []RecordID) {
 
 func allEntries(t *testing.T, tree *Tree) []Entry {
 	t.Helper()
-	got, err := tree.SearchBox(tree.Config().Space)
+	got, err := tree.SearchBox(tree.cfg.Space)
 	if err != nil {
 		t.Fatalf("SearchBox: %v", err)
 	}

@@ -15,7 +15,7 @@ import (
 // box search, canonically ordered.
 func contents(t *testing.T, tree *Tree) []Entry {
 	t.Helper()
-	es, err := tree.SearchBox(tree.Config().Space)
+	es, err := tree.SearchBox(tree.cfg.Space)
 	if err != nil {
 		t.Fatalf("full-space search: %v", err)
 	}

@@ -100,7 +100,7 @@ func hybridMetrics() *treeMetrics {
 }
 
 // defaultTracer is the tracer new trees adopt, set by binaries (the -obs
-// flag) before building their trees; SetTracer overrides it per tree.
+// flag) before building their trees; setTracer overrides it per tree.
 var defaultTracer atomic.Value // of tracerBox
 
 type tracerBox struct{ tr obs.Tracer }
@@ -115,11 +115,6 @@ func loadDefaultTracer() obs.Tracer {
 	}
 	return nil
 }
-
-// SetTracer sets this tree's query/mutation tracer (nil disables tracing).
-// Set it before the tree is shared between goroutines: searches read the
-// tracer without synchronization.
-func (t *Tree) SetTracer(tr obs.Tracer) { t.tracer = tr }
 
 // tally accumulates one query's traversal counts as plain ints; it is
 // flushed to the shared atomic counters once, at query end.

@@ -384,7 +384,7 @@ func BenchmarkSearchKNNCtx16d(b *testing.B) {
 
 func BenchmarkSearchKNNTracerOff(b *testing.B) {
 	tree, pts := benchTree(b, 20000, 16)
-	tree.SetTracer(nil)
+	tree.setTracer(nil)
 	c := NewQueryContext()
 	var dst []Neighbor
 	// Warm pass: grow the context arena and result buffer to steady state so
@@ -405,7 +405,7 @@ func BenchmarkSearchKNNTracerOff(b *testing.B) {
 
 func BenchmarkSearchKNNTracerNop(b *testing.B) {
 	tree, pts := benchTree(b, 20000, 16)
-	tree.SetTracer(obs.Nop())
+	tree.setTracer(obs.Nop())
 	c := NewQueryContext()
 	var dst []Neighbor
 	var err error

@@ -51,8 +51,8 @@ func TestTracedQueryParity(t *testing.T) {
 
 	want := run()
 	ring := obs.NewRing(64)
-	tree.SetTracer(ring)
-	defer tree.SetTracer(nil)
+	tree.setTracer(ring)
+	defer tree.setTracer(nil)
 	got := run()
 
 	for i := range want {
@@ -81,8 +81,8 @@ func TestTracedQueryParity(t *testing.T) {
 func TestKNNTraceSpansEveryVisitedNode(t *testing.T) {
 	tree, pts, stats := parityTree(t, 5000, 12, 63)
 	ring := obs.NewRing(8)
-	tree.SetTracer(ring)
-	defer tree.SetTracer(nil)
+	tree.setTracer(ring)
+	defer tree.setTracer(nil)
 
 	before := stats.Snapshot().RandomReads
 	res, err := tree.SearchKNN(pts[123], 9, dist.L2())
@@ -169,8 +169,8 @@ func TestMutationTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := obs.NewRing(4096)
-	tree.SetTracer(ring)
-	defer tree.SetTracer(nil)
+	tree.setTracer(ring)
+	defer tree.setTracer(nil)
 
 	rng := rand.New(rand.NewSource(67))
 	pts := make([]geom.Point, 600)
@@ -225,3 +225,8 @@ func TestMutationTraces(t *testing.T) {
 		t.Errorf("tree size %d after deleting everything", tree.Size())
 	}
 }
+
+// setTracer sets this tree's query/mutation tracer (nil disables tracing).
+// Set it before the tree is shared between goroutines: searches read the
+// tracer without synchronization.
+func (t *Tree) setTracer(tr obs.Tracer) { t.tracer = tr }

@@ -400,7 +400,7 @@ func TestSearchBoxFuncParity(t *testing.T) {
 		wantReads := reads(t, st, func() error { _, e := tree.SearchBox(box); return e })
 		var got []Entry
 		gotReads := reads(t, st, func() error {
-			return tree.SearchBoxFunc(box, func(e Entry) bool {
+			return tree.searchBoxFunc(box, func(e Entry) bool {
 				got = append(got, e)
 				return true
 			})

@@ -120,7 +120,7 @@ func (t *Tree) Search(ctx context.Context, c *QueryContext, q Query, dst []Neigh
 }
 
 // search is Search plus the two private extras: visit streams box hits to
-// a callback instead of dst (SearchBoxFunc), and own substitutes a caller's
+// a callback instead of dst (searchBoxFunc), and own substitutes a caller's
 // trace for the tracer's (ExplainBox).
 func (t *Tree) search(ctx context.Context, c *QueryContext, q *Query, dst []Neighbor, visit func(Entry) bool, own *obs.Trace) ([]Neighbor, error) {
 	if err := q.Validate(t.cfg.Dim); err != nil {

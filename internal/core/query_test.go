@@ -97,9 +97,9 @@ func TestSearchSpellingsAgree(t *testing.T) {
 			{"SearchBox", true, func(_ context.Context, _ *QueryContext, q Query) (any, error) {
 				return tree.SearchBox(q.Rect)
 			}},
-			{"SearchBoxFunc", true, func(_ context.Context, _ *QueryContext, q Query) (any, error) {
+			{"searchBoxFunc", true, func(_ context.Context, _ *QueryContext, q Query) (any, error) {
 				var es []Entry
-				err := tree.SearchBoxFunc(q.Rect, func(e Entry) bool { es = append(es, e); return true })
+				err := tree.searchBoxFunc(q.Rect, func(e Entry) bool { es = append(es, e); return true })
 				return es, err
 			}},
 		},

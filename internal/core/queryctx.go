@@ -15,8 +15,8 @@ import (
 // best-first frontier heap and the k-best collector. A context may be reused
 // across any number of queries (of any dimensionality and query type) but
 // must never be used by two searches at once; the plain search methods pull
-// one from a per-tree sync.Pool, while batch executors hold one per worker
-// for the lifetime of the worker's query slice. A warm context makes the
+// one from a per-tree sync.Pool, while the concurrent executor holds one per
+// admitted request. A warm context makes the
 // cached-node query path allocation-free except for the result slice, which
 // the *Ctx search variants let the caller recycle too.
 type QueryContext struct {
@@ -27,10 +27,10 @@ type QueryContext struct {
 // use and is not tied to any particular tree.
 func NewQueryContext() *QueryContext { return &QueryContext{} }
 
-// SetQueueWait attributes d of executor queue wait (submission to worker
-// dequeue) to the next query run on this context. Batch executors call it
-// right before dispatching each operation; the next beginQuery folds it into
-// that operation's trace (when tracing is on) and clears it either way.
+// SetQueueWait attributes d of executor queue wait (admission to a running
+// slot) to the next query run on this context. The executor calls it before
+// running each admitted request; the next beginQuery folds it into that
+// query's trace (when tracing is on) and clears it either way.
 func (c *QueryContext) SetQueueWait(d time.Duration) { c.qc.queueWait = d }
 
 // getCtx takes a context from the tree's pool (allocating on a cold pool).

@@ -221,9 +221,6 @@ func (t *Tree) SnapshotInfo() (epoch uint64, size, height int) {
 	return v.epoch, v.size, v.height
 }
 
-// Epoch returns the current published commit epoch.
-func (t *Tree) Epoch() uint64 { return t.store.epoch.Load() }
-
 // RetiredVersions returns the number of superseded node versions awaiting
 // epoch-based reclamation.
 func (t *Tree) RetiredVersions() int { return int(t.store.retiredCount.Load()) }
@@ -500,9 +497,6 @@ func (t *Tree) Size() int { return t.size }
 
 // Height returns the tree height; 1 means the root is a data node.
 func (t *Tree) Height() int { return t.height }
-
-// Config returns the tree's effective (defaulted) configuration.
-func (t *Tree) Config() Config { return t.cfg }
 
 // File exposes the underlying page file (for access accounting).
 func (t *Tree) File() pagefile.File { return t.file }

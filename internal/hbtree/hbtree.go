@@ -134,12 +134,6 @@ func (t *Tree) Name() string { return "hb" }
 // File implements index.Index.
 func (t *Tree) File() pagefile.File { return t.file }
 
-// Size returns the number of stored entries.
-func (t *Tree) Size() int { return t.size }
-
-// Height returns the height of the primary path (1 = root is a data node).
-func (t *Tree) Height() int { return t.height }
-
 // posting describes a completed split to the parent: the path constraints
 // of the departed region and the two pages. Applying it is an optimization;
 // the remaining node's forward entry already guarantees reachability.

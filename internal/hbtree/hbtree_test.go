@@ -230,8 +230,8 @@ func TestCodecRoundTrip(t *testing.T) {
 func TestDeepTree(t *testing.T) {
 	// Small pages force several levels of posting and extraction.
 	tree, pts := build(t, 6000, 4, 256, 23)
-	if tree.Height() < 3 {
-		t.Fatalf("height = %d, wanted a deep tree", tree.Height())
+	if tree.height < 3 {
+		t.Fatalf("height = %d, wanted a deep tree", tree.height)
 	}
 	rng := rand.New(rand.NewSource(29))
 	for q := 0; q < 25; q++ {

@@ -107,12 +107,6 @@ func (t *Tree) Name() string { return "kdb" }
 // File implements index.Index.
 func (t *Tree) File() pagefile.File { return t.file }
 
-// Size returns the number of stored entries.
-func (t *Tree) Size() int { return t.size }
-
-// Height returns the tree height (1 = root is a point page).
-func (t *Tree) Height() int { return t.height }
-
 // Insert implements index.Index.
 func (t *Tree) Insert(p geom.Point, rid uint64) error {
 	if len(p) != t.cfg.Dim {

@@ -277,8 +277,8 @@ func TestEmptyTreeQueries(t *testing.T) {
 func TestDeepCascades(t *testing.T) {
 	// Small pages at 6-d: region splits with forced cascades at depth.
 	tree, pts := build(t, 6000, 6, 512, 77)
-	if tree.Height() < 3 {
-		t.Fatalf("height = %d, want >= 3", tree.Height())
+	if tree.height < 3 {
+		t.Fatalf("height = %d, want >= 3", tree.height)
 	}
 	st, err := tree.Stats()
 	if err != nil {

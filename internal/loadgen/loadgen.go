@@ -119,12 +119,6 @@ func (r *Report) Responses() int {
 	return n
 }
 
-// Shed is the number of 503 responses.
-func (r *Report) Shed() int { return r.Status[http.StatusServiceUnavailable] }
-
-// OK is the number of 200 responses.
-func (r *Report) OK() int { return r.Status[http.StatusOK] }
-
 // String renders the tallies, statuses and outcomes sorted.
 func (r *Report) String() string {
 	var b bytes.Buffer
@@ -183,10 +177,10 @@ func (r *Report) Check(expectShed bool) error {
 			r.Sent, r.Responses(), r.TransportErrors)
 	}
 	if expectShed {
-		if r.Shed() == 0 {
+		if r.Status[http.StatusServiceUnavailable] == 0 {
 			return fmt.Errorf("expected overload: no request was shed (status counts %v)", r.Status)
 		}
-		if r.OK() == 0 {
+		if r.Status[http.StatusOK] == 0 {
 			return fmt.Errorf("server drowned: no request succeeded (status counts %v)", r.Status)
 		}
 	}

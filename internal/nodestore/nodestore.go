@@ -167,12 +167,6 @@ func (s *Store[N]) Put(id pagefile.PageID, n N) error {
 	return nil
 }
 
-// Free releases the node's page.
-func (s *Store[N]) Free(id pagefile.PageID) error {
-	s.shard(id).mutate(func(m map[pagefile.PageID]N) { delete(m, id) })
-	return s.file.Free(id)
-}
-
 // DropCache empties the decoded cache, forcing decodes on subsequent Gets.
 func (s *Store[N]) DropCache() {
 	for i := range s.shards {

@@ -87,13 +87,4 @@ func TestStoreErrors(t *testing.T) {
 	if _, err := s.Get(id); err == nil {
 		t.Fatal("decode error swallowed")
 	}
-	// Free drops the cache entry.
-	id2, _ := s.Alloc()
-	_ = s.Put(id2, 9)
-	if err := s.Free(id2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get(id2); !errors.Is(err, pagefile.ErrPageFreed) {
-		t.Fatalf("err = %v", err)
-	}
 }

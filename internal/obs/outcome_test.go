@@ -10,13 +10,13 @@ func TestOutcomesRecord(t *testing.T) {
 	o.Record(OutcomeDegraded)
 	o.Record(OutcomeKind(99)) // out of range folds into error
 
-	if got := o.Get(OutcomeOK).Value(); got != 2 {
+	if got := o.get(OutcomeOK).Value(); got != 2 {
 		t.Fatalf("ok = %d, want 2", got)
 	}
-	if got := o.Get(OutcomeDegraded).Value(); got != 1 {
+	if got := o.get(OutcomeDegraded).Value(); got != 1 {
 		t.Fatalf("degraded = %d, want 1", got)
 	}
-	if got := o.Get(OutcomeError).Value(); got != 1 {
+	if got := o.get(OutcomeError).Value(); got != 1 {
 		t.Fatalf("error = %d, want 1", got)
 	}
 	if got := r.Counter(`test_outcomes_total{outcome="degraded"}`).Value(); got != 1 {
@@ -37,4 +37,12 @@ func TestOutcomeKindString(t *testing.T) {
 	if got := OutcomeKind(-1).String(); got != "unknown" {
 		t.Fatalf("OutcomeKind(-1).String() = %q, want unknown", got)
 	}
+}
+
+// get returns the counter for one outcome kind.
+func (o *Outcomes) get(k OutcomeKind) *Counter {
+	if k < 0 || int(k) >= NumOutcomes {
+		k = OutcomeError
+	}
+	return o.counters[k]
 }

@@ -68,6 +68,3 @@ func (r *Ring) Total() uint64 {
 	defer r.mu.Unlock()
 	return r.total
 }
-
-// Cap returns the ring's capacity.
-func (r *Ring) Cap() int { return cap(r.buf) }

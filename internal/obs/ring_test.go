@@ -10,7 +10,8 @@ import (
 // against snapshotting — run under -race in CI, where the interesting
 // assertions are the detector's.
 func TestRingConcurrentPushSnapshot(t *testing.T) {
-	r := NewRing(32)
+	const capacity = 32
+	r := NewRing(capacity)
 	var writers sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		writers.Add(1)
@@ -35,8 +36,8 @@ func TestRingConcurrentPushSnapshot(t *testing.T) {
 			default:
 			}
 			snap := r.Snapshot()
-			if len(snap) > r.Cap() {
-				t.Errorf("snapshot len %d > cap %d", len(snap), r.Cap())
+			if len(snap) > capacity {
+				t.Errorf("snapshot len %d > cap %d", len(snap), capacity)
 				return
 			}
 			for _, tr := range snap {

@@ -50,9 +50,9 @@ type RuntimeSampler struct {
 	started  bool
 }
 
-// NewRuntimeSampler resolves the runtime gauges and histograms in r and
+// newRuntimeSampler resolves the runtime gauges and histograms in r and
 // returns an unstarted sampler.
-func NewRuntimeSampler(r *Registry) *RuntimeSampler {
+func newRuntimeSampler(r *Registry) *RuntimeSampler {
 	s := &RuntimeSampler{
 		goroutines: r.Gauge("go_goroutines"),
 		gomaxprocs: r.Gauge("go_gomaxprocs"),
@@ -82,7 +82,7 @@ func StartRuntimeSampler(r *Registry, interval time.Duration) *RuntimeSampler {
 	if interval < 100*time.Millisecond {
 		interval = 100 * time.Millisecond
 	}
-	s := NewRuntimeSampler(r)
+	s := newRuntimeSampler(r)
 	s.started = true
 	s.Sample()
 	go func() {

@@ -10,7 +10,7 @@ import (
 
 func TestRuntimeSamplerSample(t *testing.T) {
 	reg := NewRegistry()
-	s := NewRuntimeSampler(reg)
+	s := newRuntimeSampler(reg)
 	runtime.GC() // guarantee at least one GC cycle and pause to fold in
 	s.Sample()
 
@@ -56,7 +56,7 @@ func TestRuntimeSamplerStartStop(t *testing.T) {
 	// A never-started sampler's Stop must not hang.
 	done := make(chan struct{})
 	go func() {
-		NewRuntimeSampler(NewRegistry()).Stop()
+		newRuntimeSampler(NewRegistry()).Stop()
 		close(done)
 	}()
 	select {
@@ -68,7 +68,7 @@ func TestRuntimeSamplerStartStop(t *testing.T) {
 
 func TestRuntimeMetricsInPrometheusOutput(t *testing.T) {
 	reg := NewRegistry()
-	NewRuntimeSampler(reg).Sample()
+	newRuntimeSampler(reg).Sample()
 	var sb strings.Builder
 	reg.WritePrometheus(&sb)
 	out := sb.String()

@@ -118,29 +118,8 @@ func (r *SlowRecorder) Snapshot() []*Trace {
 	return out
 }
 
-// SetThreshold replaces the admission threshold; already-retained faster
-// traces stay until evicted by slower ones.
-func (r *SlowRecorder) SetThreshold(d time.Duration) { r.thresholdNs.Store(int64(d)) }
-
-// Threshold returns the current admission threshold.
-func (r *SlowRecorder) Threshold() time.Duration { return time.Duration(r.thresholdNs.Load()) }
-
 // Observed returns how many finished traces the recorder has seen.
 func (r *SlowRecorder) Observed() uint64 { return r.observed.Load() }
-
-// Admitted returns how many traces cleared the threshold and the top-K
-// floor over the recorder's lifetime (including since-evicted ones).
-func (r *SlowRecorder) Admitted() uint64 { return r.admitted.Load() }
-
-// Retained returns how many traces are currently held.
-func (r *SlowRecorder) Retained() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.heap)
-}
-
-// K returns the recorder's capacity.
-func (r *SlowRecorder) K() int { return r.k }
 
 // tee is the fan-out Tracer Tee builds.
 type tee struct {

@@ -21,15 +21,15 @@ func TestSlowRecorderThresholdAndTopK(t *testing.T) {
 	r := NewSlowRecorder(3, 10*time.Millisecond)
 	// Below threshold: observed but never admitted.
 	finish(r.StartTrace("fast"), 1*time.Millisecond)
-	if r.Retained() != 0 {
+	if r.retained() != 0 {
 		t.Fatalf("sub-threshold trace retained")
 	}
 	// Fill to K.
 	for _, d := range []time.Duration{20, 30, 40} {
 		finish(r.StartTrace("slow"), d*time.Millisecond)
 	}
-	if r.Retained() != 3 {
-		t.Fatalf("retained = %d, want 3", r.Retained())
+	if r.retained() != 3 {
+		t.Fatalf("retained = %d, want 3", r.retained())
 	}
 	// A trace slower than the floor evicts the 20ms one...
 	finish(r.StartTrace("slower"), 50*time.Millisecond)
@@ -48,23 +48,23 @@ func TestSlowRecorderThresholdAndTopK(t *testing.T) {
 	if r.Observed() != 6 {
 		t.Fatalf("observed = %d, want 6", r.Observed())
 	}
-	if r.Admitted() != 4 {
-		t.Fatalf("admitted = %d, want 4 (3 fills + 1 eviction)", r.Admitted())
+	if r.admitted.Load() != 4 {
+		t.Fatalf("admitted = %d, want 4 (3 fills + 1 eviction)", r.admitted.Load())
 	}
 }
 
 func TestSlowRecorderSetThreshold(t *testing.T) {
 	r := NewSlowRecorder(8, 0)
-	if r.Threshold() != 0 {
-		t.Fatalf("threshold = %v", r.Threshold())
+	if r.threshold() != 0 {
+		t.Fatalf("threshold = %v", r.threshold())
 	}
 	finish(r.StartTrace("any"), 1)
-	if r.Retained() != 1 {
+	if r.retained() != 1 {
 		t.Fatal("zero threshold must admit everything")
 	}
-	r.SetThreshold(time.Second)
+	r.setThreshold(time.Second)
 	finish(r.StartTrace("fast"), time.Millisecond)
-	if r.Retained() != 1 {
+	if r.retained() != 1 {
 		t.Fatal("raised threshold admitted a fast trace")
 	}
 }
@@ -111,7 +111,7 @@ func TestTeeFansOut(t *testing.T) {
 	if ring.Total() != 1 {
 		t.Fatalf("ring missed the trace: total=%d", ring.Total())
 	}
-	if slow.Observed() != 1 || slow.Retained() != 1 {
+	if slow.Observed() != 1 || slow.retained() != 1 {
 		t.Fatalf("recorder missed the trace: observed=%d", slow.Observed())
 	}
 }
@@ -168,4 +168,18 @@ func TestStageSetJSONAndString(t *testing.T) {
 	nilTr.AddPageRead(1)
 	nilTr.AddWALFsync(1)
 	nilTr.AddCompute(1)
+}
+
+// setThreshold replaces the admission threshold; already-retained faster
+// traces stay until evicted by slower ones.
+func (r *SlowRecorder) setThreshold(d time.Duration) { r.thresholdNs.Store(int64(d)) }
+
+// threshold returns the current admission threshold.
+func (r *SlowRecorder) threshold() time.Duration { return time.Duration(r.thresholdNs.Load()) }
+
+// retained returns how many traces are currently held.
+func (r *SlowRecorder) retained() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.heap)
 }

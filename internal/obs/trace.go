@@ -56,7 +56,7 @@ type Span struct {
 // recording is active only while the operation carries a live trace, so
 // the untraced hot path never pays for it.
 type StageSet struct {
-	QueueWaitNs int64 `json:"queue_wait_ns,omitempty"` // executor submit -> worker dequeue
+	QueueWaitNs int64 `json:"queue_wait_ns,omitempty"` // executor admission -> running slot
 	PageReadNs  int64 `json:"page_read_ns,omitempty"`  // node fetch + decode (hits and misses)
 	PageReads   int32 `json:"page_reads,omitempty"`
 	WALFsyncNs  int64 `json:"wal_fsync_ns,omitempty"` // commit seal incl. the log fsync
@@ -192,8 +192,8 @@ func (t *Trace) stages() *StageSet {
 	return t.Stages
 }
 
-// AddQueueWait attributes ns nanoseconds of executor queue wait (batch
-// submission to worker dequeue) to this operation.
+// AddQueueWait attributes ns nanoseconds of executor queue wait (admission
+// to a running slot) to this operation.
 func (t *Trace) AddQueueWait(ns int64) {
 	if t == nil || ns <= 0 {
 		return

@@ -90,8 +90,8 @@ func TestTraceSpanTree(t *testing.T) {
 func TestRingWraparound(t *testing.T) {
 	const capacity = 4
 	r := NewRing(capacity)
-	if r.Cap() != capacity {
-		t.Fatalf("cap = %d", r.Cap())
+	if cap(r.buf) != capacity {
+		t.Fatalf("cap = %d", cap(r.buf))
 	}
 	const n = 11
 	for i := 0; i < n; i++ {

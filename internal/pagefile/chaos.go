@@ -81,7 +81,7 @@ func (c ChaosCounts) Total() uint64 {
 // above it to turn the silent modes into detected errors.
 //
 // A ChaosFile also carries a deterministic countdown fuse (SetRemaining,
-// SetHealAfter) for failure-injection tests that need the N-th operation
+// and a heal-after-N mode its tests set) for failure-injection tests that need the N-th operation
 // to fail exactly: a zero profile with an armed fuse is a pure fuse. The
 // fuse is checked before the profile's draw and, while disarmed (the
 // default), draws nothing, so seeded fault schedules do not depend on it.
@@ -126,15 +126,6 @@ func (f *ChaosFile) SetEnabled(on bool) {
 func (f *ChaosFile) SetRemaining(n int) {
 	f.mu.Lock()
 	f.armed, f.remaining = true, n
-	f.mu.Unlock()
-}
-
-// SetHealAfter sets heal-after-N mode: once the fuse's budget is spent, the
-// next n operations fail and the fuse then disarms for good. n == 0
-// restores the default fail-forever behavior.
-func (f *ChaosFile) SetHealAfter(n int) {
-	f.mu.Lock()
-	f.healAfter = n
 	f.mu.Unlock()
 }
 

@@ -117,14 +117,6 @@ func (f *CrashFile) Close() error {
 	return nil
 }
 
-// Reopen makes a closed file usable again, modeling a process restart
-// attaching to the same disk.
-func (f *CrashFile) Reopen() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.closed = false
-}
-
 // VolatilePages returns how many acknowledged pages have not reached the
 // durable image — what a crash right now would put at risk.
 func (f *CrashFile) VolatilePages() int {

@@ -58,7 +58,7 @@ func TestFaultFileHealAfter(t *testing.T) {
 	buf := make([]byte, 64)
 	f := NewChaosFile(inner, ChaosProfile{}, 1)
 	f.SetRemaining(2)
-	f.SetHealAfter(3)
+	f.setHealAfter(3)
 	for i := 0; i < 2; i++ {
 		if err := f.ReadPage(id, buf); err != nil {
 			t.Fatalf("op %d during budget: %v", i, err)
@@ -96,4 +96,13 @@ func TestFaultFileRearm(t *testing.T) {
 	if err := f.WritePage(id, buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected after budget respent", err)
 	}
+}
+
+// setHealAfter sets heal-after-N mode: once the fuse's budget is spent, the
+// next n operations fail and the fuse then disarms for good. n == 0
+// restores the default fail-forever behavior.
+func (f *ChaosFile) setHealAfter(n int) {
+	f.mu.Lock()
+	f.healAfter = n
+	f.mu.Unlock()
 }

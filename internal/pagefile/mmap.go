@@ -78,7 +78,7 @@ func (f *MmapFile) Free(id PageID) error { return ErrReadOnly }
 // read-only base up front via the ReadOnly marker instead.
 func (f *MmapFile) Sync() error { return f.countSync() }
 
-// ReadOnly implements ReadOnlyFile.
+// ReadOnly implements readOnlyFile.
 func (f *MmapFile) ReadOnly() bool { return true }
 
 // Close unmaps the file and releases the descriptor.

@@ -52,20 +52,20 @@ func (s *Stats) AddRandomReads(n uint64) { atomic.AddUint64(&s.RandomReads, n) }
 // AddSeqReads atomically adds n sequential reads.
 func (s *Stats) AddSeqReads(n uint64) { atomic.AddUint64(&s.SeqReads, n) }
 
-// AddWrites atomically adds n writes.
-func (s *Stats) AddWrites(n uint64) { atomic.AddUint64(&s.Writes, n) }
+// addWrites atomically adds n writes.
+func (s *Stats) addWrites(n uint64) { atomic.AddUint64(&s.Writes, n) }
 
-// AddAllocs atomically adds n allocations.
-func (s *Stats) AddAllocs(n uint64) { atomic.AddUint64(&s.Allocs, n) }
+// addAllocs atomically adds n allocations.
+func (s *Stats) addAllocs(n uint64) { atomic.AddUint64(&s.Allocs, n) }
 
-// AddFrees atomically adds n frees.
-func (s *Stats) AddFrees(n uint64) { atomic.AddUint64(&s.Frees, n) }
+// addFrees atomically adds n frees.
+func (s *Stats) addFrees(n uint64) { atomic.AddUint64(&s.Frees, n) }
 
-// AddSyncs atomically adds n syncs. Syncs are the one Stats counter also
+// addSyncs atomically adds n syncs. Syncs are the one Stats counter also
 // mirrored into the process-wide registry (pagefile_syncs_total): fsyncs are
 // the dominant durability cost, and the end-of-run observability dumps read
 // them from the registry alongside the wal_* metrics.
-func (s *Stats) AddSyncs(n uint64) {
+func (s *Stats) addSyncs(n uint64) {
 	atomic.AddUint64(&s.Syncs, n)
 	syncsCounter().Add(n)
 }
@@ -177,11 +177,11 @@ type TxFile interface {
 	AbortTx()
 }
 
-// ReadOnlyFile marks a File implementation that rejects all mutations (for
+// readOnlyFile marks a File implementation that rejects all mutations (for
 // example the mmap backend). Layers that need write access up front — the
 // write-ahead log, most prominently — check for it at open time so callers
 // get one typed error instead of a late WritePage failure mid-transaction.
-type ReadOnlyFile interface {
+type readOnlyFile interface {
 	ReadOnly() bool
 }
 
@@ -190,7 +190,7 @@ type ReadOnlyFile interface {
 // detects only a directly read-only base — which is exactly the case the
 // WAL needs to reject.
 func IsReadOnly(f File) bool {
-	ro, ok := f.(ReadOnlyFile)
+	ro, ok := f.(readOnlyFile)
 	return ok && ro.ReadOnly()
 }
 
@@ -305,7 +305,7 @@ func (s *pageSpace) checkWrite(id PageID, data []byte) error {
 	if len(data) > s.pageSize {
 		return fmt.Errorf("%w: %d > %d", ErrTooLarge, len(data), s.pageSize)
 	}
-	s.stats.AddWrites(1)
+	s.stats.addWrites(1)
 	return nil
 }
 
@@ -315,7 +315,7 @@ func (s *pageSpace) alloc() (id PageID, fresh bool, err error) {
 	if s.closed {
 		return InvalidPage, false, ErrClosed
 	}
-	s.stats.AddAllocs(1)
+	s.stats.addAllocs(1)
 	if n := len(s.freed); n > 0 {
 		id = s.freed[n-1]
 		s.freed = s.freed[:n-1]
@@ -331,7 +331,7 @@ func (s *pageSpace) free(id PageID) error {
 	if err := s.check(id); err != nil {
 		return err
 	}
-	s.stats.AddFrees(1)
+	s.stats.addFrees(1)
 	s.freed = append(s.freed, id)
 	s.isFree[id] = true
 	return nil
@@ -342,7 +342,7 @@ func (s *pageSpace) countSync() error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.stats.AddSyncs(1)
+	s.stats.addSyncs(1)
 	return nil
 }
 

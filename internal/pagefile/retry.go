@@ -37,8 +37,8 @@ type RetryPolicy struct {
 	// With Jitter on, each retry sleeps uniform(Backoff, 3×previous-sleep)
 	// capped at MaxBackoff — the "decorrelated jitter" scheme — so retry
 	// times spread out while still backing off on average. The random
-	// source is injectable (SetRand) and the scheme is deterministic given
-	// the source, so tests pin exact sleep schedules.
+	// source is injectable and the scheme is deterministic given the
+	// source, so tests pin exact sleep schedules.
 	Jitter bool
 	// TripAfter is the number of consecutive exhausted reads that opens the
 	// circuit breaker (0 disables the breaker entirely).
@@ -118,8 +118,8 @@ type RetryFile struct {
 	sleep func(time.Duration)
 	now   func() time.Time
 	// rand draws the jitter fraction in [0, 1); mutex-guarded because reads
-	// run concurrently. Injectable (SetRand) so jitter schedules are
-	// deterministic under test.
+	// run concurrently. Tests replace it so jitter schedules are
+	// deterministic.
 	randMu sync.Mutex
 	rand   func() float64
 	br     breaker
@@ -135,33 +135,11 @@ func NewRetryFile(inner File, p RetryPolicy) *RetryFile {
 	return f
 }
 
-// SetClock overrides the wall clock and backoff sleep (tests; pass nil to
-// keep the current function).
-func (f *RetryFile) SetClock(now func() time.Time, sleep func(time.Duration)) {
-	if now != nil {
-		f.now = now
-	}
-	if sleep != nil {
-		f.sleep = sleep
-	}
-}
-
-// SetRand overrides the jitter source with fn (which must return values in
-// [0, 1)); pass a seeded generator's Float64 for a deterministic schedule.
-func (f *RetryFile) SetRand(fn func() float64) {
-	if fn != nil {
-		f.rand = fn
-	}
-}
-
 func (f *RetryFile) jitterFrac() float64 {
 	f.randMu.Lock()
 	defer f.randMu.Unlock()
 	return f.rand()
 }
-
-// BreakerState reports "closed", "open" or "half-open".
-func (f *RetryFile) BreakerState() string { return f.br.stateName() }
 
 // ReadPage implements File with retry, backoff and circuit breaking.
 func (f *RetryFile) ReadPage(id PageID, buf []byte) error { return f.read(id, buf, false) }

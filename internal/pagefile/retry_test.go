@@ -33,7 +33,7 @@ func newRetryFixture(t *testing.T, p RetryPolicy) *retryFixture {
 	}
 	fx.fault = NewChaosFile(fx.mem, ChaosProfile{}, 1)
 	fx.rf = NewRetryFile(fx.fault, p)
-	fx.rf.SetClock(func() time.Time { return fx.now },
+	fx.rf.setClock(func() time.Time { return fx.now },
 		func(d time.Duration) { fx.slept += d; fx.now = fx.now.Add(d) })
 	return fx
 }
@@ -42,7 +42,7 @@ func TestRetryRecoversTransientFault(t *testing.T) {
 	fx := newRetryFixture(t, RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond})
 	// One injected failure, then healed: the first attempt fails, the retry
 	// succeeds.
-	fx.fault.SetHealAfter(1)
+	fx.fault.setHealAfter(1)
 	fx.fault.SetRemaining(0)
 	if err := fx.rf.ReadPage(fx.id, fx.buf); err != nil {
 		t.Fatalf("read after transient fault: %v", err)
@@ -137,19 +137,19 @@ func TestBreakerTripShedRecover(t *testing.T) {
 		ProbeAfter:  time.Minute,
 	})
 	now := time.Unix(0, 0)
-	rf.SetClock(func() time.Time { return now }, func(time.Duration) {})
+	rf.setClock(func() time.Time { return now }, func(time.Duration) {})
 
 	buf := make([]byte, 64)
 	for i := 0; i < trip; i++ {
-		if rf.BreakerState() != "closed" {
-			t.Fatalf("breaker %s before trip threshold (fail %d)", rf.BreakerState(), i)
+		if rf.breakerState() != "closed" {
+			t.Fatalf("breaker %s before trip threshold (fail %d)", rf.breakerState(), i)
 		}
 		if err := rf.ReadPage(id, buf); !errors.Is(err, ErrInjected) {
 			t.Fatalf("fail %d: err = %v, want ErrInjected", i, err)
 		}
 	}
-	if rf.BreakerState() != "open" {
-		t.Fatalf("breaker %s after %d consecutive failures, want open", rf.BreakerState(), trip)
+	if rf.breakerState() != "open" {
+		t.Fatalf("breaker %s after %d consecutive failures, want open", rf.breakerState(), trip)
 	}
 
 	// Open state sheds fast: ErrCircuitOpen before any attempt reaches the
@@ -174,8 +174,8 @@ func TestBreakerTripShedRecover(t *testing.T) {
 	if err := rf.ReadPage(id, buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("failed probe: err = %v, want ErrInjected", err)
 	}
-	if rf.BreakerState() != "open" {
-		t.Fatalf("breaker %s after failed probe, want open", rf.BreakerState())
+	if rf.breakerState() != "open" {
+		t.Fatalf("breaker %s after failed probe, want open", rf.breakerState())
 	}
 
 	// Heal the storage, advance past the interval: the probe succeeds and
@@ -185,8 +185,8 @@ func TestBreakerTripShedRecover(t *testing.T) {
 	if err := rf.ReadPage(id, buf); err != nil {
 		t.Fatalf("probe after heal: %v", err)
 	}
-	if rf.BreakerState() != "closed" {
-		t.Fatalf("breaker %s after successful probe, want closed", rf.BreakerState())
+	if rf.breakerState() != "closed" {
+		t.Fatalf("breaker %s after successful probe, want closed", rf.breakerState())
 	}
 	if string(buf[:5]) != "hello" {
 		t.Fatalf("payload = %q, want hello", buf[:5])
@@ -204,7 +204,7 @@ func TestBreakerRecoversAfterFaultFileHeal(t *testing.T) {
 	fault.SetRemaining(0) // burnt from the start
 	rf := NewRetryFile(fault, RetryPolicy{MaxAttempts: 1, TripAfter: 2, ProbeAfter: time.Minute})
 	now := time.Unix(0, 0)
-	rf.SetClock(func() time.Time { return now }, func(time.Duration) {})
+	rf.setClock(func() time.Time { return now }, func(time.Duration) {})
 
 	buf := make([]byte, 64)
 	for i := 0; i < 2; i++ {
@@ -212,10 +212,10 @@ func TestBreakerRecoversAfterFaultFileHeal(t *testing.T) {
 			t.Fatalf("fail %d: %v", i, err)
 		}
 	}
-	if rf.BreakerState() != "open" {
-		t.Fatalf("breaker %s, want open", rf.BreakerState())
+	if rf.breakerState() != "open" {
+		t.Fatalf("breaker %s, want open", rf.breakerState())
 	}
-	fault.SetHealAfter(1) // next op fails, then the file is healthy forever
+	fault.setHealAfter(1) // next op fails, then the file is healthy forever
 	now = now.Add(time.Minute)
 	if err := rf.ReadPage(id, buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("probe during heal burst: %v", err)
@@ -224,8 +224,8 @@ func TestBreakerRecoversAfterFaultFileHeal(t *testing.T) {
 	if err := rf.ReadPage(id, buf); err != nil {
 		t.Fatalf("read after heal: %v", err)
 	}
-	if rf.BreakerState() != "closed" {
-		t.Fatalf("breaker %s after recovery, want closed", rf.BreakerState())
+	if rf.breakerState() != "closed" {
+		t.Fatalf("breaker %s after recovery, want closed", rf.breakerState())
 	}
 }
 
@@ -250,8 +250,8 @@ func TestBreakerZeroProbeNeverSheds(t *testing.T) {
 	if err := rf.ReadPage(id, buf); err != nil {
 		t.Fatalf("read after heal: %v", err)
 	}
-	if rf.BreakerState() != "closed" {
-		t.Fatalf("breaker %s, want closed", rf.BreakerState())
+	if rf.breakerState() != "closed" {
+		t.Fatalf("breaker %s, want closed", rf.breakerState())
 	}
 }
 
@@ -275,9 +275,9 @@ func TestRetryJitterDecorrelatesBackoff(t *testing.T) {
 		fx := newRetryFixture(t, RetryPolicy{
 			MaxAttempts: 5, Backoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond, Jitter: true})
 		var sleeps []time.Duration
-		fx.rf.SetClock(nil, func(d time.Duration) { sleeps = append(sleeps, d); fx.now = fx.now.Add(d) })
+		fx.rf.setClock(nil, func(d time.Duration) { sleeps = append(sleeps, d); fx.now = fx.now.Add(d) })
 		i := 0
-		fx.rf.SetRand(func() float64 { v := fracs[i%len(fracs)]; i++; return v })
+		fx.rf.setRand(func() float64 { v := fracs[i%len(fracs)]; i++; return v })
 		fx.fault.SetRemaining(0) // every attempt fails
 		if err := fx.rf.ReadPage(fx.id, fx.buf); !errors.Is(err, ErrInjected) {
 			t.Fatalf("read: err = %v, want ErrInjected", err)
@@ -325,8 +325,8 @@ func TestRetryJitterOffKeepsDoublingLadder(t *testing.T) {
 	fx := newRetryFixture(t, RetryPolicy{
 		MaxAttempts: 4, Backoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond})
 	var sleeps []time.Duration
-	fx.rf.SetClock(nil, func(d time.Duration) { sleeps = append(sleeps, d); fx.now = fx.now.Add(d) })
-	fx.rf.SetRand(func() float64 { t.Fatal("jitter source consulted with Jitter off"); return 0 })
+	fx.rf.setClock(nil, func(d time.Duration) { sleeps = append(sleeps, d); fx.now = fx.now.Add(d) })
+	fx.rf.setRand(func() float64 { t.Fatal("jitter source consulted with Jitter off"); return 0 })
 	fx.fault.SetRemaining(0)
 	if err := fx.rf.ReadPage(fx.id, fx.buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("read: err = %v, want ErrInjected", err)
@@ -341,3 +341,25 @@ func TestRetryJitterOffKeepsDoublingLadder(t *testing.T) {
 		}
 	}
 }
+
+// setClock overrides the wall clock and backoff sleep (tests; pass nil to
+// keep the current function).
+func (f *RetryFile) setClock(now func() time.Time, sleep func(time.Duration)) {
+	if now != nil {
+		f.now = now
+	}
+	if sleep != nil {
+		f.sleep = sleep
+	}
+}
+
+// setRand overrides the jitter source with fn (which must return values in
+// [0, 1)); pass a seeded generator's Float64 for a deterministic schedule.
+func (f *RetryFile) setRand(fn func() float64) {
+	if fn != nil {
+		f.rand = fn
+	}
+}
+
+// breakerState reports "closed", "open" or "half-open".
+func (f *RetryFile) breakerState() string { return f.br.stateName() }

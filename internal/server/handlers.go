@@ -39,7 +39,7 @@ const (
 	HeaderPartial = "X-Htree-Partial"
 )
 
-// StatusFor maps the six-way outcome taxonomy onto HTTP status codes. This
+// statusFor maps the six-way outcome taxonomy onto HTTP status codes. This
 // is the server's single source of truth: every /v1 response's status is
 // either this mapping or a 4xx rejected before the index ran (bad JSON,
 // wrong dimensionality, oversized body — those still count one outcome,
@@ -51,7 +51,7 @@ const (
 //	timeout   → 504
 //	shed      → 503 + Retry-After (back off and come back)
 //	error     → 500
-func StatusFor(k obs.OutcomeKind) int {
+func statusFor(k obs.OutcomeKind) int {
 	switch k {
 	case obs.OutcomeOK:
 		return http.StatusOK
@@ -122,7 +122,7 @@ type statsResponse struct {
 // exactly one response and records exactly one outcome from it.
 type result struct {
 	outcome obs.OutcomeKind
-	status  int // 0 = derive from outcome via StatusFor
+	status  int // 0 = derive from outcome via statusFor
 	resp    queryResponse
 }
 
@@ -214,7 +214,7 @@ func (s *Server) endpoint(h func(r *http.Request, req queryRequest) result) http
 			s.m.inflight.Add(-1)
 			status := res.status
 			if status == 0 {
-				status = StatusFor(res.outcome)
+				status = statusFor(res.outcome)
 			}
 			res.resp.Outcome = res.outcome.String()
 			w.Header().Set("Content-Type", "application/json")

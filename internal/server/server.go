@@ -153,14 +153,13 @@ type Server struct {
 	m        *serverMetrics
 
 	httpSrv  *http.Server
-	ln       net.Listener
 	draining atomic.Bool
 	served   atomic.Bool
 }
 
 // New builds a Server over tree. It starts the executor (and, with writes
 // enabled, the group committer) immediately; the HTTP listener starts with
-// Serve or ListenAndServe.
+// Serve.
 func New(tree *concurrent.Tree, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -194,31 +193,9 @@ func (s *Server) Serve(ln net.Listener) error {
 	if s.cfg.MaxConns > 0 {
 		ln = limitListener(ln, s.cfg.MaxConns, s.m.connsHeld)
 	}
-	s.ln = ln
 	s.served.Store(true)
 	return s.httpSrv.Serve(ln)
 }
-
-// ListenAndServe binds addr (port 0 picks a free port; read it back with
-// Addr) and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Addr reports the bound listener address, or nil before Serve.
-func (s *Server) Addr() net.Addr {
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
-// Draining reports whether a drain has begun (readiness has flipped).
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Shutdown drains the server gracefully, in dependency order:
 //

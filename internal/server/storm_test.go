@@ -69,17 +69,14 @@ func newStormStack(t *testing.T, dim, n int, seed int64) *stormStack {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(11))
-	pts := make([]geom.Point, n)
-	rids := make([]core.RecordID, n)
-	for i := range pts {
+	for i := 0; i < n; i++ {
 		p := make(geom.Point, dim)
 		for d := range p {
 			p[d] = float32(rng.Float64())
 		}
-		pts[i], rids[i] = p, core.RecordID(i+1)
-	}
-	if err := st.tree.InsertBatch(pts, rids); err != nil {
-		t.Fatal(err)
+		if err := st.tree.Insert(p, core.RecordID(i+1)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := st.tree.Flush(); err != nil {
 		t.Fatal(err)

@@ -133,12 +133,6 @@ func (t *Tree) Name() string { return "sr" }
 // File implements index.Index.
 func (t *Tree) File() pagefile.File { return t.file }
 
-// Size returns the number of stored entries.
-func (t *Tree) Size() int { return t.size }
-
-// Height returns the tree height (1 = root is a leaf).
-func (t *Tree) Height() int { return t.height }
-
 // Insert implements index.Index using the SS-tree descent rule the SR-tree
 // adopts: follow the child whose centroid is nearest to the new point.
 func (t *Tree) Insert(p geom.Point, rid uint64) error {

@@ -190,14 +190,14 @@ func TestStatsAndStructure(t *testing.T) {
 	if st.Entries != 3000 {
 		t.Fatalf("entries = %d", st.Entries)
 	}
-	if st.Height != tree.Height() || st.Height < 2 {
+	if st.Height != tree.height || st.Height < 2 {
 		t.Fatalf("height = %d", st.Height)
 	}
 	if st.LeafNodes == 0 || st.IndexNodes == 0 {
 		t.Fatal("degenerate structure")
 	}
-	if tree.Size() != 3000 {
-		t.Fatalf("size = %d", tree.Size())
+	if tree.size != 3000 {
+		t.Fatalf("size = %d", tree.size)
 	}
 }
 

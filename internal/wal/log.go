@@ -92,13 +92,6 @@ func (l *MemLog) Contents() ([]byte, error) {
 // Close implements LogStore.
 func (l *MemLog) Close() error { return nil }
 
-// Synced returns the durable watermark in bytes.
-func (l *MemLog) Synced() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.synced
-}
-
 // FailNextSyncs arms the next n Sync calls to fail, for rewind tests.
 func (l *MemLog) FailNextSyncs(n int) {
 	l.mu.Lock()

@@ -228,7 +228,7 @@ func TestFsyncEveryAmortizes(t *testing.T) {
 		if err := f.SealTx(); err != nil {
 			t.Fatal(err)
 		}
-		if log.Synced() != 0 {
+		if log.syncedBytes() != 0 {
 			t.Fatalf("commit %d forced an fsync with FsyncEvery=4", i)
 		}
 	}
@@ -239,7 +239,7 @@ func TestFsyncEveryAmortizes(t *testing.T) {
 	if err := f.SealTx(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := int64(log.Synced()), log.Size(); got != want {
+	if got, want := int64(log.syncedBytes()), log.Size(); got != want {
 		t.Fatalf("4th commit did not fsync: synced %d, size %d", got, want)
 	}
 }
@@ -560,7 +560,7 @@ func TestRewindIsDurable(t *testing.T) {
 	if err := f.SealTx(); err == nil {
 		t.Fatalf("SealTx succeeded despite fsync failure")
 	}
-	if got, want := log.Synced(), int(log.Size()); got != want {
+	if got, want := log.syncedBytes(), int(log.Size()); got != want {
 		t.Fatalf("rewind not durable: synced %d, size %d", got, want)
 	}
 	// Crash right away: recovery must never see the rejected commit.
@@ -595,11 +595,11 @@ func TestRewoundCommitNotCountedByFsyncEvery(t *testing.T) {
 	}
 	// The rewind fsync made everything durable; the counter must be back
 	// at zero, so this commit is the first of a fresh batch: no fsync.
-	syncedBefore := log.Synced()
+	syncedBefore := log.syncedBytes()
 	if err := seal(0x03); err != nil {
 		t.Fatal(err)
 	}
-	if got := log.Synced(); got != syncedBefore {
+	if got := log.syncedBytes(); got != syncedBefore {
 		t.Fatalf("commit after rewind fsynced (synced %d -> %d): rewound commit still counted toward FsyncEvery", syncedBefore, got)
 	}
 	if log.Size() == int64(syncedBefore) {
@@ -779,7 +779,7 @@ type logWatchFile struct {
 
 func (w *logWatchFile) WritePage(id pagefile.PageID, data []byte) error {
 	w.writes++
-	if int64(w.log.Synced()) != w.log.Size() {
+	if int64(w.log.syncedBytes()) != w.log.Size() {
 		w.early++
 	}
 	return w.File.WritePage(id, data)
@@ -855,4 +855,11 @@ func TestWriteBackWaitsForLogFsync(t *testing.T) {
 	if got := readPage(t, inner, c); !bytes.Equal(got, page(0xC1)) {
 		t.Fatalf("inner page c reads %x..., want the committed c1", got[0])
 	}
+}
+
+// syncedBytes returns the durable watermark in bytes.
+func (l *MemLog) syncedBytes() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.synced
 }

@@ -16,13 +16,13 @@ import (
 // constructor of a core.Query kept for a named caller (DESIGN.md "Query
 // path").
 func TestSearchSurface(t *testing.T) {
-	const coreTree = "Search SearchBox SearchBoxContext SearchBoxFunc SearchKNN SearchKNNApprox SearchKNNContext SearchPoint SearchRange SearchRangeContext"
+	const coreTree = "Search SearchBox SearchBoxContext SearchKNN SearchKNNApprox SearchKNNContext SearchPoint SearchRange SearchRangeContext"
 	for _, tc := range []struct {
 		typ  any
 		want string
 	}{
 		{(*core.Tree)(nil), coreTree},
-		{(*concurrent.Tree)(nil), "Search SearchBatch SearchKNN"},
+		{(*concurrent.Tree)(nil), "Search SearchKNN"},
 		{(*concurrent.Executor)(nil), "Search SearchBox SearchKNN SearchRange"},
 		// Hybrid embeds *core.Tree: it declares Search (index.Index's,
 		// shadowing core's) and is promoted the rest.
